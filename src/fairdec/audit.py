@@ -31,7 +31,9 @@ from .model import (
     outcome_utility,
     utility_vector,
 )
-from .oracles import DEFAULT_ENUM_CAP, enumerate_outcomes
+from .errors import InstanceFormatError
+from .mechanisms import pareto_improvement
+from .oracles import DEFAULT_ENUM_CAP
 from .shares import (
     DEFAULT_MMS_CAP,
     maximin_share,
@@ -56,7 +58,7 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class ParetoCheck:
-    """Exhaustive Pareto test; ``witness`` is the first dominating alternative found."""
+    """Exact Pareto test; ``witness`` is the lexicographically first improvement."""
 
     satisfied: bool
     witness: Outcome | Allocation | None
@@ -123,18 +125,15 @@ def best_single_switch(
 def check_pareto_optimal(
     instance: DecisionInstance, outcome: Outcome, cap: int = DEFAULT_ENUM_CAP
 ) -> ParetoCheck:
-    """Search every outcome for a Pareto improvement; keep the first one found."""
-    base = utility_vector(instance, outcome)
-    for candidate in enumerate_outcomes(instance, cap):
-        utils = utility_vector(instance, candidate)
-        if utils != base and all(u >= b for u, b in zip(utils, base)):
-            return ParetoCheck(satisfied=False, witness=candidate)
-    return ParetoCheck(satisfied=True, witness=None)
+    """Search the outcomes for a Pareto improvement; report the lexicographically
+    first one, the one enumerating every outcome would find first."""
+    witness = pareto_improvement(instance, outcome, cap)
+    return ParetoCheck(satisfied=witness is None, witness=witness)
 
 
 def audit(
     instance: DecisionInstance,
-    outcome: Outcome,
+    outcome: Outcome | None,
     with_mms: bool = False,
     mms_cap: int = DEFAULT_MMS_CAP,
     po_cap: int | None = None,
@@ -142,18 +141,20 @@ def audit(
     """Audit an outcome of a public decision instance.
 
     Always reports Prop, Prop1, RRS and PPS levels per player; MMS is opt-in
-    (it enumerates partitions), and the exhaustive Pareto check runs when
-    ``po_cap`` is given.
+    (it enumerates partitions), and the exact Pareto check runs when ``po_cap``
+    is given. Raises InstanceFormatError when the outcome does not fit.
     """
+    if outcome is None:
+        raise InstanceFormatError("a public instance needs a choices result")
     if len(outcome.choices) != instance.m:
-        raise ValueError(
-            f"outcome has {len(outcome.choices)} choices for {instance.m} issues"
+        raise InstanceFormatError(
+            f"expected {instance.m} choices, got {len(outcome.choices)}"
         )
     for t, choice in enumerate(outcome.choices):
-        if not 0 <= choice < instance.issues[t].k:
-            raise ValueError(
-                f"choices[{t}]: alternative {choice} out of range "
-                f"0..{instance.issues[t].k - 1}"
+        k = instance.issues[t].k
+        if not 0 <= choice < k:
+            raise InstanceFormatError(
+                f"choices[{t}]: alternative {choice} out of range 0..{k - 1}"
             )
     utilities = utility_vector(instance, outcome)
     players = []
@@ -197,7 +198,7 @@ def best_unowned_good(
 
 def audit_goods(
     goods: GoodsInstance,
-    alloc: Allocation,
+    alloc: Allocation | None,
     with_mms: bool = False,
     mms_cap: int = DEFAULT_MMS_CAP,
     po_cap: int | None = None,
@@ -209,14 +210,22 @@ def audit_goods(
     proportionality credits the player with her bundle plus the best good she
     does not hold. Envy-freeness and its one-good relaxation are reported per
     player as the worst case over opponents. The Pareto check runs on the
-    public embedding and converts any witness back to an allocation.
+    public embedding and converts any witness back to an allocation. Raises
+    InstanceFormatError when the allocation does not fit.
     """
+    if alloc is None:
+        raise InstanceFormatError("a goods instance needs a bundles result")
     if len(alloc.bundles) != goods.n:
-        raise ValueError(
-            f"allocation has {len(alloc.bundles)} bundles for {goods.n} players"
+        raise InstanceFormatError(
+            f"expected {goods.n} bundles, got {len(alloc.bundles)}"
         )
-    if sorted(g for bundle in alloc.bundles for g in bundle) != list(range(goods.m)):
-        raise ValueError("allocation must hand out every good exactly once")
+    handed = sorted(g for bundle in alloc.bundles for g in bundle)
+    if handed != list(range(goods.m)):
+        missing = sorted(set(range(goods.m)).difference(handed))
+        raise InstanceFormatError(
+            f"bundles must hand out every good exactly once; "
+            f"missing {missing}, handed out {handed}"
+        )
     utilities = allocation_utilities(goods, alloc)
     players = []
     for i in range(goods.n):

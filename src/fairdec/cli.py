@@ -157,43 +157,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _check_result_shape(instance, parsed: io.ParsedResult) -> None:
-    if isinstance(instance, GoodsInstance):
-        if parsed.allocation is None:
-            raise InstanceFormatError("a goods instance needs a bundles result")
-        alloc = parsed.allocation
-        if len(alloc.bundles) != instance.n:
-            raise InstanceFormatError(
-                f"expected {instance.n} bundles, got {len(alloc.bundles)}"
-            )
-        covered = set().union(*alloc.bundles) if alloc.bundles else set()
-        expected = set(range(instance.m))
-        if covered != expected:
-            raise InstanceFormatError(
-                f"bundles must cover every good exactly once; "
-                f"missing {sorted(expected - covered)}, "
-                f"unknown {sorted(covered - expected)}"
-            )
-    else:
-        if parsed.outcome is None:
-            raise InstanceFormatError("a public instance needs a choices result")
-        choices = parsed.outcome.choices
-        if len(choices) != instance.m:
-            raise InstanceFormatError(
-                f"expected {instance.m} choices, got {len(choices)}"
-            )
-        for t, choice in enumerate(choices):
-            k = instance.issues[t].k
-            if not 0 <= choice < k:
-                raise InstanceFormatError(
-                    f"choices[{t}]: alternative {choice} out of range 0..{k - 1}"
-                )
-
-
 def _cmd_audit(args) -> int:
     instance = _load_instance(args)
     parsed = io.parse_result(_read(args.result))
-    _check_result_shape(instance, parsed)
     report = _run_audit(
         args, instance, outcome=parsed.outcome, alloc=parsed.allocation
     )

@@ -28,7 +28,7 @@ from .model import (
     Issue,
     MechanismResult,
     Outcome,
-    validate,
+    require_valid,
 )
 from .private_goods import TransferTrace
 
@@ -177,11 +177,7 @@ def parse_instance(
     else:
         raise InstanceFormatError('kind must be "public" or "goods"')
 
-    violations = validate(instance)
-    if violations:
-        raise InstanceFormatError(
-            "; ".join(f"{v.path}: {v.message}" for v in violations), violations
-        )
+    require_valid(instance)
     return instance
 
 

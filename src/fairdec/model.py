@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .errors import InstanceFormatError
+
 RationalLike = Union[Fraction, int, str]
 
 
@@ -33,6 +35,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, (Fraction, int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def scale_to_int(values: Iterable[Fraction], scale: int) -> list[int]:
+    """Each value times ``scale``, a multiple of every denominator, as an int."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -276,6 +283,15 @@ def validate(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
                         )
                     )
     return violations
+
+
+def require_valid(instance: DecisionInstance | GoodsInstance) -> None:
+    """Raise InstanceFormatError listing every ``validate`` violation, if any."""
+    violations = validate(instance)
+    if violations:
+        raise InstanceFormatError(
+            "; ".join(f"{v.path}: {v.message}" for v in violations), violations
+        )
 
 
 def goods_to_public(goods: GoodsInstance) -> DecisionInstance:

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import CapExceeded
-from .model import DecisionInstance, GoodsInstance, sorted_max_utilities
+from .model import DecisionInstance, GoodsInstance, scale_to_int, sorted_max_utilities
 
 DEFAULT_MMS_CAP = 10**6
 
@@ -96,9 +97,12 @@ def maximin_share(
     if space > cap:
         raise CapExceeded(space, cap, what="maximin-share partition enumeration")
 
-    values = ranked  # bundle value only depends on the multiset of maxima
-    best = Fraction(0)
-    sums = [Fraction(0)] * n
+    # bundle value only depends on the multiset of maxima; summing them as
+    # integers over one common denominator keeps the result exact
+    scale = lcm(*(v.denominator for v in ranked))
+    values = scale_to_int(ranked, scale)
+    best = 0
+    sums = [0] * n
 
     def assign(t: int, used: int) -> None:
         nonlocal best
@@ -116,7 +120,7 @@ def maximin_share(
             sums[b] -= values[t]
 
     assign(0, 0)
-    return best
+    return Fraction(best, scale)
 
 
 @dataclass(frozen=True)

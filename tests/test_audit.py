@@ -9,16 +9,32 @@ import fairdec as fd
 from fairdec.audit import best_single_switch, best_unowned_good
 
 
+# integers, and fractions whose denominators are pairwise coprime, so the
+# search kernel's per-player integer scales differ between players
+UTILITIES = st.one_of(
+    st.integers(0, 5),
+    st.builds(Fraction, st.integers(0, 35), st.sampled_from([2, 3, 7])),
+)
+
+
 @st.composite
-def public_instances_(draw, max_n=3, max_m=4, max_k=3, max_u=5):
+def public_instances_(draw, max_n=3, max_m=4, max_k=3):
+    """Random instances, n = 1 and k = 1 included; some rows are mostly zeros."""
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
     issues = []
     for _ in range(m):
         k = draw(st.integers(1, max_k))
-        issues.append(
-            [[draw(st.integers(0, max_u)) for _ in range(k)] for _ in range(n)]
-        )
+        rows = []
+        for _ in range(n):
+            zero_heavy = draw(st.booleans())
+            rows.append(
+                [
+                    0 if zero_heavy and draw(st.integers(0, 3)) else draw(UTILITIES)
+                    for _ in range(k)
+                ]
+            )
+        issues.append(rows)
     return fd.decision_instance(issues)
 
 
@@ -135,6 +151,11 @@ def test_audit_rejects_malformed_outcomes():
         fd.audit(inst, fd.Outcome(choices=(0,)))
     with pytest.raises(ValueError):
         fd.audit(inst, fd.Outcome(choices=(0, 9)))
+    with pytest.raises(fd.InstanceFormatError, match="needs a choices result"):
+        fd.audit(inst, None)
+    goods = fd.goods_instance([[1, 2], [2, 1]])
+    with pytest.raises(fd.InstanceFormatError, match=r"handed out \[0, 1, 1\]"):
+        fd.audit_goods(goods, fd.allocation([{0, 1}, {1}]))
 
 
 @settings(deadline=None)
@@ -165,6 +186,32 @@ def test_alpha_levels_certify_the_axioms(inst, data):
             reach = best_single_switch(inst, outcome, i)
             assert reach >= utils[i]
             assert player.prop1.alpha == reach / profile.prop[i]
+
+
+def _first_improvement(inst, outcome):
+    """Reference: the first dominating outcome in plain enumeration order."""
+    base = fd.utility_vector(inst, outcome)
+    for candidate in fd.enumerate_outcomes(inst):
+        utils = fd.utility_vector(inst, candidate)
+        if utils != base and all(u >= b for u, b in zip(utils, base)):
+            return candidate
+    return None
+
+
+@settings(deadline=None)
+@given(public_instances_(), st.data())
+def test_pareto_check_reports_the_first_improvement(inst, data):
+    """Verdict and witness match enumeration, for a random and an optimal outcome."""
+    drawn = fd.Outcome(
+        choices=tuple(
+            data.draw(st.integers(0, issue.k - 1)) for issue in inst.issues
+        )
+    )
+    for outcome in (drawn, fd.max_nash_welfare(inst).outcome):
+        expected = _first_improvement(inst, outcome)
+        check = fd.check_pareto_optimal(inst, outcome)
+        assert check.satisfied == (expected is None)
+        assert check.witness == expected
 
 
 @settings(deadline=None)

@@ -1,6 +1,10 @@
 """Command line behavior: exit codes, documents, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -376,3 +380,40 @@ def test_bench_validates_the_worker_override(capsys, monkeypatch):
     monkeypatch.setenv("FAIRDEC_THREADS", "0")
     code, _, err = run(capsys, ["bench", "--trials", "1", "--seed", "1"])
     assert code == 2 and "at least 1" in err
+
+
+@pytest.mark.parametrize("mechanism", ["leximin", "mnw"])
+def test_deep_instances_solve_without_recursion(capsys, tmp_path, mechanism):
+    # 1,500 issues with one alternative each: a single outcome, 1,500 levels deep
+    inst = fd.decision_instance([[[t % 3], [1]] for t in range(1500)])
+    path = write_instance(tmp_path / "deep.json", inst)
+    code, out, err = run(
+        capsys,
+        ["solve", "--mechanism", mechanism, "--input", path]
+        + ["--with-audit", "--po-cap", "10"],
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["choices"] == [0] * 1500
+    assert doc["audit"]["po"]["satisfied"] is True
+
+
+def test_solve_under_python_O_matches_the_in_process_run(capsys, contested_file):
+    """No invariant depends on assert statements, which python -O strips."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+    for mechanism in ("mnw", "leximin"):
+        argv = ["solve", "--mechanism", mechanism, "--input", contested_file]
+        argv += ["--with-audit", "--po-cap", "300"]
+        code, expected, _ = run(capsys, argv)
+        stripped = subprocess.run(
+            [sys.executable, "-O", "-m", "fairdec.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert code == 0
+        assert stripped.returncode == 0, stripped.stderr
+        assert stripped.stdout == expected

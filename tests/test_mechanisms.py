@@ -8,16 +8,32 @@ from hypothesis import given, settings, strategies as st
 import fairdec as fd
 
 
+# integers, and fractions whose denominators are pairwise coprime, so the
+# search kernel's per-player integer scales differ between players
+UTILITIES = st.one_of(
+    st.integers(0, 5),
+    st.builds(Fraction, st.integers(0, 35), st.sampled_from([2, 3, 7])),
+)
+
+
 @st.composite
-def public_instances_(draw, max_n=3, max_m=4, max_k=3, max_u=5):
+def public_instances_(draw, max_n=3, max_m=4, max_k=3):
+    """Random instances, n = 1 and k = 1 included; some rows are mostly zeros."""
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
     issues = []
     for _ in range(m):
         k = draw(st.integers(1, max_k))
-        issues.append(
-            [[draw(st.integers(0, max_u)) for _ in range(k)] for _ in range(n)]
-        )
+        rows = []
+        for _ in range(n):
+            zero_heavy = draw(st.booleans())
+            rows.append(
+                [
+                    0 if zero_heavy and draw(st.integers(0, 3)) else draw(UTILITIES)
+                    for _ in range(k)
+                ]
+            )
+        issues.append(rows)
     return fd.decision_instance(issues)
 
 
@@ -94,8 +110,35 @@ def test_search_mechanisms_respect_the_cap():
         fd.leximin(inst, cap=255)
     with pytest.raises(fd.CapExceeded):
         fd.max_nash_welfare(inst, cap=255)
+    with pytest.raises(fd.CapExceeded):
+        fd.check_pareto_optimal(inst, fd.Outcome(choices=(0,) * 8), cap=255)
     # cap equal to the space is fine
     assert fd.leximin(inst, cap=256).utilities == (Fraction(5), Fraction(3))
+
+
+def _check_first_outcome(inst):
+    return fd.check_pareto_optimal(inst, fd.Outcome(choices=(0,) * inst.m))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [fd.leximin, fd.max_nash_welfare, _check_first_outcome],
+    ids=["leximin", "mnw", "pareto"],
+)
+@pytest.mark.parametrize(
+    "utilities, path",
+    [
+        ([[[1, 0], [0, 2]], [[2, -1], [0, 1]]], "issues[1].utilities[0][1]"),
+        ([[[1, 0], [0, 2]], [[2, 1], [3]]], "issues[1].utilities[1]"),
+    ],
+    ids=["negative", "ragged"],
+)
+def test_searches_reject_instances_their_bounds_do_not_cover(entry, utilities, path):
+    """Negative utilities and ragged rows raise before any search runs."""
+    inst = fd.decision_instance(utilities)
+    with pytest.raises(fd.InstanceFormatError) as info:
+        entry(inst)
+    assert path in [v.path for v in info.value.violations]
 
 
 @settings(deadline=None)

@@ -1,5 +1,6 @@
 """Share definitions: proportional, round robin, pessimistic, maximin."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -134,3 +135,35 @@ def test_shares_ignore_player_order(inst, rng):
         assert after.rrs[i] == base.rrs[perm[i]]
         assert after.pps[i] == base.pps[perm[i]]
         assert after.mms[i] == base.mms[perm[i]]
+
+
+def _mms_reference(values, n):
+    """Exact rational reference: the best smallest bundle over every way of
+    handing the values to n labeled bundles."""
+    best = Fraction(0)
+    for owners in itertools.product(range(n), repeat=len(values)):
+        sums = [Fraction(0)] * n
+        for value, owner in zip(values, owners):
+            sums[owner] += value
+        best = max(best, min(sums))
+    return best
+
+
+@st.composite
+def fractional_goods_(draw, max_n=3, max_m=6):
+    """Integer values and fractions with pairwise coprime denominators."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    value = st.one_of(
+        st.integers(0, 5),
+        st.builds(Fraction, st.integers(0, 35), st.sampled_from([2, 3, 7])),
+    )
+    return fd.goods_instance([[draw(value) for _ in range(m)] for _ in range(n)])
+
+
+@settings(deadline=None)
+@given(fractional_goods_())
+def test_integer_maximin_share_matches_rational_enumeration(goods):
+    """MMS summed over one common denominator equals plain Fraction sums."""
+    for i in range(goods.n):
+        assert fd.maximin_share(goods, i) == _mms_reference(goods.utilities[i], goods.n)
