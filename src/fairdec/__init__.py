@@ -23,6 +23,7 @@ from .errors import (
     FairdecError,
     GenerationError,
     InstanceFormatError,
+    InvariantError,
 )
 from .generators import GeneratedInstance, generate, random_goods, random_public
 from .mechanisms import leximin, max_nash_welfare, round_robin

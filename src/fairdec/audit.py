@@ -9,6 +9,12 @@ When s_i = 0 the axiom is vacuous: ``alpha`` is None and counts as satisfied
 
 Envy-freeness levels follow the same pattern with the opponent's bundle value
 as the reference, minimized over opponents.
+
+Both audits read every player's shares from one ``share_profile`` call and
+build their per-player results in one place; a route supplies only the
+utilities, each player's Prop1 reach (``best_single_switch`` on public
+instances, bundle plus ``best_unowned_good`` on goods) and, for goods, the
+envy levels.
 """
 
 from __future__ import annotations
@@ -34,13 +40,7 @@ from .model import (
 from .errors import InstanceFormatError
 from .mechanisms import pareto_improvement
 from .oracles import DEFAULT_ENUM_CAP
-from .shares import (
-    DEFAULT_MMS_CAP,
-    maximin_share,
-    pessimistic_share,
-    proportional_share,
-    round_robin_share,
-)
+from .shares import DEFAULT_MMS_CAP, share_profile
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,32 @@ def _min_level(pairs: Iterable[tuple[Fraction, Fraction]]) -> AxiomCheck:
     return AxiomCheck(satisfied=satisfied, alpha=worst)
 
 
+def _player_audits(
+    instance: DecisionInstance | GoodsInstance,
+    utilities: tuple[Fraction, ...],
+    reach: Iterable[Fraction],
+    with_mms: bool,
+    mms_cap: int,
+    envy: Iterable[tuple[AxiomCheck | None, AxiomCheck | None]] | None = None,
+) -> tuple[PlayerAudit, ...]:
+    """Per-player share levels; ``reach`` is what Prop1 credits each player
+    with, ``envy`` her (EF, EF1) levels on the goods route."""
+    shares = share_profile(instance, with_mms=with_mms, mms_cap=mms_cap)
+    envy = envy if envy is not None else [(None, None)] * instance.n
+    return tuple(
+        PlayerAudit(
+            prop=_level(value, shares.prop[i]),
+            prop1=_level(credit, shares.prop[i]),
+            rrs=_level(value, shares.rrs[i]),
+            pps=_level(value, shares.pps[i]),
+            mms=None if shares.mms is None else _level(value, shares.mms[i]),
+            ef=ef,
+            ef1=ef1,
+        )
+        for i, (value, credit, (ef, ef1)) in enumerate(zip(utilities, reach, envy))
+    )
+
+
 def best_single_switch(
     instance: DecisionInstance, outcome: Outcome, player: int
 ) -> Fraction:
@@ -157,42 +183,23 @@ def audit(
                 f"choices[{t}]: alternative {choice} out of range 0..{k - 1}"
             )
     utilities = utility_vector(instance, outcome)
-    players = []
-    for i in range(instance.n):
-        prop = proportional_share(instance, i)
-        reach = best_single_switch(instance, outcome, i)
-        players.append(
-            PlayerAudit(
-                prop=_level(utilities[i], prop),
-                prop1=_level(reach, prop),
-                rrs=_level(utilities[i], round_robin_share(instance, i)),
-                pps=_level(utilities[i], pessimistic_share(instance, i)),
-                mms=(
-                    _level(utilities[i], maximin_share(instance, i, cap=mms_cap))
-                    if with_mms
-                    else None
-                ),
-            )
-        )
+    reach = [best_single_switch(instance, outcome, i) for i in range(instance.n)]
+    players = _player_audits(instance, utilities, reach, with_mms, mms_cap)
     po = (
         check_pareto_optimal(instance, outcome, cap=po_cap)
         if po_cap is not None
         else None
     )
-    return AuditReport(utilities=utilities, players=tuple(players), po=po)
+    return AuditReport(utilities=utilities, players=players, po=po)
 
 
 def best_unowned_good(
-    goods: GoodsInstance, alloc: Allocation, player: int
+    goods: GoodsInstance, player: int, bundle: frozenset[int] | set[int]
 ) -> Fraction:
     """The most valuable good outside the player's bundle (0 when she holds all)."""
+    row = goods.utilities[player]
     return max(
-        (
-            goods.utilities[player][g]
-            for g in range(goods.m)
-            if g not in alloc.bundles[player]
-        ),
-        default=Fraction(0),
+        (row[g] for g in range(goods.m) if g not in bundle), default=Fraction(0)
     )
 
 
@@ -227,10 +234,12 @@ def audit_goods(
             f"missing {missing}, handed out {handed}"
         )
     utilities = allocation_utilities(goods, alloc)
-    players = []
+    reach = [
+        utilities[i] + best_unowned_good(goods, i, alloc.bundles[i])
+        for i in range(goods.n)
+    ]
+    envy = []
     for i in range(goods.n):
-        prop = proportional_share(goods, i)
-        reach = utilities[i] + best_unowned_good(goods, alloc, i)
         ef_pairs = []
         ef1_pairs = []
         for j in range(goods.n):
@@ -238,26 +247,12 @@ def audit_goods(
                 continue
             other = bundle_utility(goods, i, alloc.bundles[j])
             ef_pairs.append((utilities[i], other))
-            if alloc.bundles[j]:
-                best_there = max(goods.utilities[i][g] for g in alloc.bundles[j])
-            else:
-                best_there = Fraction(0)
-            ef1_pairs.append((utilities[i], other - best_there))
-        players.append(
-            PlayerAudit(
-                prop=_level(utilities[i], prop),
-                prop1=_level(reach, prop),
-                rrs=_level(utilities[i], round_robin_share(goods, i)),
-                pps=_level(utilities[i], pessimistic_share(goods, i)),
-                mms=(
-                    _level(utilities[i], maximin_share(goods, i, cap=mms_cap))
-                    if with_mms
-                    else None
-                ),
-                ef=_min_level(ef_pairs),
-                ef1=_min_level(ef1_pairs),
+            best_there = max(
+                (goods.utilities[i][g] for g in alloc.bundles[j]), default=Fraction(0)
             )
-        )
+            ef1_pairs.append((utilities[i], other - best_there))
+        envy.append((_min_level(ef_pairs), _min_level(ef1_pairs)))
+    players = _player_audits(goods, utilities, reach, with_mms, mms_cap, envy)
     po = None
     if po_cap is not None:
         image = goods_to_public(goods)
@@ -270,4 +265,4 @@ def audit_goods(
             else None
         )
         po = ParetoCheck(satisfied=result.satisfied, witness=witness)
-    return AuditReport(utilities=utilities, players=tuple(players), po=po)
+    return AuditReport(utilities=utilities, players=players, po=po)

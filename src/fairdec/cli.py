@@ -26,6 +26,7 @@ from .errors import (
     DegenerateInstance,
     FairdecError,
     InstanceFormatError,
+    InvariantError,
 )
 from .generators import FAMILIES, generate, random_public
 from .mechanisms import leximin, max_nash_welfare, round_robin
@@ -146,7 +147,7 @@ def _cmd_solve(args) -> int:
             result.mechanism,
             alloc,
             result.utilities,
-            trace=io._mechanism_trace(result),
+            trace=io.mechanism_trace(result),
             audit_doc=_audit_doc(args, instance, alloc=alloc),
         )
     else:
@@ -187,7 +188,8 @@ def _cmd_gen(args) -> int:
             raise InstanceFormatError(
                 f"family {args.family!r} has no witness allocation"
             )
-        assert isinstance(generated.instance, GoodsInstance)
+        if not isinstance(generated.instance, GoodsInstance):
+            raise InvariantError("a witness allocation needs a goods instance")
         doc = io.goods_result_document(
             "witness",
             generated.witness,
@@ -213,7 +215,7 @@ def _cmd_oracle(args) -> int:
     if isinstance(instance, GoodsInstance):
         alloc = outcome_to_allocation(instance, result.outcome)
         doc = io.goods_result_document(
-            result.mechanism, alloc, result.utilities, trace=io._mechanism_trace(result)
+            result.mechanism, alloc, result.utilities, trace=io.mechanism_trace(result)
         )
     else:
         doc = io.result_document(result)

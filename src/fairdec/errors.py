@@ -52,3 +52,8 @@ class InstanceFormatError(FairdecError, ValueError):
 
 class GenerationError(FairdecError):
     """A named instance family could not produce a certified instance."""
+
+
+class InvariantError(FairdecError):
+    """An internal invariant failed: a defect in the package, or a library
+    call on an instance that was never validated."""

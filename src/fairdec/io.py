@@ -185,10 +185,8 @@ def parse_instance(
 class ParsedResult:
     """A result document reduced to what an audit needs."""
 
-    kind: str  # "public" | "goods"
     outcome: Outcome | None
     allocation: Allocation | None
-    mechanism: str | None
 
 
 def parse_result(text: str | bytes) -> ParsedResult:
@@ -206,12 +204,7 @@ def parse_result(text: str | bytes) -> ParsedResult:
             and all(isinstance(c, int) and not isinstance(c, bool) for c in choices),
             "choices: expected a list of integers",
         )
-        return ParsedResult(
-            kind="public",
-            outcome=Outcome(choices=tuple(choices)),
-            allocation=None,
-            mechanism=mechanism,
-        )
+        return ParsedResult(outcome=Outcome(choices=tuple(choices)), allocation=None)
     if "bundles" in data:
         bundles = data["bundles"]
         _require(isinstance(bundles, list), "bundles: expected a list of lists")
@@ -230,12 +223,7 @@ def parse_result(text: str | bytes) -> ParsedResult:
             )
             seen |= set(bundle)
             parsed.append(frozenset(bundle))
-        return ParsedResult(
-            kind="goods",
-            outcome=None,
-            allocation=Allocation(bundles=tuple(parsed)),
-            mechanism=mechanism,
-        )
+        return ParsedResult(outcome=None, allocation=Allocation(bundles=tuple(parsed)))
     raise InstanceFormatError('result needs "choices" or "bundles"')
 
 
@@ -265,7 +253,7 @@ def instance_document(instance: DecisionInstance | GoodsInstance) -> dict:
     }
 
 
-def _mechanism_trace(result: MechanismResult) -> dict | None:
+def mechanism_trace(result: MechanismResult) -> dict | None:
     trace: dict = {}
     if result.picks is not None:
         trace["picks"] = [
@@ -287,7 +275,7 @@ def result_document(result: MechanismResult, audit_doc: dict | None = None) -> d
         "mechanism": result.mechanism,
         "choices": list(result.outcome.choices),
         "utilities": [encode_rational(u) for u in result.utilities],
-        "trace": _mechanism_trace(result),
+        "trace": mechanism_trace(result),
     }
     if audit_doc is not None:
         doc["audit"] = audit_doc

@@ -120,12 +120,6 @@ class Allocation:
 
     bundles: tuple[frozenset[int], ...]
 
-    def owner(self, good: int) -> int:
-        for i, bundle in enumerate(self.bundles):
-            if good in bundle:
-                return i
-        raise KeyError(f"good {good} is unallocated")
-
 
 @dataclass(frozen=True)
 class Pick:
@@ -377,4 +371,5 @@ def issue_maxima(
 
 def sorted_max_utilities(instance: DecisionInstance, player: int) -> list[Fraction]:
     """The player's per-issue maxima in non-ascending order (length m)."""
-    return sorted((best for best, _ in issue_maxima(instance, player)), reverse=True)
+    maxima = (max(issue.utilities[player]) for issue in instance.issues)
+    return sorted(maxima, reverse=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InvariantError
 from .model import (
     Allocation,
     DecisionInstance,
@@ -29,7 +29,7 @@ from .model import (
     Outcome,
     utility_vector,
 )
-from .shares import proportional_share, round_robin_share
+from .shares import share_profile
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -77,15 +77,11 @@ def leximin_normalization(
     instance: DecisionInstance | GoodsInstance,
 ) -> tuple[Fraction | None, ...]:
     """Per-player leximin divisor: RRS when positive, else Prop, else excluded."""
-    divisors: list[Fraction | None] = []
-    for i in range(instance.n):
-        rrs = round_robin_share(instance, i)
-        if rrs > 0:
-            divisors.append(rrs)
-            continue
-        prop = proportional_share(instance, i)
-        divisors.append(prop if prop > 0 else None)
-    return tuple(divisors)
+    shares = share_profile(instance)
+    return tuple(
+        rrs if rrs > 0 else prop if prop > 0 else None
+        for rrs, prop in zip(shares.rrs, shares.prop)
+    )
 
 
 def _support(utilities: Sequence[Fraction]) -> tuple[int, ...]:
@@ -100,7 +96,8 @@ def _nash_support(instance: DecisionInstance, cap: int) -> tuple[int, ...]:
             best = support
         elif len(support) == len(best) and support < best:
             best = support
-    assert best is not None  # instances have at least one outcome
+    if best is None:
+        raise InvariantError("instances have at least one outcome")
     return best
 
 

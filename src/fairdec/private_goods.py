@@ -22,7 +22,10 @@ their proportional share (never empty: under weighted-welfare maximality the
 owner-maxima sum beats the weighted average, so someone is at quota), grows
 it until a player violating the one-good relaxation joins, and routes a good
 to her. Violators can reappear, so the search is capped and reports whether
-the final allocation is certified.
+the final allocation is certified. Its Prop1 test is the audit's: the bundle's
+value plus ``audit.best_unowned_good``.
+
+Both procedures read their thresholds from one ``shares.share_profile`` call.
 
 Ratio conventions when creating ties (a candidate is a group member i, an
 outside player j, and a good g of i): a zero for j with a positive value for
@@ -37,9 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegenerateInstance
-from .model import Allocation, GoodsInstance
-from .shares import pessimistic_share, proportional_share
+from .audit import best_unowned_good
+from .errors import DegenerateInstance, InvariantError
+from .model import Allocation, GoodsInstance, bundle_utility
+from .shares import share_profile
 
 DEFAULT_SEARCH_ROUNDS = 100
 
@@ -123,7 +127,8 @@ def _min_ratio_candidate(
                 else:
                     # an owned good someone values is owned by someone who
                     # values it, so the numerator is positive here
-                    assert numerator > 0
+                    if numerator <= 0:
+                        raise InvariantError("an owned good is worthless to its owner")
                     ratio, degenerate = numerator / denominator, False
                 if best is None or ratio < best[0]:
                     best = (ratio, i, j, g, degenerate)
@@ -203,7 +208,7 @@ def pps_po_allocate(
     weights: list[Fraction] = [Fraction(1, n)] * n
     initial = weighted_welfare_allocation(goods, weights)
     bundles = [set(b) for b in initial.bundles]
-    quota_bound = [pessimistic_share(goods, i) > 0 for i in range(n)]
+    quota_bound = [share > 0 for share in share_profile(goods).pps]
     rounds: list[Round] = []
 
     while True:
@@ -211,7 +216,8 @@ def pps_po_allocate(
         if not ls:
             break
         gt = {i for i in range(n) if len(bundles[i]) > p}
-        assert gt, "a player below quota forces another above it"
+        if not gt:
+            raise InvariantError("a player below quota forces another above it")
         dec = set(gt)
         donors: dict[int, tuple[int, int]] = {}
         snapshots, reductions, reached = _grow_until(
@@ -261,30 +267,25 @@ def prop1_po_search(
     weights: list[Fraction] = [Fraction(1, n)] * n
     initial = weighted_welfare_allocation(goods, weights)
     bundles = [set(b) for b in initial.bundles]
-    prop = [proportional_share(goods, i) for i in range(n)]
+    prop = share_profile(goods).prop
     rounds: list[Round] = []
     losses: list[tuple[int, int]] = []
 
     def held(i: int) -> Fraction:
-        return sum((goods.utilities[i][g] for g in bundles[i]), Fraction(0))
+        return bundle_utility(goods, i, bundles[i])
 
     def prop1_ok(i: int) -> bool:
-        extra = max(
-            (
-                goods.utilities[i][g]
-                for g in range(goods.m)
-                if g not in bundles[i]
-            ),
-            default=Fraction(0),
-        )
-        return held(i) + extra >= prop[i]
+        return held(i) + best_unowned_good(goods, i, bundles[i]) >= prop[i]
 
     for round_index in range(max_rounds):
         ok_before = [prop1_ok(i) for i in range(n)]
         if all(ok_before):
             break
         seeds = {i for i in range(n) if held(i) >= prop[i]}
-        assert seeds, "weighted-welfare maximality puts someone at her share"
+        if not seeds:
+            raise InvariantError(
+                "weighted-welfare maximality puts someone at her share"
+            )
         dec = set(seeds)
         donors: dict[int, tuple[int, int]] = {}
         snapshots, reductions, violator = _grow_until(

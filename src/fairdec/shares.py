@@ -15,10 +15,12 @@ p = floor(m / n):
   into n bundles, where a bundle's value is the sum of its per-issue maxima
   (0 when m < n, since some bundle must stay empty)
 
-The chain Prop >= MMS >= RRS >= PPS holds for every player. All functions
-accept a GoodsInstance as well: for private goods, the per-issue maxima of the
-public embedding are exactly the player's per-good values, so both views give
-the same numbers.
+The chain Prop >= MMS >= RRS >= PPS holds for every player. ``share_profile``
+sorts each player's maxima once and reads every share off that one list; the
+per-player functions read the same helpers. All of them accept a
+GoodsInstance as well: for private goods, the per-issue maxima of the public
+embedding are exactly the player's per-good values, so both views give the
+same numbers.
 """
 
 from __future__ import annotations
@@ -32,36 +34,38 @@ from .model import DecisionInstance, GoodsInstance, scale_to_int, sorted_max_uti
 
 DEFAULT_MMS_CAP = 10**6
 
+Instance = DecisionInstance | GoodsInstance
 
-def _maxima(instance: DecisionInstance | GoodsInstance, player: int) -> list[Fraction]:
+
+def _maxima(instance: Instance, player: int) -> list[Fraction]:
     if isinstance(instance, GoodsInstance):
         return sorted(instance.utilities[player], reverse=True)
     return sorted_max_utilities(instance, player)
 
 
-def proportional_share(
-    instance: DecisionInstance | GoodsInstance, player: int
-) -> Fraction:
-    return Fraction(sum(_maxima(instance, player)), instance.n)
+def _prop(ranked: list[Fraction], n: int) -> Fraction:
+    return Fraction(sum(ranked), n)
 
 
-def round_robin_share(
-    instance: DecisionInstance | GoodsInstance, player: int
-) -> Fraction:
-    ranked = _maxima(instance, player)
-    n = instance.n
-    p = len(ranked) // n
-    return sum((ranked[k * n - 1] for k in range(1, p + 1)), Fraction(0))
+def _rrs(ranked: list[Fraction], n: int) -> Fraction:
+    # positions n, 2n, ..., p*n of the ranking (1-based)
+    return sum(ranked[n - 1 :: n], Fraction(0))
 
 
-def pessimistic_share(
-    instance: DecisionInstance | GoodsInstance, player: int
-) -> Fraction:
-    ranked = _maxima(instance, player)
-    p = len(ranked) // instance.n
-    if p == 0:
-        return Fraction(0)
-    return sum(ranked[len(ranked) - p :], Fraction(0))
+def _pps(ranked: list[Fraction], n: int) -> Fraction:
+    return sum(ranked[len(ranked) - len(ranked) // n :], Fraction(0))
+
+
+def proportional_share(instance: Instance, player: int) -> Fraction:
+    return _prop(_maxima(instance, player), instance.n)
+
+
+def round_robin_share(instance: Instance, player: int) -> Fraction:
+    return _rrs(_maxima(instance, player), instance.n)
+
+
+def pessimistic_share(instance: Instance, player: int) -> Fraction:
+    return _pps(_maxima(instance, player), instance.n)
 
 
 def _partitions_up_to(m: int, n: int) -> int:
@@ -78,9 +82,7 @@ def _partitions_up_to(m: int, n: int) -> int:
 
 
 def maximin_share(
-    instance: DecisionInstance | GoodsInstance,
-    player: int,
-    cap: int = DEFAULT_MMS_CAP,
+    instance: Instance, player: int, cap: int = DEFAULT_MMS_CAP
 ) -> Fraction:
     """Brute-force maximin share over all partitions into n bundles.
 
@@ -88,8 +90,10 @@ def maximin_share(
     only partitions using exactly n blocks can beat zero. Raises CapExceeded
     (with the exact partition count) when the space is larger than ``cap``.
     """
-    ranked = _maxima(instance, player)
-    n = instance.n
+    return _mms(_maxima(instance, player), instance.n, cap)
+
+
+def _mms(ranked: list[Fraction], n: int, cap: int) -> Fraction:
     m = len(ranked)
     if m < n:
         return Fraction(0)
@@ -103,23 +107,32 @@ def maximin_share(
     values = scale_to_int(ranked, scale)
     best = 0
     sums = [0] * n
-
-    def assign(t: int, used: int) -> None:
-        nonlocal best
+    # Depth-first over restricted growth strings on an explicit stack: item t
+    # sits in block[t] (-1 before its first placement) and may go into any of
+    # the opened[t] blocks its predecessors opened, or open the next one.
+    block = [-1] * m
+    opened = [0] * (m + 1)
+    t = 0
+    while t >= 0:
         if t == m:
-            if used == n:
-                worst = min(sums[:n])
+            if opened[m] == n:
+                worst = min(sums)
                 if worst > best:
                     best = worst
-            return
-        # place item t into an existing block, or open one new block
-        limit = min(used + 1, n)
-        for b in range(limit):
-            sums[b] += values[t]
-            assign(t + 1, max(used, b + 1))
+            t -= 1
+            continue
+        b = block[t]
+        if b >= 0:
             sums[b] -= values[t]
-
-    assign(0, 0)
+        b += 1
+        if b <= opened[t] and b < n:
+            sums[b] += values[t]
+            block[t] = b
+            opened[t + 1] = opened[t] if b < opened[t] else b + 1
+            t += 1
+        else:
+            block[t] = -1
+            t -= 1
     return Fraction(best, scale)
 
 
@@ -134,19 +147,15 @@ class ShareProfile:
 
 
 def share_profile(
-    instance: DecisionInstance | GoodsInstance,
-    with_mms: bool = False,
-    mms_cap: int = DEFAULT_MMS_CAP,
+    instance: Instance, with_mms: bool = False, mms_cap: int = DEFAULT_MMS_CAP
 ) -> ShareProfile:
-    """Compute Prop/RRS/PPS (and optionally MMS) for every player."""
-    players = range(instance.n)
+    """Compute Prop/RRS/PPS (and optionally MMS) for every player, sorting
+    each player's maxima once."""
+    n = instance.n
+    ranked = [_maxima(instance, i) for i in range(n)]
     return ShareProfile(
-        prop=tuple(proportional_share(instance, i) for i in players),
-        rrs=tuple(round_robin_share(instance, i) for i in players),
-        pps=tuple(pessimistic_share(instance, i) for i in players),
-        mms=(
-            tuple(maximin_share(instance, i, cap=mms_cap) for i in players)
-            if with_mms
-            else None
-        ),
+        prop=tuple(_prop(r, n) for r in ranked),
+        rrs=tuple(_rrs(r, n) for r in ranked),
+        pps=tuple(_pps(r, n) for r in ranked),
+        mms=tuple(_mms(r, n, mms_cap) for r in ranked) if with_mms else None,
     )

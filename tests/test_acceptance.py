@@ -266,8 +266,9 @@ def test_criterion_07_share_guaranteeing_allocator():
             assert satisfies(
                 fd.bundle_utility(goods, i, alloc.bundles[i]), pps
             )
+        owners = fd.allocation_to_outcome(goods, alloc).choices
         for g in range(goods.m):
-            holder = alloc.owner(g)
+            holder = owners[g]
             assert weights[holder] * goods.utilities[holder][g] == max(
                 weights[i] * goods.utilities[i][g] for i in range(goods.n)
             )

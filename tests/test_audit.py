@@ -103,8 +103,8 @@ def test_best_single_switch_reports_the_reachable_utility():
 def test_best_unowned_good_and_goods_prop1():
     goods = fd.goods_instance([[5, 2, 2, 2, 2, 1, 1], [0, 1, 1, 1, 1, 1, 1]])
     alloc = fd.allocation([{0}, {1, 2, 3, 4, 5, 6}])
-    assert best_unowned_good(goods, alloc, 0) == 2
-    assert best_unowned_good(goods, alloc, 1) == 0
+    assert best_unowned_good(goods, 0, alloc.bundles[0]) == 2
+    assert best_unowned_good(goods, 1, alloc.bundles[1]) == 0
     report = fd.audit_goods(goods, alloc)
     p1, p2 = report.players
     # bundle 5 plus best outside good 2 misses Prop 15/2 by a factor 14/15
@@ -217,7 +217,8 @@ def test_pareto_check_reports_the_first_improvement(inst, data):
 @settings(deadline=None)
 @given(goods_with_allocation_())
 def test_goods_audit_matches_the_embedding(pair):
-    """Share levels agree with auditing the public image of the instance."""
+    """Share and Prop1 levels agree with auditing the public image of the
+    instance: the best single switch there is the best unowned good here."""
     goods, alloc = pair
     direct = fd.audit_goods(goods, alloc, with_mms=True)
     embedded = fd.audit(
@@ -230,6 +231,10 @@ def test_goods_audit_matches_the_embedding(pair):
         assert (mine.prop.satisfied, mine.prop.alpha) == (
             theirs.prop.satisfied,
             theirs.prop.alpha,
+        )
+        assert (mine.prop1.satisfied, mine.prop1.alpha) == (
+            theirs.prop1.satisfied,
+            theirs.prop1.alpha,
         )
         assert (mine.rrs.satisfied, mine.rrs.alpha) == (
             theirs.rrs.satisfied,

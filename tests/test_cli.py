@@ -398,6 +398,20 @@ def test_deep_instances_solve_without_recursion(capsys, tmp_path, mechanism):
     assert doc["audit"]["po"]["satisfied"] is True
 
 
+def test_maximin_share_of_a_long_single_player_file(capsys, tmp_path):
+    # one player, 1,200 goods: a single partition, 1,200 items deep
+    goods = fd.goods_instance([[g % 5 for g in range(1200)]])
+    path = write_instance(tmp_path / "long.json", goods)
+    code, out, err = run(
+        capsys,
+        ["solve", "--mechanism", "round-robin", "--input", path]
+        + ["--with-audit", "--with-mms"],
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["audit"]["players"][0]["mms"] == {"alpha": 1, "satisfied": True}
+
+
 def test_solve_under_python_O_matches_the_in_process_run(capsys, contested_file):
     """No invariant depends on assert statements, which python -O strips."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -126,14 +126,12 @@ def test_validation_failures_surface_with_paths():
 
 def test_parse_result_infers_the_kind():
     outcome = io.parse_result('{"choices": [0, 2, 1]}')
-    assert outcome.kind == "public"
     assert outcome.outcome.choices == (0, 2, 1)
-    assert outcome.mechanism is None
+    assert outcome.allocation is None
 
     alloc = io.parse_result('{"bundles": [[0, 2], [1]], "mechanism": "by-hand"}')
-    assert alloc.kind == "goods"
     assert alloc.allocation == fd.allocation([{0, 2}, {1}])
-    assert alloc.mechanism == "by-hand"
+    assert alloc.outcome is None
 
 
 def test_parse_result_rejects_duplicates_and_junk():
@@ -145,6 +143,8 @@ def test_parse_result_rejects_duplicates_and_junk():
         io.parse_result('{"choices": [0, true]}')
     with pytest.raises(fd.InstanceFormatError, match="choices.*bundles"):
         io.parse_result('{"utilities": [1]}')
+    with pytest.raises(fd.InstanceFormatError, match="mechanism"):
+        io.parse_result('{"choices": [0], "mechanism": 3}')
 
 
 def test_to_json_is_stable():
@@ -164,7 +164,6 @@ def test_result_document_round_trip():
     assert doc["trace"]["normalization"] == [4, 2]
     parsed = io.parse_result(io.to_json(doc))
     assert parsed.outcome == result.outcome
-    assert parsed.mechanism == "leximin"
 
 
 def test_goods_result_document_shape():

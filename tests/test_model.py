@@ -97,12 +97,9 @@ def test_goods_embedding_is_diagonal():
 
 
 def test_allocation_owner():
+    goods = fd.goods_instance([[1, 1, 1], [1, 1, 1]])
     alloc = fd.allocation([(0, 2), (1,)])
-    assert alloc.owner(0) == 0
-    assert alloc.owner(1) == 1
-    assert alloc.owner(2) == 0
-    with pytest.raises(KeyError):
-        alloc.owner(7)
+    assert fd.allocation_to_outcome(goods, alloc).choices == (0, 1, 0)
 
 
 def test_bundle_utility_is_additive():

@@ -89,6 +89,13 @@ def test_exact_optimum_rejects_unknown_objectives():
         fd.exact_optimum(fd.generate("example1").instance, "median")
 
 
+def test_nash_optimum_without_outcomes_raises():
+    # an issue with no alternatives leaves nothing to enumerate
+    inst = fd.decision_instance([[[], []]])
+    with pytest.raises(fd.InvariantError, match="at least one outcome"):
+        fd.exact_optimum(inst, "nash")
+
+
 def test_pareto_frontier_on_two_identical_issues():
     frontier = fd.pareto_frontier(fd.generate("example1").instance)
     assert [(u, o.choices) for u, o in frontier] == [

@@ -137,8 +137,9 @@ def test_allocator_meets_quotas_and_stays_weight_optimal(goods):
             assert len(alloc.bundles[i]) >= p
         assert report.players[i].pps.satisfied
     assert all(w > 0 for w in weights)
+    owners = fd.allocation_to_outcome(goods, alloc).choices
     for g in range(goods.m):
-        holder = alloc.owner(g)
+        holder = owners[g]
         best = max(weights[i] * goods.utilities[i][g] for i in range(goods.n))
         assert weights[holder] * goods.utilities[holder][g] == best
 
@@ -191,8 +192,9 @@ def test_prop1_search_certificate_is_honest(goods):
     seen = sorted(g for b in result.allocation.bundles for g in b)
     assert seen == list(range(goods.m))
     # the weights still certify Pareto optimality
+    owners = fd.allocation_to_outcome(goods, result.allocation).choices
     for g in range(goods.m):
-        holder = result.allocation.owner(g)
+        holder = owners[g]
         best = max(
             result.weights[i] * goods.utilities[i][g] for i in range(goods.n)
         )

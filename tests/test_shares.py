@@ -91,11 +91,16 @@ public_instances = public_instances_()
 @settings(deadline=None)
 @given(public_instances)
 def test_share_chain(inst):
-    """Prop >= MMS >= RRS >= PPS for every player."""
+    """Prop >= MMS >= RRS >= PPS for every player, and every profile entry
+    equals the matching per-player function."""
     profile = fd.share_profile(inst, with_mms=True)
     for i in range(inst.n):
         assert profile.prop[i] >= profile.mms[i] >= profile.rrs[i] >= profile.pps[i]
         assert profile.pps[i] >= 0
+        assert profile.prop[i] == fd.proportional_share(inst, i)
+        assert profile.rrs[i] == fd.round_robin_share(inst, i)
+        assert profile.pps[i] == fd.pessimistic_share(inst, i)
+        assert profile.mms[i] == fd.maximin_share(inst, i)
 
 
 @settings(deadline=None)

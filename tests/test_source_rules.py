@@ -1,0 +1,61 @@
+"""Source rules for the package, checked on its syntax trees.
+
+No module may use an ``assert`` statement (``python -O`` strips them, so an
+invariant must raise a FairdecError instead), and no module may reach into
+another module's private, ``_``-prefixed names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairdec"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Private names taken from other modules: ``from m import _x`` and
+    ``m._x`` on a module bound by an import."""
+    found = []
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"from {node.module or '.'} import {alias.name}")
+                else:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and _private(node.attr)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_the_package_has_modules():
+    assert any(path.name == "shares.py" for path in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_imports_across_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_imports(tree) == []
