@@ -44,10 +44,8 @@ from .model import (
     decision_instance,
     goods_instance,
     goods_to_public,
-    issue_maxima,
     outcome_to_allocation,
     outcome_utility,
-    sorted_max_utilities,
     utility_vector,
     validate,
 )

@@ -14,12 +14,15 @@ Both audits read every player's shares from one ``share_profile`` call and
 build their per-player results in one place; a route supplies only the
 utilities, each player's Prop1 reach (``best_single_switch`` on public
 instances, bundle plus ``best_unowned_good`` on goods) and, for goods, the
-envy levels.
+envy levels. Both reaches read the instance's ``maxima`` and ``ranking``
+tables: a switch gains at most the issue's maximum, and the best unowned
+good is the first one of the player's ranking outside her bundle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Iterable
 
 from dataclasses import dataclass
@@ -82,26 +85,11 @@ class AuditReport:
     po: ParetoCheck | None = None
 
 
-def _level(value: Fraction, reference: Fraction) -> AxiomCheck:
-    if reference == 0:
-        return AxiomCheck(satisfied=True, alpha=None)
-    alpha = value / reference
-    return AxiomCheck(satisfied=alpha >= 1, alpha=alpha)
-
-
-def _min_level(pairs: Iterable[tuple[Fraction, Fraction]]) -> AxiomCheck:
-    """Fold (value, reference) pairs: the worst ratio over positive references."""
-    worst: Fraction | None = None
-    satisfied = True
-    for value, reference in pairs:
-        if reference == 0:
-            continue
-        ratio = value / reference
-        if ratio < 1:
-            satisfied = False
-        if worst is None or ratio < worst:
-            worst = ratio
-    return AxiomCheck(satisfied=satisfied, alpha=worst)
+def _level(value: Fraction, *references: Fraction) -> AxiomCheck:
+    """The worst ratio value/reference over the non-zero references; with
+    none left the level is unbounded (None) and the axiom holds vacuously."""
+    alpha = min((value / r for r in references if r != 0), default=None)
+    return AxiomCheck(satisfied=alpha is None or alpha >= 1, alpha=alpha)
 
 
 def _player_audits(
@@ -135,17 +123,17 @@ def best_single_switch(
 ) -> Fraction:
     """The player's best utility from changing one issue of the outcome.
 
-    This is u_i(c) - u_i^t(c_t) + u^t_max(i) maximized over issues t; keeping
-    the outcome as is is included (switching to the chosen alternative).
+    This is u_i(c) - u_i^t(c_t) + u^t_max(i) maximized over issues t, with
+    u^t_max(i) read from ``instance.maxima``; keeping the outcome as is is
+    included (switching to the chosen alternative).
     """
-    total = outcome_utility(instance, outcome, player)
-    best_gain = Fraction(0)
-    for issue, choice in zip(instance.issues, outcome.choices):
-        row = issue.utilities[player]
-        gain = max(row) - row[choice]
-        if gain > best_gain:
-            best_gain = gain
-    return total + best_gain
+    gains = (
+        best - issue.utilities[player][choice]
+        for issue, choice, best in zip(
+            instance.issues, outcome.choices, instance.maxima[player]
+        )
+    )
+    return outcome_utility(instance, outcome, player) + max(gains, default=Fraction(0))
 
 
 def check_pareto_optimal(
@@ -196,11 +184,10 @@ def audit(
 def best_unowned_good(
     goods: GoodsInstance, player: int, bundle: frozenset[int] | set[int]
 ) -> Fraction:
-    """The most valuable good outside the player's bundle (0 when she holds all)."""
+    """The most valuable good outside the player's bundle (0 when she holds
+    all): the first good of her ranking that she does not hold."""
     row = goods.utilities[player]
-    return max(
-        (row[g] for g in range(goods.m) if g not in bundle), default=Fraction(0)
-    )
+    return next((row[g] for g in goods.ranking[player] if g not in bundle), Fraction(0))
 
 
 def audit_goods(
@@ -239,19 +226,12 @@ def audit_goods(
         for i in range(goods.n)
     ]
     envy = []
-    for i in range(goods.n):
-        ef_pairs = []
-        ef1_pairs = []
-        for j in range(goods.n):
-            if j == i:
-                continue
-            other = bundle_utility(goods, i, alloc.bundles[j])
-            ef_pairs.append((utilities[i], other))
-            best_there = max(
-                (goods.utilities[i][g] for g in alloc.bundles[j]), default=Fraction(0)
-            )
-            ef1_pairs.append((utilities[i], other - best_there))
-        envy.append((_min_level(ef_pairs), _min_level(ef1_pairs)))
+    for i, value in enumerate(utilities):
+        row = goods.utilities[i]
+        rivals = [bundle for j, bundle in enumerate(alloc.bundles) if j != i]
+        worth = [bundle_utility(goods, i, bundle) for bundle in rivals]
+        best = [max((row[g] for g in bundle), default=Fraction(0)) for bundle in rivals]
+        envy.append((_level(value, *worth), _level(value, *map(sub, worth, best))))
     players = _player_audits(goods, utilities, reach, with_mms, mms_cap, envy)
     po = None
     if po_cap is not None:

@@ -34,9 +34,11 @@ from .model import (
     Allocation,
     DecisionInstance,
     GoodsInstance,
+    MechanismResult,
     allocation_utilities,
     goods_to_public,
     outcome_to_allocation,
+    require_valid,
 )
 from .oracles import DEFAULT_ENUM_CAP, exact_optimum
 from .private_goods import pps_po_allocate, prop1_po_search
@@ -98,6 +100,22 @@ def _run_audit(args, instance, outcome=None, alloc=None):
     return audit(instance, outcome, **kwargs)
 
 
+def _public_result_doc(args, instance, result: MechanismResult) -> dict:
+    """The document of a result found on the public view of ``instance``, with
+    the audit ``args`` asks for; goods read the outcome back as an allocation."""
+    if not isinstance(instance, GoodsInstance):
+        audit_doc = _audit_doc(args, instance, outcome=result.outcome)
+        return io.result_document(result, audit_doc=audit_doc)
+    alloc = outcome_to_allocation(instance, result.outcome)
+    return io.goods_result_document(
+        result.mechanism,
+        alloc,
+        result.utilities,
+        trace=io.mechanism_trace(result),
+        audit_doc=_audit_doc(args, instance, alloc=alloc),
+    )
+
+
 def _cmd_solve(args) -> int:
     instance = _load_instance(args)
     mechanism = args.mechanism
@@ -140,21 +158,7 @@ def _cmd_solve(args) -> int:
         result = leximin(public, cap=args.cap)
     else:
         result = max_nash_welfare(public, cap=args.cap)
-
-    if isinstance(instance, GoodsInstance):
-        alloc = outcome_to_allocation(instance, result.outcome)
-        doc = io.goods_result_document(
-            result.mechanism,
-            alloc,
-            result.utilities,
-            trace=io.mechanism_trace(result),
-            audit_doc=_audit_doc(args, instance, alloc=alloc),
-        )
-    else:
-        doc = io.result_document(
-            result, audit_doc=_audit_doc(args, instance, outcome=result.outcome)
-        )
-    _write(io.to_json(doc), args.out)
+    _write(io.to_json(_public_result_doc(args, instance, result)), args.out)
     return 0
 
 
@@ -182,6 +186,7 @@ def _cmd_gen(args) -> int:
         umin=args.umin,
         umax=args.umax,
     )
+    require_valid(generated.instance)
     _write(io.to_json(io.instance_document(generated.instance)), args.out)
     if args.witness_out is not None:
         if generated.witness is None:
@@ -212,14 +217,7 @@ def _cmd_oracle(args) -> int:
         goods_to_public(instance) if isinstance(instance, GoodsInstance) else instance
     )
     result = exact_optimum(public, args.objective, cap=args.cap)
-    if isinstance(instance, GoodsInstance):
-        alloc = outcome_to_allocation(instance, result.outcome)
-        doc = io.goods_result_document(
-            result.mechanism, alloc, result.utilities, trace=io.mechanism_trace(result)
-        )
-    else:
-        doc = io.result_document(result)
-    _write(io.to_json(doc), args.out)
+    _write(io.to_json(_public_result_doc(args, instance, result)), args.out)
     return 0
 
 
@@ -267,6 +265,8 @@ def _worker_count() -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     jobs = [
         (args.n, args.m, args.k, args.umin, args.umax, args.seed * 1_000_003 + trial)
         for trial in range(args.trials)

@@ -338,22 +338,27 @@ def _axiom_document(check) -> dict:
     }
 
 
+# PlayerAudit's axiom fields and their text labels; None fields are left out.
+_AXIOM_LABELS = (
+    ("prop", "Prop"),
+    ("prop1", "Prop1"),
+    ("rrs", "RRS"),
+    ("pps", "PPS"),
+    ("mms", "MMS"),
+    ("ef", "EF"),
+    ("ef1", "EF1"),
+)
+
+
 def audit_document(report: AuditReport) -> dict:
-    players = []
-    for player in report.players:
-        entry = {
-            "prop": _axiom_document(player.prop),
-            "prop1": _axiom_document(player.prop1),
-            "rrs": _axiom_document(player.rrs),
-            "pps": _axiom_document(player.pps),
+    players = [
+        {
+            field: _axiom_document(getattr(player, field))
+            for field, _ in _AXIOM_LABELS
+            if getattr(player, field) is not None
         }
-        if player.mms is not None:
-            entry["mms"] = _axiom_document(player.mms)
-        if player.ef is not None:
-            entry["ef"] = _axiom_document(player.ef)
-        if player.ef1 is not None:
-            entry["ef1"] = _axiom_document(player.ef1)
-        players.append(entry)
+        for player in report.players
+    ]
     doc: dict = {
         "kind": "audit",
         "utilities": [encode_rational(u) for u in report.utilities],
@@ -373,17 +378,6 @@ def audit_document(report: AuditReport) -> dict:
 
 def to_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-_AXIOM_LABELS = (
-    ("prop", "Prop"),
-    ("prop1", "Prop1"),
-    ("rrs", "RRS"),
-    ("pps", "PPS"),
-    ("mms", "MMS"),
-    ("ef", "EF"),
-    ("ef1", "EF1"),
-)
 
 
 def render_audit_text(

@@ -32,7 +32,6 @@ from .model import (
     MechanismResult,
     Outcome,
     Pick,
-    issue_maxima,
     require_valid,
     scale_to_int,
     utility_vector,
@@ -56,21 +55,23 @@ def round_robin(
     """Let players take turns deciding whole issues.
 
     Players move in the given order, cyclically, until every issue is decided.
-    On her turn a player picks an undecided issue where her best alternative
-    is worth the most (ties: lowest issue index) and fixes that alternative
-    (ties: lowest alternative index).
+    On her turn a player takes the first undecided issue of her ranking, read
+    from a cursor that only moves forward, and fixes the lowest alternative
+    that reaches her maximum there.
     """
     order = _check_order(instance.n, order)
-    maxima = [issue_maxima(instance, i) for i in range(instance.n)]
     choices: list[int | None] = [None] * instance.m
-    undecided = list(range(instance.m))
+    cursors = [0] * instance.n
     picks = []
     for turn in range(instance.m):
         player = order[turn % instance.n]
-        issue = max(undecided, key=lambda t: (maxima[player][t][0], -t))
-        alternative = maxima[player][issue][1]
+        ranking = instance.ranking[player]
+        while choices[ranking[cursors[player]]] is not None:
+            cursors[player] += 1
+        issue = ranking[cursors[player]]
+        row = instance.issues[issue].utilities[player]
+        alternative = row.index(instance.maxima[player][issue])
         choices[issue] = alternative
-        undecided.remove(issue)
         picks.append(Pick(player=player, issue=issue, alternative=alternative))
     outcome = Outcome(choices=tuple(choices))
     return MechanismResult(

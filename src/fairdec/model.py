@@ -6,6 +6,11 @@ utilities. An outcome fixes one alternative per issue, and a player's utility
 for an outcome is the sum of her per-issue utilities (preferences are additive
 across issues).
 
+Every instance computes two tables once: ``maxima[i][t]``, player i's best
+utility on issue t (on goods, her value for good t), and ``ranking[i]``, the
+issues by those maxima, largest first, ties to the lower index. The shares,
+round robin and both Prop1 reaches read them.
+
 Allocating private goods is the special case with one issue per good and one
 alternative per player: the alternative that hands good g to player i gives
 u_i(g) to i and zero to everyone else. ``goods_to_public`` performs that
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import InstanceFormatError
@@ -40,6 +46,15 @@ def as_fraction(value: RationalLike) -> Fraction:
 def scale_to_int(values: Iterable[Fraction], scale: int) -> list[int]:
     """Each value times ``scale``, a multiple of every denominator, as an int."""
     return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _ranking(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """Per row, its column indices by value, largest first; the stable sort
+    keeps ties in index order."""
+    return tuple(
+        tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
+        for row in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -86,6 +101,19 @@ class DecisionInstance:
     def utility(self, player: int, issue: int, alternative: int) -> Fraction:
         return self.issues[issue].utilities[player][alternative]
 
+    @cached_property
+    def maxima(self) -> tuple[tuple[Fraction, ...], ...]:
+        """maxima[i][t]: player i's best utility on issue t."""
+        return tuple(
+            tuple(max(issue.utilities[i]) for issue in self.issues)
+            for i in range(self.n)
+        )
+
+    @cached_property
+    def ranking(self) -> tuple[tuple[int, ...], ...]:
+        """ranking[i]: the issues by maxima[i], largest first, ties low."""
+        return _ranking(self.maxima)
+
 
 @dataclass(frozen=True)
 class GoodsInstance:
@@ -105,6 +133,16 @@ class GoodsInstance:
 
     def utility(self, player: int, good: int) -> Fraction:
         return self.utilities[player][good]
+
+    @property
+    def maxima(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The embedding's per-issue maxima: each player's per-good values."""
+        return self.utilities
+
+    @cached_property
+    def ranking(self) -> tuple[tuple[int, ...], ...]:
+        """ranking[i]: the goods by player i's value, largest first, ties low."""
+        return _ranking(self.utilities)
 
 
 @dataclass(frozen=True)
@@ -203,6 +241,24 @@ def allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
     return Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
+def _row_violations(
+    path: str, rows: Sequence[Sequence[Fraction]], width: int
+) -> list[Violation]:
+    """Width and sign defects of the rows of one utility matrix at ``path``."""
+    violations = []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            violations.append(
+                Violation(f"{path}[{i}]", f"expected {width} entries, got {len(row)}")
+            )
+        violations.extend(
+            Violation(f"{path}[{i}][{a}]", f"negative utility {value}")
+            for a, value in enumerate(row)
+            if value < 0
+        )
+    return violations
+
+
 def validate(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
     """Check structural invariants; an empty list means the instance is well formed.
 
@@ -210,11 +266,11 @@ def validate(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
     exactly n rows of consistent width, and every utility is non-negative.
     """
     violations: list[Violation] = []
+    n = instance.n
+    if n < 1:
+        violations.append(Violation("players", "at least one player is required"))
     if isinstance(instance, GoodsInstance):
-        n, m = instance.n, instance.m
-        if n < 1:
-            violations.append(Violation("players", "at least one player is required"))
-        if m < 1:
+        if instance.m < 1:
             violations.append(Violation("goods", "at least one good is required"))
         if len(instance.utilities) != n:
             violations.append(
@@ -223,21 +279,8 @@ def validate(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
                     f"expected {n} utility rows (one per player), got {len(instance.utilities)}",
                 )
             )
-        for i, row in enumerate(instance.utilities):
-            if len(row) != m:
-                violations.append(
-                    Violation(f"utilities[{i}]", f"expected {m} entries, got {len(row)}")
-                )
-            for g, value in enumerate(row):
-                if value < 0:
-                    violations.append(
-                        Violation(f"utilities[{i}][{g}]", f"negative utility {value}")
-                    )
-        return violations
+        return violations + _row_violations("utilities", instance.utilities, instance.m)
 
-    n = instance.n
-    if n < 1:
-        violations.append(Violation("players", "at least one player is required"))
     if instance.m < 1:
         violations.append(Violation("issues", "at least one issue is required"))
     for t, issue in enumerate(instance.issues):
@@ -260,22 +303,7 @@ def validate(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
                     f"expected {k} alternative labels, got {len(issue.alternatives)}",
                 )
             )
-        for i, row in enumerate(issue.utilities):
-            if len(row) != k:
-                violations.append(
-                    Violation(
-                        f"issues[{t}].utilities[{i}]",
-                        f"expected {k} entries, got {len(row)}",
-                    )
-                )
-            for a, value in enumerate(row):
-                if value < 0:
-                    violations.append(
-                        Violation(
-                            f"issues[{t}].utilities[{i}][{a}]",
-                            f"negative utility {value}",
-                        )
-                    )
+        violations += _row_violations(f"issues[{t}].utilities", issue.utilities, k)
     return violations
 
 
@@ -352,24 +380,3 @@ def allocation_utilities(goods: GoodsInstance, alloc: Allocation) -> tuple[Fract
     return tuple(
         bundle_utility(goods, i, alloc.bundles[i]) for i in range(goods.n)
     )
-
-
-def issue_maxima(
-    instance: DecisionInstance, player: int
-) -> list[tuple[Fraction, int]]:
-    """Per issue, the player's best achievable utility and one argmax alternative.
-
-    Ties pick the lowest alternative index.
-    """
-    result = []
-    for issue in instance.issues:
-        row = issue.utilities[player]
-        best = max(row)
-        result.append((best, row.index(best)))
-    return result
-
-
-def sorted_max_utilities(instance: DecisionInstance, player: int) -> list[Fraction]:
-    """The player's per-issue maxima in non-ascending order (length m)."""
-    maxima = (max(issue.utilities[player]) for issue in instance.issues)
-    return sorted(maxima, reverse=True)

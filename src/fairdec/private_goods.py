@@ -21,9 +21,10 @@ proportionality up to one good: it seeds the group with players already at
 their proportional share (never empty: under weighted-welfare maximality the
 owner-maxima sum beats the weighted average, so someone is at quota), grows
 it until a player violating the one-good relaxation joins, and routes a good
-to her. Violators can reappear, so the search is capped and reports whether
-the final allocation is certified. Its Prop1 test is the audit's: the bundle's
-value plus ``audit.best_unowned_good``.
+to her. Violators can reappear, so the search stops after ``SEARCH_ROUNDS``
+rounds and reports whether the final allocation is certified. Its Prop1 test
+is the audit's: the bundle's value plus ``audit.best_unowned_good``, the
+first good of the player's ranking outside her bundle.
 
 Both procedures read their thresholds from one ``shares.share_profile`` call.
 
@@ -45,7 +46,7 @@ from .errors import DegenerateInstance, InvariantError
 from .model import Allocation, GoodsInstance, bundle_utility
 from .shares import share_profile
 
-DEFAULT_SEARCH_ROUNDS = 100
+SEARCH_ROUNDS = 100
 
 WeightVector = tuple[Fraction, ...]
 
@@ -258,9 +259,7 @@ class Prop1SearchResult:
     prop1_losses: tuple[tuple[int, int], ...]
 
 
-def prop1_po_search(
-    goods: GoodsInstance, max_rounds: int = DEFAULT_SEARCH_ROUNDS
-) -> Prop1SearchResult:
+def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
     """Search for a Pareto-optimal allocation satisfying proportionality up to
     one good, by routing goods toward violating players along welfare ties."""
     n = goods.n
@@ -277,7 +276,7 @@ def prop1_po_search(
     def prop1_ok(i: int) -> bool:
         return held(i) + best_unowned_good(goods, i, bundles[i]) >= prop[i]
 
-    for round_index in range(max_rounds):
+    for round_index in range(SEARCH_ROUNDS):
         ok_before = [prop1_ok(i) for i in range(n)]
         if all(ok_before):
             break

@@ -15,12 +15,13 @@ p = floor(m / n):
   into n bundles, where a bundle's value is the sum of its per-issue maxima
   (0 when m < n, since some bundle must stay empty)
 
-The chain Prop >= MMS >= RRS >= PPS holds for every player. ``share_profile``
-sorts each player's maxima once and reads every share off that one list; the
-per-player functions read the same helpers. All of them accept a
-GoodsInstance as well: for private goods, the per-issue maxima of the public
-embedding are exactly the player's per-good values, so both views give the
-same numbers.
+The chain Prop >= MMS >= RRS >= PPS holds for every player. Every share
+reads the player's maxima in the order of her ranking, both tables computed
+once per instance by ``model``; ``share_profile`` returns all of them for
+every player, and the per-player functions read the same helpers. All of
+them accept a GoodsInstance as well: for private goods, the per-issue maxima
+of the public embedding are exactly the player's per-good values, so both
+views give the same numbers.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CapExceeded
-from .model import DecisionInstance, GoodsInstance, scale_to_int, sorted_max_utilities
+from .model import DecisionInstance, GoodsInstance, scale_to_int
 
 DEFAULT_MMS_CAP = 10**6
 
@@ -38,9 +39,8 @@ Instance = DecisionInstance | GoodsInstance
 
 
 def _maxima(instance: Instance, player: int) -> list[Fraction]:
-    if isinstance(instance, GoodsInstance):
-        return sorted(instance.utilities[player], reverse=True)
-    return sorted_max_utilities(instance, player)
+    row = instance.maxima[player]
+    return [row[t] for t in instance.ranking[player]]
 
 
 def _prop(ranked: list[Fraction], n: int) -> Fraction:
@@ -149,8 +149,8 @@ class ShareProfile:
 def share_profile(
     instance: Instance, with_mms: bool = False, mms_cap: int = DEFAULT_MMS_CAP
 ) -> ShareProfile:
-    """Compute Prop/RRS/PPS (and optionally MMS) for every player, sorting
-    each player's maxima once."""
+    """Compute Prop/RRS/PPS (and optionally MMS) for every player from her
+    ranked maxima."""
     n = instance.n
     ranked = [_maxima(instance, i) for i in range(n)]
     return ShareProfile(

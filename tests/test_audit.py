@@ -114,6 +114,22 @@ def test_best_unowned_good_and_goods_prop1():
     assert p2.prop1.satisfied and p2.prop1.alpha == 2
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_best_unowned_good_matches_a_plain_scan(data):
+    """On rows with many ties, the first unheld good of the ranking is worth
+    as much as the best of all the unheld goods."""
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 8))
+    values = st.sampled_from([0, 1, Fraction(1, 2), 2])
+    rows = [[data.draw(values) for _ in range(m)] for _ in range(n)]
+    goods = fd.goods_instance(rows)
+    for i in range(n):
+        bundle = data.draw(st.frozensets(st.integers(0, m - 1)))
+        unowned = [rows[i][g] for g in range(m) if g not in bundle]
+        assert best_unowned_good(goods, i, bundle) == max(unowned, default=0)
+
+
 def test_envy_checks_on_a_lopsided_split():
     goods = fd.goods_instance([[3, 1], [1, 3]])
     envious = fd.allocation([{}, {0, 1}])
@@ -183,7 +199,13 @@ def test_alpha_levels_certify_the_axioms(inst, data):
                 assert check.alpha is not None
                 assert check.satisfied == (check.alpha >= 1)
         if profile.prop[i] > 0:
-            reach = best_single_switch(inst, outcome, i)
+            # every single-issue switch, keeping the outcome included
+            reach = utils[i]
+            for t, issue in enumerate(inst.issues):
+                for a in range(issue.k):
+                    choices = outcome.choices[:t] + (a,) + outcome.choices[t + 1 :]
+                    switched = fd.utility_vector(inst, fd.Outcome(choices=choices))
+                    reach = max(reach, switched[i])
             assert reach >= utils[i]
             assert player.prop1.alpha == reach / profile.prop[i]
 

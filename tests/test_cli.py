@@ -267,6 +267,24 @@ def test_gen_rejects_witness_out_without_witness(capsys, tmp_path):
     assert "witness" in err
 
 
+@pytest.mark.parametrize(
+    "params, defect",
+    [
+        ("random --n 0 --m 2 --k 2", "players:"),
+        ("random --n 2 --m 2 --k 0", "issues[0]:"),
+        ("random --n 2 --m 2 --k 2 --umin -3", "negative utility"),
+        ("random-goods --n 2 --m 0", "goods:"),
+    ],
+)
+def test_gen_refuses_instances_solve_would_reject(capsys, tmp_path, params, defect):
+    out = tmp_path / "f.json"
+    argv = ["gen", "--family", *params.split(), "--seed", "1", "--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and defect in err
+    assert not out.exists()
+
+
 def test_oracle_matches_the_mechanism(capsys, contested_file):
     code, out, _ = run(
         capsys, ["oracle", "--objective", "nash", "--input", contested_file]
@@ -380,6 +398,14 @@ def test_bench_validates_the_worker_override(capsys, monkeypatch):
     monkeypatch.setenv("FAIRDEC_THREADS", "0")
     code, _, err = run(capsys, ["bench", "--trials", "1", "--seed", "1"])
     assert code == 2 and "at least 1" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bench_rejects_fewer_than_one_trial(capsys, monkeypatch, trials):
+    monkeypatch.setenv("FAIRDEC_THREADS", "1")
+    code, out, err = run(capsys, ["bench", "--trials", trials, "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
 
 
 @pytest.mark.parametrize("mechanism", ["leximin", "mnw"])

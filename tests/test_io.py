@@ -119,7 +119,8 @@ def test_validation_failures_surface_with_paths():
         "utilities": [["-1"]],
     }
     with pytest.raises(fd.InstanceFormatError) as excinfo:
-        io.parse_instance(json.dumps(doc))
+        with pytest.warns(io.NonCanonicalRationalWarning, match="utilities"):
+            io.parse_instance(json.dumps(doc))
     assert "utilities[0][0]" in str(excinfo.value)
     assert excinfo.value.violations
 

@@ -163,13 +163,15 @@ def test_mnw_matches_the_enumeration_oracle(inst):
 
 
 @settings(deadline=None)
-@given(public_instances_())
-def test_round_robin_replay(inst):
-    """Each pick maximizes the picker's best alternative among open issues."""
-    result = fd.round_robin(inst)
+@given(public_instances_(max_m=8), st.data())
+def test_round_robin_replay(inst, data):
+    """Each pick maximizes the picker's best alternative among open issues,
+    also once others have taken the top issues of her ranking."""
+    order = data.draw(st.permutations(range(inst.n)))
+    result = fd.round_robin(inst, order=order)
     open_issues = set(range(inst.m))
     for turn, pick in enumerate(result.picks):
-        assert pick.player == turn % inst.n
+        assert pick.player == order[turn % inst.n]
         assert pick.issue in open_issues
         row = inst.issues[pick.issue].utilities[pick.player]
         best = max(row)

@@ -110,12 +110,27 @@ def test_bundle_utility_is_additive():
 
 def test_issue_maxima_breaks_ties_low():
     inst = fd.decision_instance([[[2, 5, 5]], [[7, 1, 7]]])
-    assert fd.issue_maxima(inst, 0) == [(Fraction(5), 1), (Fraction(7), 0)]
+    assert inst.maxima == ((Fraction(5), Fraction(7)),)
+    assert inst.ranking == ((1, 0),)
+    # round robin fixes the lowest alternative that reaches the maximum
+    assert fd.round_robin(inst).outcome.choices == (1, 0)
+    tied = fd.decision_instance([[[3, 1]], [[0, 3]], [[3]]])
+    assert tied.ranking == ((0, 1, 2),)
 
 
-def test_sorted_max_utilities_is_non_ascending():
+def test_ranking_orders_maxima_non_ascending():
     inst = fd.decision_instance([[[1]], [[4]], [[2, 3]]])
-    assert fd.sorted_max_utilities(inst, 0) == [Fraction(4), Fraction(3), Fraction(1)]
+    assert [inst.maxima[0][t] for t in inst.ranking[0]] == [
+        Fraction(4),
+        Fraction(3),
+        Fraction(1),
+    ]
+    # the cached tables take no part in equality or hashing
+    fresh = fd.decision_instance([[[1]], [[4]], [[2, 3]]])
+    assert inst == fresh and hash(inst) == hash(fresh)
+    goods = fd.goods_instance([[1, 4, 3, 4], [0, 0, 2, 0]])
+    assert goods.maxima is goods.utilities
+    assert goods.ranking == ((1, 3, 2, 0), (2, 0, 1, 3))
 
 
 def test_model_values_are_frozen():
