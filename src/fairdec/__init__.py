@@ -47,7 +47,6 @@ from .model import (
     outcome_to_allocation,
     outcome_utility,
     utility_vector,
-    validate,
 )
 from .oracles import (
     DEFAULT_ENUM_CAP,

@@ -14,9 +14,10 @@ Both audits read every player's shares from one ``share_profile`` call and
 build their per-player results in one place; a route supplies only the
 utilities, each player's Prop1 reach (``best_single_switch`` on public
 instances, bundle plus ``best_unowned_good`` on goods) and, for goods, the
-envy levels. Both reaches read the instance's ``maxima`` and ``ranking``
-tables: a switch gains at most the issue's maximum, and the best unowned
-good is the first one of the player's ranking outside her bundle.
+envy levels. Both reaches and the envy levels add and compare the
+instance's scaled integers: a switch gains at most the issue's ``maxima``
+entry, and the best unowned good is the first one of the player's
+``ranking`` outside her bundle.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ from .model import (
     Outcome,
     allocation_to_outcome,
     allocation_utilities,
-    bundle_utility,
     goods_to_public,
     outcome_to_allocation,
-    outcome_utility,
     utility_vector,
 )
 from .errors import InstanceFormatError
@@ -127,13 +126,9 @@ def best_single_switch(
     u^t_max(i) read from ``instance.maxima``; keeping the outcome as is is
     included (switching to the chosen alternative).
     """
-    gains = (
-        best - issue.utilities[player][choice]
-        for issue, choice, best in zip(
-            instance.issues, outcome.choices, instance.maxima[player]
-        )
-    )
-    return outcome_utility(instance, outcome, player) + max(gains, default=Fraction(0))
+    values = [rows[player][c] for rows, c in zip(instance.scaled, outcome.choices)]
+    gain = max(map(sub, instance.maxima[player], values))
+    return Fraction(sum(values) + gain, instance.scales[player])
 
 
 def check_pareto_optimal(
@@ -186,8 +181,9 @@ def best_unowned_good(
 ) -> Fraction:
     """The most valuable good outside the player's bundle (0 when she holds
     all): the first good of her ranking that she does not hold."""
-    row = goods.utilities[player]
-    return next((row[g] for g in goods.ranking[player] if g not in bundle), Fraction(0))
+    row = goods.maxima[player]
+    best = next((row[g] for g in goods.ranking[player] if g not in bundle), 0)
+    return Fraction(best, goods.scales[player])
 
 
 def audit_goods(
@@ -227,10 +223,12 @@ def audit_goods(
     ]
     envy = []
     for i, value in enumerate(utilities):
-        row = goods.utilities[i]
+        # levels are ratios, so her value is scaled like the integer rivals
+        value *= goods.scales[i]
+        row = goods.maxima[i]
         rivals = [bundle for j, bundle in enumerate(alloc.bundles) if j != i]
-        worth = [bundle_utility(goods, i, bundle) for bundle in rivals]
-        best = [max((row[g] for g in bundle), default=Fraction(0)) for bundle in rivals]
+        worth = [sum(row[g] for g in bundle) for bundle in rivals]
+        best = [max((row[g] for g in bundle), default=0) for bundle in rivals]
         envy.append((_level(value, *worth), _level(value, *map(sub, worth, best))))
     players = _player_audits(goods, utilities, reach, with_mms, mms_cap, envy)
     po = None

@@ -7,14 +7,13 @@ instance), bench (mechanism quality rates over seeded random instances).
 
 Exit codes: 0 success, 2 validation or format error, 3 enumeration cap
 exceeded, 4 degenerate instance. All output is deterministic for a fixed
-command line, input files, and seed; FAIRDEC_THREADS only changes how many
-workers the bench pool uses, never the bytes produced.
+command line, input files, and seed; bench runs its trials one after another
+in this process.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +37,6 @@ from .model import (
     allocation_utilities,
     goods_to_public,
     outcome_to_allocation,
-    require_valid,
 )
 from .oracles import DEFAULT_ENUM_CAP, exact_optimum
 from .private_goods import pps_po_allocate, prop1_po_search
@@ -186,13 +184,10 @@ def _cmd_gen(args) -> int:
         umin=args.umin,
         umax=args.umax,
     )
-    require_valid(generated.instance)
+    if args.witness_out is not None and generated.witness is None:
+        raise InstanceFormatError(f"family {args.family!r} has no witness allocation")
     _write(io.to_json(io.instance_document(generated.instance)), args.out)
     if args.witness_out is not None:
-        if generated.witness is None:
-            raise InstanceFormatError(
-                f"family {args.family!r} has no witness allocation"
-            )
         if not isinstance(generated.instance, GoodsInstance):
             raise InvariantError("a witness allocation needs a goods instance")
         doc = io.goods_result_document(
@@ -229,9 +224,10 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _bench_trial(params: tuple) -> dict[str, tuple[bool, bool, bool, bool]]:
-    n, m, k, umin, umax, trial_seed = params
-    instance = random_public(n, m, k, trial_seed, umin=umin, umax=umax)
+def _bench_trial(args, trial_seed: int) -> dict[str, tuple[bool, bool, bool, bool]]:
+    instance = random_public(
+        args.n, args.m, args.k, trial_seed, umin=args.umin, umax=args.umax
+    )
     flags = {}
     for name, run in (
         ("round-robin", lambda: round_robin(instance)),
@@ -249,43 +245,13 @@ def _bench_trial(params: tuple) -> dict[str, tuple[bool, bool, bool, bool]]:
     return flags
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FAIRDEC_THREADS")
-    if raw is not None:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InstanceFormatError(
-                f"FAIRDEC_THREADS must be an integer, got {raw!r}"
-            )
-        if workers < 1:
-            raise InstanceFormatError("FAIRDEC_THREADS must be at least 1")
-        return workers
-    return os.cpu_count() or 1
-
-
 def _cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    jobs = [
-        (args.n, args.m, args.k, args.umin, args.umax, args.seed * 1_000_003 + trial)
+    results = [
+        _bench_trial(args, args.seed * 1_000_003 + trial)
         for trial in range(args.trials)
     ]
-    workers = _worker_count()
-    results = None
-    if workers > 1 and len(jobs) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(_bench_trial, jobs, chunksize=max(1, len(jobs) // (workers * 4)))
-                )
-        except OSError:
-            results = None  # pools can be unavailable in restricted sandboxes
-    if results is None:
-        results = [_bench_trial(job) for job in jobs]
-
     lines = ["mechanism,po,pps,rrs,prop1"]
     for name in ("round-robin", "leximin", "mnw"):
         rates = [

@@ -55,5 +55,4 @@ class GenerationError(FairdecError):
 
 
 class InvariantError(FairdecError):
-    """An internal invariant failed: a defect in the package, or a library
-    call on an instance that was never validated."""
+    """An internal invariant failed: a defect in the package."""

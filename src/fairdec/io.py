@@ -28,7 +28,6 @@ from .model import (
     Issue,
     MechanismResult,
     Outcome,
-    require_valid,
 )
 from .private_goods import TransferTrace
 
@@ -117,10 +116,27 @@ def _string_list(value, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _matrix(
+    rows: list, path: str, allow_decimal: bool
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the utility matrix at ``path``, each a list of rationals."""
+    matrix = []
+    for i, row in enumerate(rows):
+        _require(isinstance(row, list), f"{path}[{i}]: expected a list")
+        matrix.append(
+            tuple(
+                _decode_rational(v, f"{path}[{i}][{a}]", allow_decimal)
+                for a, v in enumerate(row)
+            )
+        )
+    return tuple(matrix)
+
+
 def parse_instance(
     text: str | bytes, allow_decimal: bool = False
 ) -> DecisionInstance | GoodsInstance:
-    """Read an instance document; raises InstanceFormatError on any defect."""
+    """Read an instance document; raises InstanceFormatError on any defect,
+    including the structural ones an instance reports when it is built."""
     data = _loads(text, allow_decimal)
     _require(isinstance(data, dict), "top level must be an object")
     kind = data.get("kind")
@@ -129,19 +145,9 @@ def parse_instance(
         goods = _string_list(data.get("goods"), "goods")
         rows = data.get("utilities")
         _require(isinstance(rows, list), "utilities: expected a list of rows")
-        matrix = []
-        for i, row in enumerate(rows):
-            _require(isinstance(row, list), f"utilities[{i}]: expected a list")
-            matrix.append(
-                tuple(
-                    _decode_rational(v, f"utilities[{i}][{g}]", allow_decimal)
-                    for g, v in enumerate(row)
-                )
-            )
-        instance = GoodsInstance(
-            utilities=tuple(matrix), players=players, goods=goods
-        )
-    elif kind == "public":
+        matrix = _matrix(rows, "utilities", allow_decimal)
+        return GoodsInstance(utilities=matrix, players=players, goods=goods)
+    if kind == "public":
         players = _string_list(data.get("players"), "players")
         raw_issues = data.get("issues")
         _require(isinstance(raw_issues, list), "issues: expected a list")
@@ -153,32 +159,13 @@ def parse_instance(
             alternatives = _string_list(
                 raw.get("alternatives"), f"issues[{t}].alternatives"
             )
+            path = f"issues[{t}].utilities"
             rows = raw.get("utilities")
-            _require(
-                isinstance(rows, list), f"issues[{t}].utilities: expected a list"
-            )
-            matrix = []
-            for i, row in enumerate(rows):
-                _require(
-                    isinstance(row, list), f"issues[{t}].utilities[{i}]: expected a list"
-                )
-                matrix.append(
-                    tuple(
-                        _decode_rational(
-                            v, f"issues[{t}].utilities[{i}][{a}]", allow_decimal
-                        )
-                        for a, v in enumerate(row)
-                    )
-                )
-            issues.append(
-                Issue(utilities=tuple(matrix), name=name, alternatives=alternatives)
-            )
-        instance = DecisionInstance(issues=tuple(issues), players=players)
-    else:
-        raise InstanceFormatError('kind must be "public" or "goods"')
-
-    require_valid(instance)
-    return instance
+            _require(isinstance(rows, list), f"{path}: expected a list")
+            matrix = _matrix(rows, path, allow_decimal)
+            issues.append(Issue(utilities=matrix, name=name, alternatives=alternatives))
+        return DecisionInstance(issues=tuple(issues), players=players)
+    raise InstanceFormatError('kind must be "public" or "goods"')
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ Leximin, both phases of maximum Nash welfare and the Pareto check behind
 search on an explicit stack that visits choice vectors in lexicographic
 order, so ties go to the lexicographically smallest choice vector and the
 Pareto witness is the first one full enumeration meets, exactly as in
-``oracles``. It adds integers: each player's utilities are multiplied by the
-lcm of her denominators, and for leximin her scale also folds in 1/divisor
-over one common denominator. A positive per-player scale preserves supports,
-Nash argmaxes over a fixed support and Pareto dominance, and a common one
-preserves the leximin order. The scaling pass rejects negative utilities and
-ragged or empty matrices, which the bounds below do not cover.
+``oracles``. It adds integers: the instance's scaled utilities (each player's
+times the lcm of her denominators), times a per-player integer factor, 1 but
+for leximin, where it folds in 1/divisor over one common denominator. A
+positive per-player scale preserves supports, Nash argmaxes over a fixed
+support and Pareto dominance, and a common one preserves the leximin order.
+The bounds below assume non-negative utilities, which every instance
+guarantees when it is built.
 
 A player's utility in a subtree is at most her partial utility plus her
 per-issue maxima over the undecided issues. Each objective's key (sorted
@@ -27,15 +28,7 @@ from math import lcm, prod
 from operator import add, ge
 from typing import Any, Callable, Iterable, Sequence
 
-from .model import (
-    DecisionInstance,
-    MechanismResult,
-    Outcome,
-    Pick,
-    require_valid,
-    scale_to_int,
-    utility_vector,
-)
+from .model import DecisionInstance, MechanismResult, Outcome, Pick, utility_vector
 from .oracles import DEFAULT_ENUM_CAP, leximin_normalization, outcome_space_size
 from .errors import CapExceeded
 
@@ -69,7 +62,7 @@ def round_robin(
         while choices[ranking[cursors[player]]] is not None:
             cursors[player] += 1
         issue = ranking[cursors[player]]
-        row = instance.issues[issue].utilities[player]
+        row = instance.scaled[issue][player]
         alternative = row.index(instance.maxima[player][issue])
         choices[issue] = alternative
         picks.append(Pick(player=player, issue=issue, alternative=alternative))
@@ -85,48 +78,32 @@ def round_robin(
 Vector = tuple[int, ...]
 
 
-def _player_scales(instance: DecisionInstance, cap: int) -> list[int]:
-    """Per player, the lcm of her utilities' denominators. Raises
-    InstanceFormatError for instances the search bounds do not cover, then
-    CapExceeded when the outcome space is larger than ``cap``."""
-    n = instance.n
-    if not instance.issues:
-        require_valid(instance)
-    scales = [1] * n
-    for issue in instance.issues:
-        k = issue.k
-        if k < 1 or len(issue.utilities) != n:
-            require_valid(instance)
-        for i, row in enumerate(issue.utilities):
-            if len(row) != k or min(row) < 0:
-                require_valid(instance)
-            scales[i] = lcm(scales[i], *(v.denominator for v in row))
+def _check_cap(instance: DecisionInstance, cap: int) -> None:
     size = outcome_space_size(instance)
     if size > cap:
         raise CapExceeded(size, cap, what="outcome enumeration")
-    return scales
 
 
 def _search(
     instance: DecisionInstance,
-    scales: dict[int, int],
+    factors: dict[int, int],
     prune: Callable[[Vector, Vector], bool],
     leaf: Callable[[Vector, list[int]], bool | None],
 ) -> tuple[int, ...] | None:
     """Search the outcome tree depth first in lexicographic choice order, on
-    the utilities of the players in ``scales``, each times her scale.
+    the scaled utilities of the players in ``factors``, each times her factor.
 
     ``prune(vector, suffix)`` sees each node below the root with its partial
     utility vector and the most each player can still add; True skips the
     subtree. ``leaf(vector, choices)`` sees each complete outcome not pruned
     (copy ``choices`` to keep it); True ends the search and returns choices.
     """
-    tree = []  # tree[t][a]: the scaled utilities of alternative a of issue t
-    for issue in instance.issues:
-        rows = [scale_to_int(issue.utilities[i], s) for i, s in scales.items()]
+    tree = []  # tree[t][a]: the weighted utilities of alternative a of issue t
+    for issue, scaled in zip(instance.issues, instance.scaled):
+        rows = [[v * f for v in scaled[i]] for i, f in factors.items()]
         tree.append([tuple(row[a] for row in rows) for a in range(issue.k)])
     m = len(tree)
-    suffix = [(0,) * len(scales)] * (m + 1)
+    suffix = [(0,) * len(factors)] * (m + 1)
     for t in range(m - 1, -1, -1):
         suffix[t] = tuple(map(add, suffix[t + 1], map(max, zip(*tree[t]))))
     vectors = [suffix[m]] * m  # vectors[t]: the utilities of choices[:t]
@@ -153,11 +130,11 @@ def _search(
 
 def _maximize(
     instance: DecisionInstance,
-    scales: dict[int, int],
+    factors: dict[int, int],
     key: Callable[[Iterable[int]], Any],
 ) -> Outcome:
-    """The lexicographically first outcome whose scaled utility vector has the
-    greatest ``key``; raising a vector pointwise must never lower its key."""
+    """The lexicographically first outcome whose weighted utility vector has
+    the greatest ``key``; raising a vector pointwise must never lower its key."""
     best = None
     best_choices: tuple[int, ...] = ()
 
@@ -168,7 +145,7 @@ def _maximize(
         nonlocal best, best_choices
         best, best_choices = key(vector), tuple(choices)
 
-    _search(instance, scales, prune, leaf)
+    _search(instance, factors, prune, leaf)
     return Outcome(choices=best_choices)
 
 
@@ -187,15 +164,15 @@ def leximin(
     the proportional share when RRS is zero); players with both shares zero
     do not appear in the objective. The reported utilities are raw.
     """
-    scales = _player_scales(instance, cap)
+    _check_cap(instance, cap)
     divisors = leximin_normalization(instance)
-    inverse = {i: 1 / (d * scales[i]) for i, d in enumerate(divisors) if d}
-    common = lcm(*(w.denominator for w in inverse.values()))
-    weights = {
-        i: scales[i] * w.numerator * (common // w.denominator)
-        for i, w in inverse.items()
+    inverse = {
+        i: 1 / (d * instance.scales[i]) for i, d in enumerate(divisors) if d
     }
-    outcome = _maximize(instance, weights, sorted)
+    # common is a multiple of every denominator, so each factor is an int
+    common = lcm(*(w.denominator for w in inverse.values()))
+    factors = {i: int(w * common) for i, w in inverse.items()}
+    outcome = _maximize(instance, factors, sorted)
     return MechanismResult(
         mechanism="leximin",
         outcome=outcome,
@@ -214,11 +191,11 @@ def max_nash_welfare(
     Phase two maximizes the exact rational product of the utilities of S;
     every maximizer gives all of S positive utility, so the outcome covers S.
     """
-    scales = _player_scales(instance, cap)
-    covering = _maximize(instance, dict(enumerate(scales)), _support_key)
+    _check_cap(instance, cap)
+    covering = _maximize(instance, dict.fromkeys(range(instance.n), 1), _support_key)
     utilities = utility_vector(instance, covering)
     support = tuple(i for i, u in enumerate(utilities) if u)
-    outcome = _maximize(instance, {i: scales[i] for i in support}, prod)
+    outcome = _maximize(instance, dict.fromkeys(support, 1), prod)
     return MechanismResult(
         mechanism="mnw",
         outcome=outcome,
@@ -232,14 +209,14 @@ def pareto_improvement(
 ) -> Outcome | None:
     """The lexicographically first outcome that Pareto dominates ``outcome``,
     or None; raises CapExceeded when the outcome space exceeds ``cap``."""
-    scales = _player_scales(instance, cap)
+    _check_cap(instance, cap)
     base = tuple(
-        u.numerator * (s // u.denominator)
-        for u, s in zip(utility_vector(instance, outcome), scales)
+        sum(rows[i][c] for rows, c in zip(instance.scaled, outcome.choices))
+        for i in range(instance.n)
     )
     stop = _search(
         instance,
-        dict(enumerate(scales)),
+        dict.fromkeys(range(instance.n), 1),
         lambda vector, suffix: not all(map(ge, map(add, vector, suffix), base)),
         lambda vector, choices: vector != base,
     )

@@ -6,10 +6,16 @@ utilities. An outcome fixes one alternative per issue, and a player's utility
 for an outcome is the sum of her per-issue utilities (preferences are additive
 across issues).
 
-Every instance computes two tables once: ``maxima[i][t]``, player i's best
-utility on issue t (on goods, her value for good t), and ``ranking[i]``, the
-issues by those maxima, largest first, ties to the lower index. The shares,
-round robin and both Prop1 reaches read them.
+An instance checks itself when built and raises InstanceFormatError with
+every structural defect, so no negative, ragged or empty instance exists.
+
+Every per-player quantity is unchanged when one player's utilities are scaled
+by a positive constant, so each instance carries one integer view, computed
+once on first use: ``scales[i]``, the lcm of player i's denominators;
+``scaled[t][i]``, her utilities on issue t times it; ``maxima[i][t]``, her best
+scaled utility on issue t (on goods, her scaled value for good t); and
+``ranking[i]``, her issues by those maxima, largest first, ties low. Readers
+add and compare these integers and divide by ``scales[i]`` once per result.
 
 Allocating private goods is the special case with one issue per good and one
 alternative per player: the alternative that hands good g to player i gives
@@ -18,7 +24,7 @@ embedding; ``outcome_to_allocation`` and ``allocation_to_outcome`` move
 between the two views (the chosen alternative index of a reduced issue is the
 recipient of the good).
 
-All quantities are ``fractions.Fraction``. Nothing in this package rounds.
+Inputs and results are ``fractions.Fraction``. Nothing in this package rounds.
 Instances, outcomes and allocations are immutable once built.
 """
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InstanceFormatError
@@ -43,12 +50,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def scale_to_int(values: Iterable[Fraction], scale: int) -> list[int]:
+def _scale_to_int(values: Iterable[Fraction], scale: int) -> tuple[int, ...]:
     """Each value times ``scale``, a multiple of every denominator, as an int."""
-    return [v.numerator * (scale // v.denominator) for v in values]
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def _ranking(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+def _ranking(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Per row, its column indices by value, largest first; the stable sort
     keeps ties in index order."""
     return tuple(
@@ -59,7 +66,7 @@ def _ranking(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class Violation:
-    """One structural defect found by ``validate``.
+    """One structural defect of an instance, reported by InstanceFormatError.
 
     Attributes:
         path: index path into the offending field, e.g. "issues[2].utilities[0][1]".
@@ -85,10 +92,13 @@ class Issue:
 
 @dataclass(frozen=True)
 class DecisionInstance:
-    """A public decision instance: players and a tuple of issues."""
+    """A public decision instance: players and issues, checked when built."""
 
     issues: tuple[Issue, ...]
     players: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        _check(self)
 
     @property
     def n(self) -> int:
@@ -102,11 +112,26 @@ class DecisionInstance:
         return self.issues[issue].utilities[player][alternative]
 
     @cached_property
-    def maxima(self) -> tuple[tuple[Fraction, ...], ...]:
-        """maxima[i][t]: player i's best utility on issue t."""
+    def scales(self) -> tuple[int, ...]:
+        """scales[i]: the lcm of player i's utility denominators."""
         return tuple(
-            tuple(max(issue.utilities[i]) for issue in self.issues)
+            lcm(*(v.denominator for issue in self.issues for v in issue.utilities[i]))
             for i in range(self.n)
+        )
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """scaled[t][i]: player i's utilities on issue t times scales[i]."""
+        return tuple(
+            tuple(map(_scale_to_int, issue.utilities, self.scales))
+            for issue in self.issues
+        )
+
+    @cached_property
+    def maxima(self) -> tuple[tuple[int, ...], ...]:
+        """maxima[i][t]: player i's best scaled utility on issue t."""
+        return tuple(
+            tuple(max(rows[i]) for rows in self.scaled) for i in range(self.n)
         )
 
     @cached_property
@@ -117,11 +142,14 @@ class DecisionInstance:
 
 @dataclass(frozen=True)
 class GoodsInstance:
-    """Indivisible private goods: an n-by-m matrix of per-good utilities."""
+    """Indivisible private goods: an n-by-m utility matrix, checked when built."""
 
     utilities: tuple[tuple[Fraction, ...], ...]  # rows = players, cols = goods
     players: tuple[str, ...]
     goods: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        _check(self)
 
     @property
     def n(self) -> int:
@@ -134,15 +162,20 @@ class GoodsInstance:
     def utility(self, player: int, good: int) -> Fraction:
         return self.utilities[player][good]
 
-    @property
-    def maxima(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The embedding's per-issue maxima: each player's per-good values."""
-        return self.utilities
+    @cached_property
+    def scales(self) -> tuple[int, ...]:
+        """scales[i]: the lcm of player i's utility denominators."""
+        return tuple(lcm(*(v.denominator for v in row)) for row in self.utilities)
+
+    @cached_property
+    def maxima(self) -> tuple[tuple[int, ...], ...]:
+        """maxima[i][g]: player i's value for good g times scales[i]."""
+        return tuple(map(_scale_to_int, self.utilities, self.scales))
 
     @cached_property
     def ranking(self) -> tuple[tuple[int, ...], ...]:
         """ranking[i]: the goods by player i's value, largest first, ties low."""
-        return _ranking(self.utilities)
+        return _ranking(self.maxima)
 
 
 @dataclass(frozen=True)
@@ -254,13 +287,13 @@ def _row_violations(
         violations.extend(
             Violation(f"{path}[{i}][{a}]", f"negative utility {value}")
             for a, value in enumerate(row)
-            if value < 0
+            if value.numerator < 0
         )
     return violations
 
 
-def validate(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
-    """Check structural invariants; an empty list means the instance is well formed.
+def _violations(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
+    """Structural defects; an empty list means the instance is well formed.
 
     Checks: n >= 1, m >= 1, every issue has k_t >= 1, every utility matrix has
     exactly n rows of consistent width, and every utility is non-negative.
@@ -307,9 +340,9 @@ def validate(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
     return violations
 
 
-def require_valid(instance: DecisionInstance | GoodsInstance) -> None:
-    """Raise InstanceFormatError listing every ``validate`` violation, if any."""
-    violations = validate(instance)
+def _check(instance: DecisionInstance | GoodsInstance) -> None:
+    """Raise InstanceFormatError listing every structural defect, if any."""
+    violations = _violations(instance)
     if violations:
         raise InstanceFormatError(
             "; ".join(f"{v.path}: {v.message}" for v in violations), violations
@@ -359,10 +392,8 @@ def outcome_utility(
     instance: DecisionInstance, outcome: Outcome, player: int
 ) -> Fraction:
     """Player's total utility for an outcome: the sum of her per-issue utilities."""
-    total = Fraction(0)
-    for issue, choice in zip(instance.issues, outcome.choices):
-        total += issue.utilities[player][choice]
-    return total
+    total = sum(rows[player][c] for rows, c in zip(instance.scaled, outcome.choices))
+    return Fraction(total, instance.scales[player])
 
 
 def utility_vector(instance: DecisionInstance, outcome: Outcome) -> tuple[Fraction, ...]:
@@ -370,10 +401,8 @@ def utility_vector(instance: DecisionInstance, outcome: Outcome) -> tuple[Fracti
 
 
 def bundle_utility(goods: GoodsInstance, player: int, bundle: Iterable[int]) -> Fraction:
-    total = Fraction(0)
-    for g in bundle:
-        total += goods.utilities[player][g]
-    return total
+    row = goods.maxima[player]
+    return Fraction(sum(row[g] for g in bundle), goods.scales[player])
 
 
 def allocation_utilities(goods: GoodsInstance, alloc: Allocation) -> tuple[Fraction, ...]:

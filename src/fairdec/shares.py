@@ -16,56 +16,60 @@ p = floor(m / n):
   (0 when m < n, since some bundle must stay empty)
 
 The chain Prop >= MMS >= RRS >= PPS holds for every player. Every share
-reads the player's maxima in the order of her ranking, both tables computed
-once per instance by ``model``; ``share_profile`` returns all of them for
-every player, and the per-player functions read the same helpers. All of
-them accept a GoodsInstance as well: for private goods, the per-issue maxima
-of the public embedding are exactly the player's per-good values, so both
-views give the same numbers.
+sums the player's scaled maxima (``model``'s integer view) in the order of
+her ranking and divides by her scale once; ``share_profile`` returns all of
+them for every player, and the per-player functions read the same helpers.
+All of them accept a GoodsInstance as well: for private goods, the per-issue
+maxima of the public embedding are exactly the player's per-good values, so
+both views give the same numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from typing import Callable
 
 from .errors import CapExceeded
-from .model import DecisionInstance, GoodsInstance, scale_to_int
+from .model import DecisionInstance, GoodsInstance
 
 DEFAULT_MMS_CAP = 10**6
 
 Instance = DecisionInstance | GoodsInstance
 
 
-def _maxima(instance: Instance, player: int) -> list[Fraction]:
+def _share(
+    instance: Instance, player: int, rule: Callable[..., int | Fraction], *args
+) -> Fraction:
+    """``rule`` on the player's ranked scaled maxima, divided by her scale."""
     row = instance.maxima[player]
-    return [row[t] for t in instance.ranking[player]]
+    ranked = [row[t] for t in instance.ranking[player]]
+    return Fraction(rule(ranked, instance.n, *args), instance.scales[player])
 
 
-def _prop(ranked: list[Fraction], n: int) -> Fraction:
+def _prop(ranked: list[int], n: int) -> Fraction:
     return Fraction(sum(ranked), n)
 
 
-def _rrs(ranked: list[Fraction], n: int) -> Fraction:
+def _rrs(ranked: list[int], n: int) -> int:
     # positions n, 2n, ..., p*n of the ranking (1-based)
-    return sum(ranked[n - 1 :: n], Fraction(0))
+    return sum(ranked[n - 1 :: n])
 
 
-def _pps(ranked: list[Fraction], n: int) -> Fraction:
-    return sum(ranked[len(ranked) - len(ranked) // n :], Fraction(0))
+def _pps(ranked: list[int], n: int) -> int:
+    return sum(ranked[len(ranked) - len(ranked) // n :])
 
 
 def proportional_share(instance: Instance, player: int) -> Fraction:
-    return _prop(_maxima(instance, player), instance.n)
+    return _share(instance, player, _prop)
 
 
 def round_robin_share(instance: Instance, player: int) -> Fraction:
-    return _rrs(_maxima(instance, player), instance.n)
+    return _share(instance, player, _rrs)
 
 
 def pessimistic_share(instance: Instance, player: int) -> Fraction:
-    return _pps(_maxima(instance, player), instance.n)
+    return _share(instance, player, _pps)
 
 
 def _partitions_up_to(m: int, n: int) -> int:
@@ -90,21 +94,18 @@ def maximin_share(
     only partitions using exactly n blocks can beat zero. Raises CapExceeded
     (with the exact partition count) when the space is larger than ``cap``.
     """
-    return _mms(_maxima(instance, player), instance.n, cap)
+    return _share(instance, player, _mms, cap)
 
 
-def _mms(ranked: list[Fraction], n: int, cap: int) -> Fraction:
-    m = len(ranked)
+def _mms(values: list[int], n: int, cap: int) -> int:
+    m = len(values)
     if m < n:
-        return Fraction(0)
+        return 0
     space = _partitions_up_to(m, n)
     if space > cap:
         raise CapExceeded(space, cap, what="maximin-share partition enumeration")
 
-    # bundle value only depends on the multiset of maxima; summing them as
-    # integers over one common denominator keeps the result exact
-    scale = lcm(*(v.denominator for v in ranked))
-    values = scale_to_int(ranked, scale)
+    # bundle value only depends on the multiset of maxima
     best = 0
     sums = [0] * n
     # Depth-first over restricted growth strings on an explicit stack: item t
@@ -133,7 +134,7 @@ def _mms(ranked: list[Fraction], n: int, cap: int) -> Fraction:
         else:
             block[t] = -1
             t -= 1
-    return Fraction(best, scale)
+    return best
 
 
 @dataclass(frozen=True)
@@ -151,11 +152,13 @@ def share_profile(
 ) -> ShareProfile:
     """Compute Prop/RRS/PPS (and optionally MMS) for every player from her
     ranked maxima."""
-    n = instance.n
-    ranked = [_maxima(instance, i) for i in range(n)]
+
+    def column(rule: Callable[..., int | Fraction], *args) -> tuple[Fraction, ...]:
+        return tuple(_share(instance, i, rule, *args) for i in range(instance.n))
+
     return ShareProfile(
-        prop=tuple(_prop(r, n) for r in ranked),
-        rrs=tuple(_rrs(r, n) for r in ranked),
-        pps=tuple(_pps(r, n) for r in ranked),
-        mms=tuple(_mms(r, n, mms_cap) for r in ranked) if with_mms else None,
+        prop=column(_prop),
+        rrs=column(_rrs),
+        pps=column(_pps),
+        mms=column(_mms, mms_cap) if with_mms else None,
     )

@@ -169,7 +169,13 @@ def test_share_gap_family_certifies_when_large_enough(pair):
 @settings(deadline=None, max_examples=50)
 @given(st.integers(0, 10**9))
 def test_random_instances_validate(seed):
+    # building checks an instance, so a generated one is well formed
     inst = fd.generate("random", n=3, m=3, k=3, seed=seed).instance
-    assert fd.validate(inst) == []
+    assert (inst.n, inst.m) == (3, 3)
     goods = fd.generate("random-goods", n=3, m=5, seed=seed).instance
-    assert fd.validate(goods) == []
+    assert (goods.n, goods.m) == (3, 5)
+    # a negative lower bound draws negative utilities, which building rejects
+    with pytest.raises(fd.InstanceFormatError) as info:
+        fd.generate("random-goods", n=3, m=5, seed=seed, umin=-5, umax=-1)
+    paths = [v.path for v in info.value.violations]
+    assert paths == [f"utilities[{i}][{g}]" for i in range(3) for g in range(5)]

@@ -134,10 +134,10 @@ def _check_first_outcome(inst):
     ids=["negative", "ragged"],
 )
 def test_searches_reject_instances_their_bounds_do_not_cover(entry, utilities, path):
-    """Negative utilities and ragged rows raise before any search runs."""
-    inst = fd.decision_instance(utilities)
+    """Negative utilities and ragged rows raise when the instance is built, so
+    no search ever receives one."""
     with pytest.raises(fd.InstanceFormatError) as info:
-        entry(inst)
+        entry(fd.decision_instance(utilities))
     assert path in [v.path for v in info.value.violations]
 
 

@@ -1,11 +1,13 @@
-"""Instance construction, validation, and the goods-to-public embedding."""
+"""Instance construction, the checks it runs, the per-player integer view, and
+the goods-to-public embedding."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
+from fairdec.audit import best_unowned_good
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -48,38 +50,138 @@ def test_dimensions_and_lookup():
     assert goods.utility(1, 0) == 3
 
 
+def _violations(build) -> list[fd.Violation]:
+    with pytest.raises(fd.InstanceFormatError) as info:
+        build()
+    return info.value.violations
+
+
 def test_validate_accepts_well_formed_instances():
-    assert fd.validate(fd.decision_instance([[[1, 0], [0, 1]], [[2], [3]]])) == []
-    assert fd.validate(fd.goods_instance([[0, 5], [1, 2]])) == []
+    inst = fd.decision_instance([[[1, 0], [0, 1]], [[2], [3]]])
+    assert fd.DecisionInstance(issues=inst.issues, players=inst.players) == inst
+    goods = fd.goods_instance([[0, 5], [1, 2]])
+    assert fd.GoodsInstance(goods.utilities, goods.players, goods.goods) == goods
 
 
 def test_validate_rejects_empty_and_negative():
-    no_issues = fd.DecisionInstance(issues=(), players=("p1",))
-    assert "issues" in [v.path for v in fd.validate(no_issues)]
+    no_issues = _violations(lambda: fd.DecisionInstance(issues=(), players=("p1",)))
+    assert "issues" in [v.path for v in no_issues]
 
-    no_players = fd.GoodsInstance(utilities=(), players=(), goods=("g1",))
-    assert "players" in [v.path for v in fd.validate(no_players)]
+    no_players = _violations(
+        lambda: fd.GoodsInstance(utilities=(), players=(), goods=("g1",))
+    )
+    assert "players" in [v.path for v in no_players]
 
-    negative = fd.goods_instance([[1, "-2"]])
-    violations = fd.validate(negative)
+    violations = _violations(lambda: fd.goods_instance([[1, "-2"]]))
     assert [v.path for v in violations] == ["utilities[0][1]"]
     assert "negative" in violations[0].message
 
 
 def test_validate_reports_shape_mismatches_with_paths():
-    lopsided = fd.DecisionInstance(
-        issues=(
-            fd.Issue(
-                utilities=((Fraction(1), Fraction(2)), (Fraction(3),)),
-                name="x",
-                alternatives=("a", "b"),
-            ),
-        ),
-        players=("p1", "p2", "p3"),
+    lopsided = fd.Issue(
+        utilities=((Fraction(1), Fraction(2)), (Fraction(3),)),
+        name="x",
+        alternatives=("a", "b"),
     )
-    paths = [v.path for v in fd.validate(lopsided)]
+    paths = [
+        v.path
+        for v in _violations(
+            lambda: fd.DecisionInstance(issues=(lopsided,), players=("p1", "p2", "p3"))
+        )
+    ]
     assert "issues[0].utilities" in paths  # 2 rows for 3 players
     assert "issues[0].utilities[1]" in paths  # short row
+
+
+def _issue(*rows, alternatives=("a", "b")):
+    return fd.Issue(
+        utilities=tuple(tuple(map(Fraction, row)) for row in rows),
+        name="x",
+        alternatives=alternatives,
+    )
+
+
+INVALID = {
+    "public-negative": (
+        lambda: fd.decision_instance([[[1, 0], [0, 2]], [[2, -1], [0, 1]]]),
+        ["issues[1].utilities[0][1]"],
+    ),
+    "public-ragged": (
+        lambda: fd.decision_instance([[[1, 0], [0, 2]], [[2, 1], [3]]]),
+        ["issues[1].utilities[1]"],
+    ),
+    "public-no-players": (
+        lambda: fd.decision_instance([[], []]),
+        ["players", "issues[0]", "issues[1]"],
+    ),
+    "public-no-issues": (
+        lambda: fd.decision_instance([], players=["p1"]),
+        ["issues"],
+    ),
+    "public-no-alternatives": (
+        lambda: fd.decision_instance([[[], []]]),
+        ["issues[0]"],
+    ),
+    "bare-public-negative": (
+        lambda: fd.DecisionInstance(
+            issues=(_issue((1, "-1/2")),), players=("p1",)
+        ),
+        ["issues[0].utilities[0][1]"],
+    ),
+    "bare-public-ragged": (
+        lambda: fd.DecisionInstance(
+            issues=(_issue((1, 2), (3,)),), players=("p1", "p2", "p3")
+        ),
+        ["issues[0].utilities", "issues[0].utilities[1]"],
+    ),
+    "bare-public-no-players": (
+        lambda: fd.DecisionInstance(
+            issues=(_issue(alternatives=("a",)),), players=()
+        ),
+        ["players", "issues[0]", "issues[0].alternatives"],
+    ),
+    "bare-public-no-issues": (
+        lambda: fd.DecisionInstance(issues=(), players=("p1",)),
+        ["issues"],
+    ),
+    "bare-public-no-alternatives": (
+        lambda: fd.DecisionInstance(
+            issues=(_issue((), alternatives=()),), players=("p1",)
+        ),
+        ["issues[0]"],
+    ),
+    "goods-negative": (lambda: fd.goods_instance([[1, "-2"]]), ["utilities[0][1]"]),
+    "goods-ragged": (lambda: fd.goods_instance([[1, 2], [3]]), ["utilities[1]"]),
+    "goods-no-players": (lambda: fd.goods_instance([], goods=["g1"]), ["players"]),
+    "goods-no-goods": (lambda: fd.goods_instance([[], []]), ["goods"]),
+    "bare-goods-negative": (
+        lambda: fd.GoodsInstance(((Fraction(-3, 7),),), ("a",), ("g",)),
+        ["utilities[0][0]"],
+    ),
+    "bare-goods-ragged": (
+        lambda: fd.GoodsInstance(((Fraction(1),),), ("a", "b"), ("g",)),
+        ["utilities"],
+    ),
+    "bare-goods-no-players": (
+        lambda: fd.GoodsInstance(utilities=(), players=(), goods=("g1",)),
+        ["players"],
+    ),
+    "bare-goods-no-goods": (
+        lambda: fd.GoodsInstance(utilities=((),), players=("a",), goods=()),
+        ["goods"],
+    ),
+}
+
+
+@pytest.mark.parametrize("build, paths", INVALID.values(), ids=INVALID.keys())
+def test_invalid_instances_cannot_be_built(build, paths):
+    """Factories and bare dataclasses alike raise with every defect's path, so
+    no mechanism, share or audit ever receives such an instance."""
+    with pytest.raises(fd.InstanceFormatError) as info:
+        build()
+    violations = info.value.violations
+    assert [v.path for v in violations] == paths
+    assert str(info.value) == "; ".join(f"{v.path}: {v.message}" for v in violations)
 
 
 def test_goods_embedding_is_diagonal():
@@ -93,7 +195,8 @@ def test_goods_embedding_is_diagonal():
     assert image.utility(0, 0, 1) == 0
     assert image.utility(1, 0, 0) == 0
     assert image.utility(1, 1, 1) == 2
-    assert fd.validate(image) == []
+    # the image carries the same integer view as the goods instance
+    assert image.scales == goods.scales and image.maxima == goods.maxima
 
 
 def test_allocation_owner():
@@ -129,8 +232,19 @@ def test_ranking_orders_maxima_non_ascending():
     fresh = fd.decision_instance([[[1]], [[4]], [[2, 3]]])
     assert inst == fresh and hash(inst) == hash(fresh)
     goods = fd.goods_instance([[1, 4, 3, 4], [0, 0, 2, 0]])
-    assert goods.maxima is goods.utilities
+    assert goods.maxima == goods.utilities
     assert goods.ranking == ((1, 3, 2, 0), (2, 0, 1, 3))
+    # fractional utilities: maxima are the player's values times her scale
+    mixed = fd.decision_instance(
+        [[["1/2", 0], [1, 2]], [["2/3", "1/3"], ["3/7", 0]]]
+    )
+    assert mixed.scales == (6, 7)
+    assert mixed.maxima == ((3, 4), (14, 3))
+    assert mixed.ranking == ((1, 0), (0, 1))
+    fractional = fd.goods_instance([["1/2", "3/4", "2/4"]])
+    assert fractional.scales == (4,)
+    assert fractional.maxima == ((2, 3, 2),)
+    assert fractional.ranking == ((1, 0, 2),)
 
 
 def test_model_values_are_frozen():
@@ -172,3 +286,72 @@ def test_embedding_preserves_shape(matrix):
     assert image.n == goods.n
     assert image.m == goods.m
     assert all(issue.k == goods.n for issue in image.issues)
+
+
+@st.composite
+def integer_views(draw):
+    """A public and a goods instance on the same players. Player i writes
+    each value over 1 or over one of her one or two denominators from
+    (2, 3, 7), so the players' scales differ, a scale can be the lcm of two
+    denominators, and equal values arrive with different denominators
+    (2/2 and 1/1, 0/7 and 0/1)."""
+    n = draw(st.integers(1, 3))
+    own = st.lists(st.sampled_from([2, 3, 7]), min_size=1, max_size=2, unique=True)
+    denominators = [[1, *draw(own)] for _ in range(n)]
+
+    def value(i: int) -> Fraction:
+        d = draw(st.sampled_from(denominators[i]))
+        return Fraction(draw(st.integers(0, 2 * d)), d)
+
+    m = draw(st.integers(1, 6))
+    ks = [draw(st.integers(1, 3)) for _ in range(m)]
+    public = fd.decision_instance(
+        [[[value(i) for _ in range(k)] for i in range(n)] for k in ks]
+    )
+    goods = fd.goods_instance([[value(i) for _ in range(m)] for i in range(n)])
+    return public, goods
+
+
+def _check_shares(instance, player, best):
+    """Prop, RRS and PPS from their definitions on the Fraction maxima."""
+    n, p = instance.n, len(best) // instance.n
+    ranked = sorted(best, reverse=True)
+    assert fd.proportional_share(instance, player) == sum(ranked) / n
+    assert fd.round_robin_share(instance, player) == sum(
+        ranked[j * n - 1] for j in range(1, p + 1)
+    )
+    assert fd.pessimistic_share(instance, player) == sum(sorted(best)[:p])
+
+
+@settings(deadline=None)
+@given(integer_views(), st.data())
+def test_the_integer_view_matches_fraction_formulas(views, data):
+    public, goods = views
+    choices = tuple(data.draw(st.integers(0, issue.k - 1)) for issue in public.issues)
+    outcome = fd.Outcome(choices=choices)
+    for i in range(public.n):
+        rows = [issue.utilities[i] for issue in public.issues]
+        scale = public.scales[i]
+        unscaled = [tuple(Fraction(v, scale) for v in s[i]) for s in public.scaled]
+        assert unscaled == rows
+        best = [max(row) for row in rows]
+        assert [Fraction(v, scale) for v in public.maxima[i]] == best
+        # a stable sort keeps ties in issue order
+        order = sorted(range(len(best)), key=lambda t: -best[t])
+        assert list(public.ranking[i]) == order
+        held = [row[c] for row, c in zip(rows, choices)]
+        assert fd.outcome_utility(public, outcome, i) == sum(held)
+        assert fd.best_single_switch(public, outcome, i) == max(
+            sum(held) - h + b for h, b in zip(held, best)
+        )
+        _check_shares(public, i, best)
+
+    for i, row in enumerate(goods.utilities):
+        scale = goods.scales[i]
+        assert [Fraction(v, scale) for v in goods.maxima[i]] == list(row)
+        assert list(goods.ranking[i]) == sorted(range(len(row)), key=lambda g: -row[g])
+        bundle = data.draw(st.frozensets(st.integers(0, goods.m - 1)))
+        assert fd.bundle_utility(goods, i, bundle) == sum(row[g] for g in bundle)
+        unowned = [row[g] for g in range(goods.m) if g not in bundle]
+        assert best_unowned_good(goods, i, bundle) == max(unowned, default=0)
+        _check_shares(goods, i, list(row))

@@ -90,10 +90,10 @@ def test_exact_optimum_rejects_unknown_objectives():
 
 
 def test_nash_optimum_without_outcomes_raises():
-    # an issue with no alternatives leaves nothing to enumerate
-    inst = fd.decision_instance([[[], []]])
-    with pytest.raises(fd.InvariantError, match="at least one outcome"):
-        fd.exact_optimum(inst, "nash")
+    # an issue with no alternatives would leave nothing to enumerate; such an
+    # instance cannot be built, so the oracle never meets one
+    with pytest.raises(fd.InstanceFormatError, match="at least one alternative"):
+        fd.exact_optimum(fd.decision_instance([[[], []]]), "nash")
 
 
 def test_pareto_frontier_on_two_identical_issues():
