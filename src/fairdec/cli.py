@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -376,26 +377,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateInstance as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FairdecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # one stderr line per non-canonical value, naming its place in the input
+        warnings.simplefilter("always", io.NonCanonicalRationalWarning)
+        warnings.showwarning = _print_warning
+        try:
+            return args.handler(args)
+        except InstanceFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except CapExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except DegenerateInstance as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except FairdecError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

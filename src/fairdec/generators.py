@@ -42,6 +42,7 @@ from .model import (
     Allocation,
     DecisionInstance,
     GoodsInstance,
+    allocation,
     decision_instance,
     goods_instance,
 )
@@ -150,10 +151,7 @@ def lemma6_upper(n: int) -> tuple[GoodsInstance, Allocation]:
         utilities.append(
             [Fraction(1) if g in bundles[i] else Fraction(0) for g in range(m)]
         )
-    return (
-        goods_instance(utilities),
-        Allocation(bundles=tuple(frozenset(b) for b in bundles)),
-    )
+    return goods_instance(utilities), allocation(bundles)
 
 
 def theorem6_upper(delta: Fraction = Fraction(1, 100)) -> GoodsInstance:
@@ -190,10 +188,7 @@ def _appendixA_candidate(n: int, m: int, k: int) -> tuple[GoodsInstance, Allocat
         utilities.append(
             [Fraction(1) if g in bundles[i] else Fraction(0) for g in range(m)]
         )
-    return (
-        goods_instance(utilities),
-        Allocation(bundles=tuple(frozenset(b) for b in bundles)),
-    )
+    return goods_instance(utilities), allocation(bundles)
 
 
 def appendixA(n: int, m: int) -> tuple[GoodsInstance, Allocation]:

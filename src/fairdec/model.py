@@ -376,7 +376,7 @@ def outcome_to_allocation(goods: GoodsInstance, outcome: Outcome) -> Allocation:
     bundles = [set() for _ in range(goods.n)]
     for g, recipient in enumerate(outcome.choices):
         bundles[recipient].add(g)
-    return Allocation(bundles=tuple(frozenset(b) for b in bundles))
+    return allocation(bundles)
 
 
 def allocation_to_outcome(goods: GoodsInstance, alloc: Allocation) -> Outcome:

@@ -16,9 +16,9 @@ under-quota player gains one. Each round strictly shrinks the total quota
 deficit, the group absorbs at most n players per round, and a round moves at
 most n goods, giving O(n^2 m^2) arithmetic operations overall.
 
-``prop1_po_search`` reuses the same tie-creation machinery as a heuristic for
-proportionality up to one good: it seeds the group with players already at
-their proportional share (never empty: under weighted-welfare maximality the
+``prop1_po_search`` runs the same round as a heuristic for proportionality
+up to one good: it seeds the group with players already at their
+proportional share (never empty: under weighted-welfare maximality the
 owner-maxima sum beats the weighted average, so someone is at quota), grows
 it until a player violating the one-good relaxation joins, and routes a good
 to her. Violators can reappear, so the search stops after ``SEARCH_ROUNDS``
@@ -26,13 +26,18 @@ rounds and reports whether the final allocation is certified. Its Prop1 test
 is the audit's: the bundle's value plus ``audit.best_unowned_good``, the
 first good of the player's ranking outside her bundle.
 
-Both procedures read their thresholds from one ``shares.share_profile`` call.
+Both procedures read their thresholds from one ``shares.share_profile`` call
+and share one round routine, ``_transfer_round``: grow the group from its
+seeds by tie creation until a needy player joins, then replay the ties.
 
 Ratio conventions when creating ties (a candidate is a group member i, an
 outside player j, and a good g of i): a zero for j with a positive value for
 i is an infinite ratio and is never selected; a good worthless to everyone
 gives the degenerate ratio 1 (flagged on the trace event). Candidate ties
-take the lowest i, then j, then g.
+take the lowest i, then j, then g. Welfare and ratios are read from the
+instance's integer view: with w_k / scales[k] as an integer pair, each ratio
+is a pair of integers over ``maxima``, compared by cross-multiplying, and one
+``Fraction`` is built per chosen factor.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Sequence
 
 from .audit import best_unowned_good
 from .errors import DegenerateInstance, InvariantError
-from .model import Allocation, GoodsInstance, bundle_utility
+from .model import Allocation, GoodsInstance, allocation, bundle_utility
 from .shares import share_profile
 
 SEARCH_ROUNDS = 100
@@ -92,16 +97,17 @@ def weighted_welfare_allocation(
     weights = tuple(weights)
     if len(weights) != goods.n or any(w <= 0 for w in weights):
         raise ValueError("weights must be positive, one per player")
+    e = [(w.numerator, w.denominator * s) for w, s in zip(weights, goods.scales)]
+    rows = goods.maxima
     bundles = [set() for _ in range(goods.n)]
     for g in range(goods.m):
-        best_i = 0
-        best = weights[0] * goods.utilities[0][g]
+        best = 0
         for i in range(1, goods.n):
-            value = weights[i] * goods.utilities[i][g]
-            if value > best:
-                best, best_i = value, i
-        bundles[best_i].add(g)
-    return Allocation(bundles=tuple(frozenset(b) for b in bundles))
+            (num_i, den_i), (num_b, den_b) = e[i], e[best]
+            if num_i * rows[i][g] * den_b > num_b * rows[best][g] * den_i:
+                best = i
+        bundles[best].add(g)
+    return allocation(bundles)
 
 
 def _min_ratio_candidate(
@@ -109,85 +115,84 @@ def _min_ratio_candidate(
     weights: list[Fraction],
     bundles: list[set[int]],
     dec: set[int],
-):
-    """Cheapest tie to create: argmin over group goods and outside players of
-    (w_i u_i(g)) / (w_j u_j(g)). Returns (ratio, i, j, g, degenerate) or None
-    when every candidate ratio is infinite."""
+) -> WeightReduction | None:
+    """Cheapest tie to create: argmin over group members i, outside players j
+    and goods g of i of (w_i u_i(g)) / (w_j u_j(g)), or None when every
+    candidate ratio is infinite. With e_k = w_k / scales[k] as the pair
+    (num_k, den_k), that ratio is the pair (num_i den_j maxima[i][g],
+    den_i num_j maxima[j][g]); pairs are compared by cross-multiplying."""
+    e = [(w.numerator, w.denominator * s) for w, s in zip(weights, goods.scales)]
     best = None
     for i in sorted(dec):
+        row_i, owned = goods.maxima[i], sorted(bundles[i])
         for j in range(goods.n):
             if j in dec:
                 continue
-            for g in sorted(bundles[i]):
-                numerator = weights[i] * goods.utilities[i][g]
-                denominator = weights[j] * goods.utilities[j][g]
-                if denominator == 0:
-                    if numerator > 0:
+            row_j = goods.maxima[j]
+            left, right = e[i][0] * e[j][1], e[i][1] * e[j][0]
+            for g in owned:
+                top, bottom = left * row_i[g], right * row_j[g]
+                if bottom == 0:
+                    if top:
                         continue  # infinite: j can never tie on this good
-                    ratio, degenerate = Fraction(1), True
-                else:
+                    top = bottom = 1  # worthless to both: degenerate ratio 1
+                elif top == 0:
                     # an owned good someone values is owned by someone who
                     # values it, so the numerator is positive here
-                    if numerator <= 0:
-                        raise InvariantError("an owned good is worthless to its owner")
-                    ratio, degenerate = numerator / denominator, False
-                if best is None or ratio < best[0]:
-                    best = (ratio, i, j, g, degenerate)
-    return best
+                    raise InvariantError("an owned good is worthless to its owner")
+                if best is None or top * best[1] < best[0] * bottom:
+                    best = (top, bottom, i, j, g)
+    if best is None:
+        return None
+    top, bottom, i, j, g = best
+    return WeightReduction(
+        donor=i,
+        recipient=j,
+        good=g,
+        factor=Fraction(top, bottom),
+        degenerate=goods.maxima[j][g] == 0,
+    )
 
 
-def _grow_until(
+def _transfer_round(
     goods: GoodsInstance,
     weights: list[Fraction],
     bundles: list[set[int]],
-    dec: set[int],
-    donors: dict[int, tuple[int, int]],
-    stop: "callable",
-):
-    """Absorb outside players by tie creation until ``stop(j)`` on the newcomer.
+    seeds: set[int],
+    needy: set[int],
+) -> Round | None:
+    """One round: grow DEC from ``seeds`` by tie creation until a player in
+    ``needy`` joins, then replay the recorded ties back to a seed, moving one
+    good per link along a tie, which preserves welfare-maximality.
 
-    Returns (snapshots, reductions, last_added or None); None means every
-    remaining candidate ratio was infinite (or nobody was left to absorb).
+    Returns None, with the weights already cut, when every remaining
+    candidate ratio is infinite (or nobody is left to absorb).
     """
+    dec = set(seeds)
     snapshots = [tuple(sorted(dec))]
     reductions: list[WeightReduction] = []
     while True:
-        candidate = _min_ratio_candidate(goods, weights, bundles, dec)
-        if candidate is None:
-            return snapshots, reductions, None
-        ratio, i, j, g, degenerate = candidate
-        if ratio != 1:
+        reduction = _min_ratio_candidate(goods, weights, bundles, dec)
+        if reduction is None:
+            return None
+        if reduction.factor != 1:
             for member in dec:
-                weights[member] /= ratio
+                weights[member] /= reduction.factor
+        j = reduction.recipient
         dec.add(j)
-        donors[j] = (i, g)
         snapshots.append(tuple(sorted(dec)))
-        reductions.append(
-            WeightReduction(
-                donor=i, recipient=j, good=g, factor=ratio, degenerate=degenerate
-            )
-        )
-        if stop(j):
-            return snapshots, reductions, j
-
-
-def _chain_transfers(
-    bundles: list[set[int]],
-    donors: dict[int, tuple[int, int]],
-    start: int,
-    terminal: set[int],
-) -> list[Transfer]:
-    """Replay recorded ties backwards from ``start`` until a terminal player
-    loses a good; every link moves one good along a tie, preserving welfare."""
+        reductions.append(reduction)
+        if j in needy:
+            break
+    links = {r.recipient: r for r in reductions}
     transfers = []
-    j = start
-    while j not in terminal:
-        i, g = donors[j]
+    while j not in seeds:
+        i, g = links[j].donor, links[j].good
         bundles[i].remove(g)
         bundles[j].add(g)
         transfers.append(Transfer(donor=i, recipient=j, good=g))
         j = i
-    return transfers
+    return Round(tuple(snapshots), tuple(reductions), tuple(transfers))
 
 
 def pps_po_allocate(
@@ -219,27 +224,16 @@ def pps_po_allocate(
         gt = {i for i in range(n) if len(bundles[i]) > p}
         if not gt:
             raise InvariantError("a player below quota forces another above it")
-        dec = set(gt)
-        donors: dict[int, tuple[int, int]] = {}
-        snapshots, reductions, reached = _grow_until(
-            goods, weights, bundles, dec, donors, stop=lambda j: j in ls
-        )
-        if reached is None:
+        round_ = _transfer_round(goods, weights, bundles, seeds=gt, needy=ls)
+        if round_ is None:
             raise DegenerateInstance(
                 "no chain of ties can route a good to a player below quota: "
                 "every candidate transfer ratio is infinite"
             )
-        transfers = _chain_transfers(bundles, donors, reached, terminal=gt)
-        rounds.append(
-            Round(
-                dec_snapshots=tuple(snapshots),
-                reductions=tuple(reductions),
-                transfers=tuple(transfers),
-            )
-        )
+        rounds.append(round_)
 
-    final = Allocation(bundles=tuple(frozenset(b) for b in bundles))
-    return final, tuple(weights), TransferTrace(initial=initial, rounds=tuple(rounds))
+    trace = TransferTrace(initial=initial, rounds=tuple(rounds))
+    return allocation(bundles), tuple(weights), trace
 
 
 @dataclass(frozen=True)
@@ -277,35 +271,24 @@ def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
         return held(i) + best_unowned_good(goods, i, bundles[i]) >= prop[i]
 
     for round_index in range(SEARCH_ROUNDS):
-        ok_before = [prop1_ok(i) for i in range(n)]
-        if all(ok_before):
+        violators = {i for i in range(n) if not prop1_ok(i)}
+        if not violators:
             break
         seeds = {i for i in range(n) if held(i) >= prop[i]}
         if not seeds:
             raise InvariantError(
                 "weighted-welfare maximality puts someone at her share"
             )
-        dec = set(seeds)
-        donors: dict[int, tuple[int, int]] = {}
-        snapshots, reductions, violator = _grow_until(
-            goods, weights, bundles, dec, donors, stop=lambda j: not ok_before[j]
-        )
-        if violator is None:
+        round_ = _transfer_round(goods, weights, bundles, seeds, needy=violators)
+        if round_ is None:
             break  # stuck: no tie can reach any violating player
-        transfers = _chain_transfers(bundles, donors, violator, terminal=seeds)
-        rounds.append(
-            Round(
-                dec_snapshots=tuple(snapshots),
-                reductions=tuple(reductions),
-                transfers=tuple(transfers),
-            )
-        )
+        rounds.append(round_)
         for i in range(n):
-            if ok_before[i] and not prop1_ok(i):
+            if i not in violators and not prop1_ok(i):
                 losses.append((round_index, i))
 
     return Prop1SearchResult(
-        allocation=Allocation(bundles=tuple(frozenset(b) for b in bundles)),
+        allocation=allocation(bundles),
         weights=tuple(weights),
         certified_prop1=all(prop1_ok(i) for i in range(n)),
         trace=TransferTrace(initial=initial, rounds=tuple(rounds)),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,31 @@ def test_solve_missing_file(capsys, tmp_path):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_non_canonical_values_warn_one_line_each(capsys, tmp_path):
+    document = {
+        "kind": "goods",
+        "players": ["a", "b"],
+        "goods": ["x", "y"],
+        "utilities": [["2/6", "4/1"], ["03", 1]],
+    }
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(document))
+    canonical = write_instance(
+        tmp_path / "canonical.json",
+        fd.goods_instance([[Fraction(1, 3), 4], [3, 1]], ["a", "b"], ["x", "y"]),
+    )
+    argv = ["solve", "--mechanism", "pps-po", "--input"]
+    code, out, err = run(capsys, argv + [str(path)])
+    assert (code, out) == run(capsys, argv + [canonical])[:2]
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: utilities[0][0]: non-canonical rational '2/6' read as 1/3",
+        "warning: utilities[0][1]: non-canonical rational '4/1' read as 4",
+        "warning: utilities[1][0]: whole number written as string '03'; "
+        "canonical form is the JSON integer 3",
+    ]
 
 
 def test_cap_exhaustion_is_exit_three(capsys, contested_file):

@@ -8,11 +8,34 @@ from hypothesis import given, settings, strategies as st
 import fairdec as fd
 
 
+# integers, and fractions whose denominators are pairwise coprime, so the
+# per-player integer scales differ between players
+UTILITIES = st.one_of(
+    st.integers(0, 6),
+    st.builds(Fraction, st.integers(0, 42), st.sampled_from([2, 3, 7])),
+)
+
+# few distinct values, so ratios tie often
+TIE_HEAVY = st.one_of(
+    st.integers(0, 2),
+    st.builds(Fraction, st.integers(0, 6), st.sampled_from([2, 3, 7])),
+)
+
+
 @st.composite
-def goods_instances_(draw, max_n=4, max_m=8, min_u=0, max_u=6):
+def goods_instances_(draw, max_n=4, max_m=8, values=UTILITIES):
+    """Random goods instances, n = 1 included; some rows are mostly zeros."""
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
-    rows = [[draw(st.integers(min_u, max_u)) for _ in range(m)] for _ in range(n)]
+    rows = []
+    for _ in range(n):
+        zero_heavy = draw(st.booleans())
+        rows.append(
+            [
+                0 if zero_heavy and draw(st.integers(0, 3)) else draw(values)
+                for _ in range(m)
+            ]
+        )
     return fd.goods_instance(rows)
 
 
@@ -199,3 +222,54 @@ def test_prop1_search_certificate_is_honest(goods):
             result.weights[i] * goods.utilities[i][g] for i in range(goods.n)
         )
         assert result.weights[holder] * goods.utilities[holder][g] == best
+
+
+def fraction_argmin(goods, weights, bundles, dec):
+    """The cheapest tie by the module's conventions, in plain Fractions:
+    (ratio, donor, recipient, good, degenerate), lowest indices on ties."""
+    u = goods.utilities
+    candidates = []
+    for i in dec:
+        for j in set(range(goods.n)) - set(dec):
+            for g in bundles[i]:
+                top, bottom = weights[i] * u[i][g], weights[j] * u[j][g]
+                if bottom:
+                    candidates.append((top / bottom, i, j, g, False))
+                elif not top:
+                    candidates.append((Fraction(1), i, j, g, True))
+    return min(candidates, default=None)
+
+
+@settings(deadline=None, max_examples=300)
+@given(goods_instances_(max_n=5, max_m=10, values=TIE_HEAVY), st.booleans())
+def test_every_recorded_tie_is_the_fraction_argmin(goods, prop1):
+    """Replaying the trace in plain Fractions, from the argmax at weights 1/n,
+    meets each recorded tie as the cheapest one and ends at the returned
+    weights and bundles."""
+    if prop1:
+        result = fd.prop1_po_search(goods)
+        alloc, weights, trace = result.allocation, result.weights, result.trace
+    else:
+        alloc, weights, trace = fd.pps_po_allocate(goods)
+    n, u = goods.n, goods.utilities
+    w = [Fraction(1, n)] * n
+    bundles = [set() for _ in range(n)]
+    for g in range(goods.m):
+        bundles[max(range(n), key=lambda i: (w[i] * u[i][g], -i))].add(g)
+    assert [frozenset(b) for b in bundles] == list(trace.initial.bundles)
+    for round_ in trace.rounds:
+        for dec, reduction in zip(round_.dec_snapshots, round_.reductions):
+            assert fraction_argmin(goods, w, bundles, dec) == (
+                reduction.factor,
+                reduction.donor,
+                reduction.recipient,
+                reduction.good,
+                reduction.degenerate,
+            )
+            for i in dec:
+                w[i] /= reduction.factor
+        for t in round_.transfers:
+            bundles[t.donor].remove(t.good)
+            bundles[t.recipient].add(t.good)
+    assert tuple(w) == weights
+    assert [frozenset(b) for b in bundles] == list(alloc.bundles)
