@@ -8,12 +8,14 @@ instance), bench (mechanism quality rates over seeded random instances).
 Exit codes: 0 success, 2 validation or format error, 3 enumeration cap
 exceeded, 4 degenerate instance. All output is deterministic for a fixed
 command line, input files, and seed; bench runs its trials one after another
-in this process.
+in this process. ``main`` builds its argument parser once per process and
+reuses it for every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from fractions import Fraction
@@ -377,13 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def _print_warning(message, *_) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     with warnings.catch_warnings():
         # one stderr line per non-canonical value, naming its place in the input
         warnings.simplefilter("always", io.NonCanonicalRationalWarning)

@@ -5,7 +5,13 @@ Rational values are encoded as JSON integers when whole and as canonical
 are accepted, canonicalized, and flagged with a NonCanonicalRationalWarning;
 float literals and decimal strings are rejected unless ``allow_decimal`` is
 set, in which case the literal digits convert exactly (0.1 becomes 1/10, not
-the binary float).
+the binary float). A number with more digits than ``int`` converts is an
+InstanceFormatError with a message of its own.
+
+A utility row of plain JSON integers is read in one step through a table
+local to one parse, so a document holds one Fraction per distinct whole
+value; any other row is read value by value, and the path naming a value is
+built only for an error or a warning.
 
 ``to_json`` output is canonical (sorted keys, fixed indentation), so
 emit-parse-emit is byte stable and parse(emit(x)) == x for every model value.
@@ -45,32 +51,43 @@ def encode_rational(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _decode_rational(value, path: str, allow_decimal: bool) -> Fraction:
+def _at(path: str, index: tuple[int, ...]) -> str:
+    return path + "".join(f"[{k}]" for k in index)
+
+
+def _decode_rational(value, allow_decimal: bool, path: str, *index: int) -> Fraction:
+    """Read one rational. Errors and warnings name it as ``path`` followed by
+    ``[k]`` for each ``k`` in ``index``, a string built only for them."""
     if isinstance(value, bool):
-        raise InstanceFormatError(f"{path}: booleans are not numbers")
+        raise InstanceFormatError(f"{_at(path, index)}: booleans are not numbers")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Fraction):
         # produced by the float hook, which only fires under allow_decimal
         return value
     if isinstance(value, str):
-        if _INT_RE.fullmatch(value):
-            result = Fraction(value)
-            warnings.warn(
-                f"{path}: whole number written as string {value!r}; "
-                f"canonical form is the JSON integer {int(result)}",
-                NonCanonicalRationalWarning,
-                stacklevel=2,
-            )
-            return result
-        if _RATIO_RE.fullmatch(value):
+        if _INT_RE.fullmatch(value) or _RATIO_RE.fullmatch(value):
             try:
                 result = Fraction(value)
             except ZeroDivisionError:
-                raise InstanceFormatError(f"{path}: zero denominator in {value!r}")
-            if encode_rational(result) != value:
+                raise InstanceFormatError(
+                    f"{_at(path, index)}: zero denominator in {value!r}"
+                )
+            except ValueError:  # more digits than int() converts
+                raise InstanceFormatError(
+                    f"{_at(path, index)}: too many digits in a "
+                    f"{len(value)}-character number"
+                )
+            if "/" not in value:
                 warnings.warn(
-                    f"{path}: non-canonical rational {value!r} read as "
+                    f"{_at(path, index)}: whole number written as string {value!r}; "
+                    f"canonical form is the JSON integer {int(result)}",
+                    NonCanonicalRationalWarning,
+                    stacklevel=2,
+                )
+            elif encode_rational(result) != value:
+                warnings.warn(
+                    f"{_at(path, index)}: non-canonical rational {value!r} read as "
                     f"{encode_rational(result)}",
                     NonCanonicalRationalWarning,
                     stacklevel=2,
@@ -80,12 +97,14 @@ def _decode_rational(value, path: str, allow_decimal: bool) -> Fraction:
             try:
                 return Fraction(value)
             except ValueError:
-                raise InstanceFormatError(f"{path}: cannot read {value!r} as a number")
+                raise InstanceFormatError(
+                    f"{_at(path, index)}: cannot read {value!r} as a number"
+                )
         raise InstanceFormatError(
-            f"{path}: {value!r} is not an integer or \"p/q\" string "
+            f"{_at(path, index)}: {value!r} is not an integer or \"p/q\" string "
             f"(decimals need the lossless-decimal option)"
         )
-    raise InstanceFormatError(f"{path}: cannot read {value!r} as a number")
+    raise InstanceFormatError(f"{_at(path, index)}: cannot read {value!r} as a number")
 
 
 def _loads(text: str | bytes, allow_decimal: bool):
@@ -101,6 +120,12 @@ def _loads(text: str | bytes, allow_decimal: bool):
         return json.loads(text, parse_float=float_hook)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"malformed JSON: {exc}") from exc
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:  # a number literal with more digits than int() converts
+        raise InstanceFormatError(
+            "malformed JSON: a number literal has too many digits"
+        ) from exc
 
 
 def _require(condition: bool, message: str) -> None:
@@ -116,19 +141,30 @@ def _string_list(value, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+class _WholeValues(dict):
+    """Each JSON int met in one document, mapped to one shared Fraction."""
+
+    def __missing__(self, value: int) -> Fraction:
+        self[value] = result = Fraction(value)
+        return result
+
+
 def _matrix(
-    rows: list, path: str, allow_decimal: bool
+    rows: list, path: str, allow_decimal: bool, whole: _WholeValues
 ) -> tuple[tuple[Fraction, ...], ...]:
     """The rows of the utility matrix at ``path``, each a list of rationals."""
     matrix = []
     for i, row in enumerate(rows):
         _require(isinstance(row, list), f"{path}[{i}]: expected a list")
-        matrix.append(
-            tuple(
-                _decode_rational(v, f"{path}[{i}][{a}]", allow_decimal)
-                for a, v in enumerate(row)
+        if all(type(v) is int for v in row):  # bool is not int here
+            matrix.append(tuple(map(whole.__getitem__, row)))
+        else:
+            matrix.append(
+                tuple(
+                    _decode_rational(v, allow_decimal, path, i, a)
+                    for a, v in enumerate(row)
+                )
             )
-        )
     return tuple(matrix)
 
 
@@ -145,13 +181,14 @@ def parse_instance(
         goods = _string_list(data.get("goods"), "goods")
         rows = data.get("utilities")
         _require(isinstance(rows, list), "utilities: expected a list of rows")
-        matrix = _matrix(rows, "utilities", allow_decimal)
+        matrix = _matrix(rows, "utilities", allow_decimal, _WholeValues())
         return GoodsInstance(utilities=matrix, players=players, goods=goods)
     if kind == "public":
         players = _string_list(data.get("players"), "players")
         raw_issues = data.get("issues")
         _require(isinstance(raw_issues, list), "issues: expected a list")
         issues = []
+        whole = _WholeValues()
         for t, raw in enumerate(raw_issues):
             _require(isinstance(raw, dict), f"issues[{t}]: expected an object")
             name = raw.get("name")
@@ -162,7 +199,7 @@ def parse_instance(
             path = f"issues[{t}].utilities"
             rows = raw.get("utilities")
             _require(isinstance(rows, list), f"{path}: expected a list")
-            matrix = _matrix(rows, path, allow_decimal)
+            matrix = _matrix(rows, path, allow_decimal, whole)
             issues.append(Issue(utilities=matrix, name=name, alternatives=alternatives))
         return DecisionInstance(issues=tuple(issues), players=players)
     raise InstanceFormatError('kind must be "public" or "goods"')

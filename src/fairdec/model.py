@@ -357,10 +357,11 @@ def goods_to_public(goods: GoodsInstance) -> DecisionInstance:
     image correspond bijectively to allocations with identical utilities.
     """
     issues = []
+    zero = Fraction(0)  # one object for all n(n-1)m off-diagonal cells
     for g in range(goods.m):
         rows = tuple(
             tuple(
-                goods.utilities[i][g] if i == j else Fraction(0)
+                goods.utilities[i][g] if i == j else zero
                 for j in range(goods.n)
             )
             for i in range(goods.n)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fairdec as fd
-from fairdec import io
+from fairdec import cli, io
 from fairdec.cli import main
 
 
@@ -34,6 +34,21 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(argv, *python_flags):
+    """The same command in a new ``python -m fairdec.cli`` process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+    done = subprocess.run(
+        [sys.executable, *python_flags, "-m", "fairdec.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_solve_round_robin(capsys, contested_file):
@@ -143,6 +158,54 @@ def test_non_canonical_values_warn_one_line_each(capsys, tmp_path):
         "warning: utilities[1][0]: whole number written as string '03'; "
         "canonical form is the JSON integer 3",
     ]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (f'"1/{"9" * 5000}"', "utilities[0][1]: too many digits in a 5002-character number"),
+        (f'"{"1" * 5000}"', "utilities[0][1]: too many digits in a 5000-character number"),
+        ("1" * 5001, "malformed JSON: a number literal has too many digits"),
+    ],
+    ids=["ratio-string", "int-string", "int-literal"],
+)
+def test_over_long_numbers_exit_two_with_one_line(capsys, tmp_path, value, message):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"kind": "goods", "players": ["a"], "goods": ["g", "h"], '
+        f'"utilities": [[1, {value}]]}}'
+    )
+    code, out, err = run(
+        capsys, ["solve", "--mechanism", "round-robin", "--input", str(path)]
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_one_parser_serves_every_call_without_carrying_options(
+    capsys, monkeypatch, contested_file
+):
+    built = []
+    original = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    solve = ["solve", "--mechanism", "round-robin", "--input", contested_file]
+    sequence = [
+        solve + ["--order", "1,0"],
+        solve,
+        solve + ["--with-audit", "--with-mms"],
+        solve + ["--with-audit"],
+    ]
+    outputs = [run(capsys, argv) for argv in sequence]
+    assert len(built) == 1
+    assert outputs[0] != outputs[1] and outputs[2] != outputs[3]
+    for argv, output in zip(sequence, outputs):
+        assert output[0] == 0
+        assert output == run_fresh(argv)
 
 
 def test_cap_exhaustion_is_exit_three(capsys, contested_file):
@@ -453,20 +516,11 @@ def test_maximin_share_of_a_long_single_player_file(capsys, tmp_path):
 
 def test_solve_under_python_O_matches_the_in_process_run(capsys, contested_file):
     """No invariant depends on assert statements, which python -O strips."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
     for mechanism in ("mnw", "leximin"):
         argv = ["solve", "--mechanism", mechanism, "--input", contested_file]
         argv += ["--with-audit", "--po-cap", "300"]
         code, expected, _ = run(capsys, argv)
-        stripped = subprocess.run(
-            [sys.executable, "-O", "-m", "fairdec.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        stripped_code, stripped_out, stripped_err = run_fresh(argv, "-O")
         assert code == 0
-        assert stripped.returncode == 0, stripped.stderr
-        assert stripped.stdout == expected
+        assert stripped_code == 0, stripped_err
+        assert stripped_out == expected

@@ -1,6 +1,8 @@
 """JSON round trips, canonical rationals, and text rendering."""
 
 import json
+import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -123,6 +125,147 @@ def test_validation_failures_surface_with_paths():
             io.parse_instance(json.dumps(doc))
     assert "utilities[0][0]" in str(excinfo.value)
     assert excinfo.value.violations
+
+
+FLOAT_HINT = 'use integers or "p/q" strings, or pass the lossless-decimal option'
+
+
+def reference_cell(value, where):
+    """One cell read by plain per-value rules: (Fraction, warning text or
+    None), or an InstanceFormatError with the expected message."""
+    if isinstance(value, bool):
+        raise fd.InstanceFormatError(f"{where}: booleans are not numbers")
+    if isinstance(value, int):
+        return Fraction(value), None
+    if re.fullmatch(r"[+-]?\d+", value):
+        whole = Fraction(int(value))
+        return whole, (
+            f"{where}: whole number written as string {value!r}; "
+            f"canonical form is the JSON integer {whole}"
+        )
+    if re.fullmatch(r"[+-]?\d+/\d+", value):
+        p, q = (int(part) for part in value.split("/"))
+        if q == 0:
+            raise fd.InstanceFormatError(f"{where}: zero denominator in {value!r}")
+        exact = Fraction(p, q)
+        canonical = str(exact)  # "p" when whole, "p/q" in lowest terms otherwise
+        if canonical == value:
+            return exact, None
+        return exact, f"{where}: non-canonical rational {value!r} read as {canonical}"
+    raise fd.InstanceFormatError(
+        f"{where}: {value!r} is not an integer or \"p/q\" string "
+        f"(decimals need the lossless-decimal option)"
+    )
+
+
+def reference_parse(issues):
+    """The utilities and warnings of a public document whose issues hold
+    ``issues``, or the error and the warnings given before it."""
+    floats = [v for rows in issues for row in rows for v in row if type(v) is float]
+    if floats:
+        literal = json.dumps(floats[0])
+        return None, [], f"float literal {literal} in document; {FLOAT_HINT}"
+    parsed, notes = [], []
+    for t, rows in enumerate(issues):
+        matrix = []
+        for i, row in enumerate(rows):
+            cells = []
+            for a, value in enumerate(row):
+                try:
+                    exact, note = reference_cell(
+                        value, f"issues[{t}].utilities[{i}][{a}]"
+                    )
+                except fd.InstanceFormatError as exc:
+                    return None, notes, str(exc)
+                cells.append(exact)
+                if note is not None:
+                    notes.append(note)
+            matrix.append(tuple(cells))
+        parsed.append(tuple(matrix))
+    return parsed, notes, None
+
+
+cell_values = st.one_of(
+    st.integers(0, 6),
+    st.booleans(),
+    st.floats(0, 9, allow_nan=False, allow_infinity=False),
+    st.fractions(0, 9, max_denominator=7).map(io.encode_rational).map(str),
+    st.tuples(st.integers(0, 12), st.integers(0, 6)).map("{0[0]}/{0[1]}".format),
+    st.integers(0, 20).map(lambda k: f"0{k}"),
+    st.integers(0, 20).map(str),
+    st.sampled_from(["x", "", "1.5", "1/2/3", " 1", "1/-2", "٣"]),
+)
+
+
+@st.composite
+def mixed_issues(draw):
+    n = draw(st.integers(1, 3))
+    issues = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 4))
+        rows = []
+        for _ in range(n):
+            values = st.integers(0, 6) if draw(st.booleans()) else cell_values
+            rows.append(draw(st.lists(values, min_size=k, max_size=k)))
+        issues.append(rows)
+    return issues
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_issues())
+def test_int_rows_read_like_any_other_row(issues):
+    doc = {
+        "kind": "public",
+        "players": [f"p{i}" for i in range(len(issues[0]))],
+        "issues": [
+            {
+                "name": f"t{t}",
+                "alternatives": [f"a{a}" for a in range(len(rows[0]))],
+                "utilities": rows,
+            }
+            for t, rows in enumerate(issues)
+        ],
+    }
+    expected, expected_notes, expected_error = reference_parse(issues)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            parsed = io.parse_instance(json.dumps(doc))
+        except fd.InstanceFormatError as exc:
+            error = str(exc)
+        else:
+            error = None
+    assert all(w.category is io.NonCanonicalRationalWarning for w in caught)
+    assert [str(w.message) for w in caught] == expected_notes
+    assert error == expected_error
+    if error is None:
+        got = [issue.utilities for issue in parsed.issues]
+        assert got == expected
+        assert all(
+            type(v) is Fraction for matrix in got for row in matrix for v in row
+        )
+
+
+def test_a_boolean_in_an_int_row_is_still_refused_at_its_place():
+    doc = {"kind": "goods", "players": ["a"], "goods": ["g", "h", "i"]}
+    for row, place in (([1, True, 3], 1), ([0, 2, False], 2)):
+        with pytest.raises(fd.InstanceFormatError) as info:
+            io.parse_instance(json.dumps({**doc, "utilities": [row]}))
+        assert str(info.value) == f"utilities[0][{place}]: booleans are not numbers"
+
+
+def test_each_whole_value_is_one_fraction_per_document():
+    rng = random.Random(3)
+    issues = [
+        [[rng.randint(0, 6) for _ in range(3)] for _ in range(4)] for _ in range(5)
+    ]
+    text = io.to_json(io.instance_document(fd.decision_instance(issues)))
+    parsed = io.parse_instance(text)
+    values = [v for issue in parsed.issues for row in issue.utilities for v in row]
+    assert len({id(v) for v in values}) == len(set(values)) == 7
+    again = io.parse_instance(text)
+    # the table lives for one parse only: a second parse builds its own values
+    assert again.issues[0].utilities[0][0] is not parsed.issues[0].utilities[0][0]
 
 
 def test_parse_result_infers_the_kind():

@@ -184,6 +184,20 @@ def test_invalid_instances_cannot_be_built(build, paths):
     assert str(info.value) == "; ".join(f"{v.path}: {v.message}" for v in violations)
 
 
+def test_goods_embedding_shares_one_zero():
+    goods = fd.goods_instance([[3, 1, 2], [1, 2, 5], [4, 4, 1]])
+    image = fd.goods_to_public(goods)
+    zeros = [
+        issue.utilities[i][j]
+        for issue in image.issues
+        for i in range(goods.n)
+        for j in range(goods.n)
+        if i != j
+    ]
+    assert len(zeros) == 18 and all(z == 0 for z in zeros)
+    assert len({id(z) for z in zeros}) == 1
+
+
 def test_goods_embedding_is_diagonal():
     goods = fd.goods_instance([[3, 0], [1, 2]])
     image = fd.goods_to_public(goods)
