@@ -32,10 +32,10 @@ from .model import (
     Allocation,
     DecisionInstance,
     GoodsInstance,
+    Instance,
     Outcome,
     allocation_to_outcome,
     allocation_utilities,
-    goods_to_public,
     outcome_to_allocation,
     utility_vector,
 )
@@ -92,7 +92,7 @@ def _level(value: Fraction, *references: Fraction) -> AxiomCheck:
 
 
 def _player_audits(
-    instance: DecisionInstance | GoodsInstance,
+    instance: Instance,
     utilities: tuple[Fraction, ...],
     reach: Iterable[Fraction],
     with_mms: bool,
@@ -132,7 +132,7 @@ def best_single_switch(
 
 
 def check_pareto_optimal(
-    instance: DecisionInstance, outcome: Outcome, cap: int = DEFAULT_ENUM_CAP
+    instance: Instance, outcome: Outcome, cap: int = DEFAULT_ENUM_CAP
 ) -> ParetoCheck:
     """Search the outcomes for a Pareto improvement; report the lexicographically
     first one, the one enumerating every outcome would find first."""
@@ -199,9 +199,9 @@ def audit_goods(
     per-issue maxima of the public embedding); the one-good relaxation of
     proportionality credits the player with her bundle plus the best good she
     does not hold. Envy-freeness and its one-good relaxation are reported per
-    player as the worst case over opponents. The Pareto check runs on the
-    public embedding and converts any witness back to an allocation. Raises
-    InstanceFormatError when the allocation does not fit.
+    player as the worst case over opponents. The Pareto check searches the
+    goods' own view of the embedding and reads any witness back as an
+    allocation. Raises InstanceFormatError when the allocation does not fit.
     """
     if alloc is None:
         raise InstanceFormatError("a goods instance needs a bundles result")
@@ -233,14 +233,7 @@ def audit_goods(
     players = _player_audits(goods, utilities, reach, with_mms, mms_cap, envy)
     po = None
     if po_cap is not None:
-        image = goods_to_public(goods)
-        result = check_pareto_optimal(
-            image, allocation_to_outcome(goods, alloc), cap=po_cap
-        )
-        witness = (
-            outcome_to_allocation(goods, result.witness)
-            if result.witness is not None
-            else None
-        )
-        po = ParetoCheck(satisfied=result.satisfied, witness=witness)
+        check = check_pareto_optimal(goods, allocation_to_outcome(goods, alloc), po_cap)
+        witness = check.witness and outcome_to_allocation(goods, check.witness)
+        po = ParetoCheck(satisfied=check.satisfied, witness=witness)
     return AuditReport(utilities=utilities, players=players, po=po)

@@ -33,9 +33,8 @@ from .errors import (
 from .generators import FAMILIES, generate, random_public
 from .mechanisms import leximin, max_nash_welfare, round_robin
 from .model import (
-    Allocation,
-    DecisionInstance,
     GoodsInstance,
+    Instance,
     MechanismResult,
     allocation_utilities,
     goods_to_public,
@@ -79,7 +78,7 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _load_instance(args) -> DecisionInstance | GoodsInstance:
+def _load_instance(args) -> Instance:
     return io.parse_instance(_read(args.input), allow_decimal=args.allow_decimal)
 
 
@@ -102,8 +101,8 @@ def _run_audit(args, instance, outcome=None, alloc=None):
 
 
 def _public_result_doc(args, instance, result: MechanismResult) -> dict:
-    """The document of a result found on the public view of ``instance``, with
-    the audit ``args`` asks for; goods read the outcome back as an allocation."""
+    """The document of a mechanism or oracle result on ``instance``, with the
+    audit ``args`` asks for; goods read the outcome back as an allocation."""
     if not isinstance(instance, GoodsInstance):
         audit_doc = _audit_doc(args, instance, outcome=result.outcome)
         return io.result_document(result, audit_doc=audit_doc)
@@ -150,15 +149,12 @@ def _cmd_solve(args) -> int:
         _write(io.to_json(doc), args.out)
         return 0
 
-    public = (
-        goods_to_public(instance) if isinstance(instance, GoodsInstance) else instance
-    )
     if mechanism == "round-robin":
-        result = round_robin(public, order=args.order)
+        result = round_robin(instance, order=args.order)
     elif mechanism == "leximin":
-        result = leximin(public, cap=args.cap)
+        result = leximin(instance, cap=args.cap)
     else:
-        result = max_nash_welfare(public, cap=args.cap)
+        result = max_nash_welfare(instance, cap=args.cap)
     _write(io.to_json(_public_result_doc(args, instance, result)), args.out)
     return 0
 

@@ -42,6 +42,7 @@ from .model import (
     Allocation,
     DecisionInstance,
     GoodsInstance,
+    Instance,
     allocation,
     decision_instance,
     goods_instance,
@@ -64,7 +65,7 @@ FAMILIES = (
 @dataclass(frozen=True)
 class GeneratedInstance:
     family: str
-    instance: DecisionInstance | GoodsInstance
+    instance: Instance
     witness: Allocation | None = None
     critical_ratio: Fraction | None = None
 

@@ -6,7 +6,8 @@ are accepted, canonicalized, and flagged with a NonCanonicalRationalWarning;
 float literals and decimal strings are rejected unless ``allow_decimal`` is
 set, in which case the literal digits convert exactly (0.1 becomes 1/10, not
 the binary float). A number with more digits than ``int`` converts is an
-InstanceFormatError with a message of its own.
+InstanceFormatError with a message of its own, and so is a decimal whose
+exact value ``to_json`` could not write ("1e5000"). Digits are ASCII only.
 
 A utility row of plain JSON integers is read in one step through a table
 local to one parse, so a document holds one Fraction per distinct whole
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,14 +33,16 @@ from .model import (
     Allocation,
     DecisionInstance,
     GoodsInstance,
+    Instance,
     Issue,
     MechanismResult,
     Outcome,
 )
 from .private_goods import TransferTrace
 
-_INT_RE = re.compile(r"[+-]?\d+")
-_RATIO_RE = re.compile(r"[+-]?\d+/\d+")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_RATIO_RE = re.compile(r"[+-]?[0-9]+/[0-9]+")
+_EXPONENT_RE = re.compile(r"[eE]([+-]?[0-9]+(?:_[0-9]+)*)\s*$")
 
 
 class NonCanonicalRationalWarning(UserWarning):
@@ -53,6 +57,34 @@ def encode_rational(value: Fraction) -> int | str:
 
 def _at(path: str, index: tuple[int, ...]) -> str:
     return path + "".join(f"[{k}]" for k in index)
+
+
+class _TooManyDigits(ValueError):
+    """A decimal whose exact value has more digits than ``to_json`` writes."""
+
+
+def _decimal(text: str) -> Fraction:
+    """The exact value of a decimal string or float literal. Raises
+    _TooManyDigits when its numerator or denominator has more digits than
+    int-to-string conversion allows (sys.get_int_max_str_digits(), 0 for no
+    limit), and ValueError when ``text`` is no ASCII number Fraction reads."""
+    if not text.isascii():
+        raise ValueError(f"non-ASCII characters in {text!r}")
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT_RE.search(text)
+    if limit and exponent and abs(int(exponent[1])) > 3 * limit:
+        # Fraction reads at most 2 * limit mantissa digits, so a non-zero value
+        # needs more than ``limit`` digits here; do not build 10**exponent
+        mantissa = Fraction(text[: exponent.start()] + "e0")
+        if mantissa:
+            raise _TooManyDigits(text)
+        return mantissa
+    result = Fraction(text)
+    try:
+        str(result)  # the conversion to_json makes
+    except ValueError:
+        raise _TooManyDigits(text)
+    return result
 
 
 def _decode_rational(value, allow_decimal: bool, path: str, *index: int) -> Fraction:
@@ -95,7 +127,12 @@ def _decode_rational(value, allow_decimal: bool, path: str, *index: int) -> Frac
             return result
         if allow_decimal:
             try:
-                return Fraction(value)
+                return _decimal(value)
+            except _TooManyDigits:
+                raise InstanceFormatError(
+                    f"{_at(path, index)}: too many digits in the exact value of "
+                    f"a {len(value)}-character number"
+                )
             except ValueError:
                 raise InstanceFormatError(
                     f"{_at(path, index)}: cannot read {value!r} as a number"
@@ -110,7 +147,7 @@ def _decode_rational(value, allow_decimal: bool, path: str, *index: int) -> Frac
 def _loads(text: str | bytes, allow_decimal: bool):
     def float_hook(literal: str):
         if allow_decimal:
-            return Fraction(literal)
+            return _decimal(literal)
         raise InstanceFormatError(
             f"float literal {literal} in document; use integers or \"p/q\" "
             f"strings, or pass the lossless-decimal option"
@@ -126,6 +163,8 @@ def _loads(text: str | bytes, allow_decimal: bool):
         raise InstanceFormatError(
             "malformed JSON: a number literal has too many digits"
         ) from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("malformed JSON: nested too deeply") from exc
 
 
 def _require(condition: bool, message: str) -> None:
@@ -168,9 +207,7 @@ def _matrix(
     return tuple(matrix)
 
 
-def parse_instance(
-    text: str | bytes, allow_decimal: bool = False
-) -> DecisionInstance | GoodsInstance:
+def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
     """Read an instance document; raises InstanceFormatError on any defect,
     including the structural ones an instance reports when it is built."""
     data = _loads(text, allow_decimal)
@@ -251,7 +288,7 @@ def parse_result(text: str | bytes) -> ParsedResult:
     raise InstanceFormatError('result needs "choices" or "bundles"')
 
 
-def instance_document(instance: DecisionInstance | GoodsInstance) -> dict:
+def instance_document(instance: Instance) -> dict:
     if isinstance(instance, GoodsInstance):
         return {
             "kind": "goods",

@@ -13,6 +13,11 @@ support and Pareto dominance, and a common one preserves the leximin order.
 The bounds below assume non-negative utilities, which every instance
 guarantees when it is built.
 
+Every mechanism here takes either kind of instance and reads only its
+integer view. A GoodsInstance's view is that of its public embedding, so a
+goods result is the one found on ``goods_to_public(goods)``, ties included:
+a good worth 0 to the player picking it goes to alternative 0.
+
 A player's utility in a subtree is at most her partial utility plus her
 per-issue maxima over the undecided issues. Each objective's key (sorted
 vector, product, support by size) cannot drop when the vector rises pointwise,
@@ -28,8 +33,8 @@ from math import lcm, prod
 from operator import add, ge
 from typing import Any, Callable, Iterable, Sequence
 
-from .model import DecisionInstance, MechanismResult, Outcome, Pick, utility_vector
-from .oracles import DEFAULT_ENUM_CAP, leximin_normalization, outcome_space_size
+from .model import Instance, MechanismResult, Outcome, Pick, utility_vector
+from .oracles import DEFAULT_ENUM_CAP, leximin_normalization
 from .errors import CapExceeded
 
 
@@ -43,7 +48,7 @@ def _check_order(n: int, order: Sequence[int] | None) -> tuple[int, ...]:
 
 
 def round_robin(
-    instance: DecisionInstance, order: Sequence[int] | None = None
+    instance: Instance, order: Sequence[int] | None = None
 ) -> MechanismResult:
     """Let players take turns deciding whole issues.
 
@@ -78,14 +83,14 @@ def round_robin(
 Vector = tuple[int, ...]
 
 
-def _check_cap(instance: DecisionInstance, cap: int) -> None:
-    size = outcome_space_size(instance)
+def _check_cap(instance: Instance, cap: int) -> None:
+    size = prod(len(rows[0]) for rows in instance.scaled)
     if size > cap:
         raise CapExceeded(size, cap, what="outcome enumeration")
 
 
 def _search(
-    instance: DecisionInstance,
+    instance: Instance,
     factors: dict[int, int],
     prune: Callable[[Vector, Vector], bool],
     leaf: Callable[[Vector, list[int]], bool | None],
@@ -99,9 +104,10 @@ def _search(
     (copy ``choices`` to keep it); True ends the search and returns choices.
     """
     tree = []  # tree[t][a]: the weighted utilities of alternative a of issue t
-    for issue, scaled in zip(instance.issues, instance.scaled):
+    for scaled in instance.scaled:
         rows = [[v * f for v in scaled[i]] for i, f in factors.items()]
-        tree.append([tuple(row[a] for row in rows) for a in range(issue.k)])
+        # k from the view itself: with no player in factors, rows is empty
+        tree.append([tuple(row[a] for row in rows) for a in range(len(scaled[0]))])
     m = len(tree)
     suffix = [(0,) * len(factors)] * (m + 1)
     for t in range(m - 1, -1, -1):
@@ -129,7 +135,7 @@ def _search(
 
 
 def _maximize(
-    instance: DecisionInstance,
+    instance: Instance,
     factors: dict[int, int],
     key: Callable[[Iterable[int]], Any],
 ) -> Outcome:
@@ -156,7 +162,7 @@ def _support_key(vector: Iterable[int]) -> tuple[int, tuple[int, ...]]:
 
 
 def leximin(
-    instance: DecisionInstance, cap: int = DEFAULT_ENUM_CAP
+    instance: Instance, cap: int = DEFAULT_ENUM_CAP
 ) -> MechanismResult:
     """Maximize the sorted vector of normalized utilities lexicographically.
 
@@ -182,7 +188,7 @@ def leximin(
 
 
 def max_nash_welfare(
-    instance: DecisionInstance, cap: int = DEFAULT_ENUM_CAP
+    instance: Instance, cap: int = DEFAULT_ENUM_CAP
 ) -> MechanismResult:
     """Maximize the product of utilities over the best achievable support set.
 
@@ -205,7 +211,7 @@ def max_nash_welfare(
 
 
 def pareto_improvement(
-    instance: DecisionInstance, outcome: Outcome, cap: int = DEFAULT_ENUM_CAP
+    instance: Instance, outcome: Outcome, cap: int = DEFAULT_ENUM_CAP
 ) -> Outcome | None:
     """The lexicographically first outcome that Pareto dominates ``outcome``,
     or None; raises CapExceeded when the outcome space exceeds ``cap``."""

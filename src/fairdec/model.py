@@ -13,15 +13,20 @@ Every per-player quantity is unchanged when one player's utilities are scaled
 by a positive constant, so each instance carries one integer view, computed
 once on first use: ``scales[i]``, the lcm of player i's denominators;
 ``scaled[t][i]``, her utilities on issue t times it; ``maxima[i][t]``, her best
-scaled utility on issue t (on goods, her scaled value for good t); and
-``ranking[i]``, her issues by those maxima, largest first, ties low. Readers
-add and compare these integers and divide by ``scales[i]`` once per result.
+scaled utility on issue t; and ``ranking[i]``, her issues by those maxima,
+largest first, ties low. Readers add and compare these integers and divide by
+``scales[i]`` once per result.
 
 Allocating private goods is the special case with one issue per good and one
 alternative per player: the alternative that hands good g to player i gives
-u_i(g) to i and zero to everyone else. ``goods_to_public`` performs that
-embedding; ``outcome_to_allocation`` and ``allocation_to_outcome`` move
-between the two views (the chosen alternative index of a reduced issue is the
+u_i(g) to i and zero to everyone else. A GoodsInstance derives the view of
+that embedding from its own matrix, with no Fraction: ``maxima[i][g]`` is
+player i's scaled value for good g, and ``scaled[g][i]`` holds it at
+alternative i and 0 at every other. So everything that reads the view
+(mechanisms, shares, the Pareto check) takes either kind, ``Instance``.
+``goods_to_public`` builds the embedding itself as a DecisionInstance;
+``outcome_to_allocation`` and ``allocation_to_outcome`` move between outcomes
+and allocations (the chosen alternative index of a reduced issue is the
 recipient of the good).
 
 Inputs and results are ``fractions.Fraction``. Nothing in this package rounds.
@@ -55,15 +60,6 @@ def _scale_to_int(values: Iterable[Fraction], scale: int) -> tuple[int, ...]:
     return tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def _ranking(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Per row, its column indices by value, largest first; the stable sort
-    keeps ties in index order."""
-    return tuple(
-        tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
-        for row in rows
-    )
-
-
 @dataclass(frozen=True)
 class Violation:
     """One structural defect of an instance, reported by InstanceFormatError.
@@ -90,19 +86,37 @@ class Issue:
         return len(self.utilities[0]) if self.utilities else 0
 
 
-@dataclass(frozen=True)
-class DecisionInstance:
-    """A public decision instance: players and issues, checked when built."""
-
-    issues: tuple[Issue, ...]
-    players: tuple[str, ...]
+class _Instance:
+    """What both instance kinds share: the check when built, ``n`` and
+    ``ranking``, read off the kind's ``players`` and ``maxima``."""
 
     def __post_init__(self) -> None:
-        _check(self)
+        violations = _violations(self)
+        if violations:
+            raise InstanceFormatError(
+                "; ".join(f"{v.path}: {v.message}" for v in violations), violations
+            )
 
     @property
     def n(self) -> int:
         return len(self.players)
+
+    @cached_property
+    def ranking(self) -> tuple[tuple[int, ...], ...]:
+        """ranking[i]: the issues by maxima[i], largest first; the stable sort
+        keeps ties in index order."""
+        return tuple(
+            tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
+            for row in self.maxima
+        )
+
+
+@dataclass(frozen=True)
+class DecisionInstance(_Instance):
+    """A public decision instance: players and issues, checked when built."""
+
+    issues: tuple[Issue, ...]
+    players: tuple[str, ...]
 
     @property
     def m(self) -> int:
@@ -134,26 +148,14 @@ class DecisionInstance:
             tuple(max(rows[i]) for rows in self.scaled) for i in range(self.n)
         )
 
-    @cached_property
-    def ranking(self) -> tuple[tuple[int, ...], ...]:
-        """ranking[i]: the issues by maxima[i], largest first, ties low."""
-        return _ranking(self.maxima)
-
 
 @dataclass(frozen=True)
-class GoodsInstance:
+class GoodsInstance(_Instance):
     """Indivisible private goods: an n-by-m utility matrix, checked when built."""
 
     utilities: tuple[tuple[Fraction, ...], ...]  # rows = players, cols = goods
     players: tuple[str, ...]
     goods: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        _check(self)
-
-    @property
-    def n(self) -> int:
-        return len(self.players)
 
     @property
     def m(self) -> int:
@@ -173,9 +175,20 @@ class GoodsInstance:
         return tuple(map(_scale_to_int, self.utilities, self.scales))
 
     @cached_property
-    def ranking(self) -> tuple[tuple[int, ...], ...]:
-        """ranking[i]: the goods by player i's value, largest first, ties low."""
-        return _ranking(self.maxima)
+    def scaled(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """scaled[g][i]: the embedding's view of good g for player i, maxima[i][g]
+        at alternative i (the good goes to her) and 0 at every other one."""
+        zeros = (0,) * self.n
+        return tuple(
+            tuple(
+                zeros[:i] + (row[g],) + zeros[i + 1 :]
+                for i, row in enumerate(self.maxima)
+            )
+            for g in range(self.m)
+        )
+
+
+Instance = DecisionInstance | GoodsInstance
 
 
 @dataclass(frozen=True)
@@ -292,7 +305,7 @@ def _row_violations(
     return violations
 
 
-def _violations(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
+def _violations(instance: Instance) -> list[Violation]:
     """Structural defects; an empty list means the instance is well formed.
 
     Checks: n >= 1, m >= 1, every issue has k_t >= 1, every utility matrix has
@@ -340,15 +353,6 @@ def _violations(instance: DecisionInstance | GoodsInstance) -> list[Violation]:
     return violations
 
 
-def _check(instance: DecisionInstance | GoodsInstance) -> None:
-    """Raise InstanceFormatError listing every structural defect, if any."""
-    violations = _violations(instance)
-    if violations:
-        raise InstanceFormatError(
-            "; ".join(f"{v.path}: {v.message}" for v in violations), violations
-        )
-
-
 def goods_to_public(goods: GoodsInstance) -> DecisionInstance:
     """Embed a goods instance as a decision instance, one issue per good.
 
@@ -389,15 +393,13 @@ def allocation_to_outcome(goods: GoodsInstance, alloc: Allocation) -> Outcome:
     return Outcome(choices=tuple(choices))
 
 
-def outcome_utility(
-    instance: DecisionInstance, outcome: Outcome, player: int
-) -> Fraction:
+def outcome_utility(instance: Instance, outcome: Outcome, player: int) -> Fraction:
     """Player's total utility for an outcome: the sum of her per-issue utilities."""
     total = sum(rows[player][c] for rows, c in zip(instance.scaled, outcome.choices))
     return Fraction(total, instance.scales[player])
 
 
-def utility_vector(instance: DecisionInstance, outcome: Outcome) -> tuple[Fraction, ...]:
+def utility_vector(instance: Instance, outcome: Outcome) -> tuple[Fraction, ...]:
     return tuple(outcome_utility(instance, outcome, i) for i in range(instance.n))
 
 

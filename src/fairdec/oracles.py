@@ -25,6 +25,7 @@ from .model import (
     Allocation,
     DecisionInstance,
     GoodsInstance,
+    Instance,
     MechanismResult,
     Outcome,
     utility_vector,
@@ -73,9 +74,7 @@ def enumerate_allocations(
         yield Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
-def leximin_normalization(
-    instance: DecisionInstance | GoodsInstance,
-) -> tuple[Fraction | None, ...]:
+def leximin_normalization(instance: Instance) -> tuple[Fraction | None, ...]:
     """Per-player leximin divisor: RRS when positive, else Prop, else excluded."""
     shares = share_profile(instance)
     return tuple(

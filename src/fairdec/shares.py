@@ -19,9 +19,9 @@ The chain Prop >= MMS >= RRS >= PPS holds for every player. Every share
 sums the player's scaled maxima (``model``'s integer view) in the order of
 her ranking and divides by her scale once; ``share_profile`` returns all of
 them for every player, and the per-player functions read the same helpers.
-All of them accept a GoodsInstance as well: for private goods, the per-issue
-maxima of the public embedding are exactly the player's per-good values, so
-both views give the same numbers.
+All of them take either kind of instance (``model.Instance``): a goods
+instance's maxima are its per-good values, exactly the per-issue maxima of
+its public embedding, so both give the same numbers.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import CapExceeded
-from .model import DecisionInstance, GoodsInstance
+from .model import Instance
 
 DEFAULT_MMS_CAP = 10**6
-
-Instance = DecisionInstance | GoodsInstance
 
 
 def _share(

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
 from fairdec import cli, io
@@ -179,6 +182,60 @@ def test_over_long_numbers_exit_two_with_one_line(capsys, tmp_path, value, messa
         capsys, ["solve", "--mechanism", "round-robin", "--input", str(path)]
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ('"1e5000"', "utilities[0][1]: too many digits in the exact value of a "
+         "6-character number"),
+        ("1e5000", "malformed JSON: a number literal has too many digits"),
+        ('"1e-5000"', "utilities[0][1]: too many digits in the exact value of a "
+         "7-character number"),
+    ],
+    ids=["exponent-string", "exponent-literal", "negative-exponent-string"],
+)
+def test_over_long_decimals_are_refused_when_parsed(capsys, tmp_path, value, message):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"kind": "goods", "players": ["a"], "goods": ["g", "h"], '
+        f'"utilities": [[1, {value}]]}}'
+    )
+    argv = ["solve", "--mechanism", "round-robin", "--input", str(path)]
+    code, out, err = run(capsys, argv + ["--allow-decimal"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "'٣' is not an integer or \"p/q\" string "
+         "(decimals need the lossless-decimal option)"),
+        (["--allow-decimal"], "cannot read '٣' as a number"),
+    ],
+    ids=["strict", "allow-decimal"],
+)
+def test_non_ascii_digits_are_not_numbers(capsys, tmp_path, flags, message):
+    path = tmp_path / "arabic.json"
+    path.write_text(
+        '{"kind": "goods", "players": ["a"], "goods": ["g", "h"], '
+        '"utilities": [[1, "٣"]]}'
+    )
+    argv = ["solve", "--mechanism", "round-robin", "--input", str(path)] + flags
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: utilities[0][1]: {message}\n")
+
+
+def test_deeply_nested_documents_exit_two_with_one_line(
+    capsys, tmp_path, goods_file
+):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    expected = (2, "", "error: malformed JSON: nested too deeply\n")
+    solve = ["solve", "--mechanism", "round-robin", "--input", str(deep)]
+    assert run(capsys, solve) == expected
+    audit = ["audit", "--input", goods_file, "--result", str(deep)]
+    assert run(capsys, audit) == expected
 
 
 def test_one_parser_serves_every_call_without_carrying_options(
@@ -524,3 +581,117 @@ def test_solve_under_python_O_matches_the_in_process_run(capsys, contested_file)
         assert code == 0
         assert stripped_code == 0, stripped_err
         assert stripped_out == expected
+
+
+# JSON text of one utility cell: valid values, then non-numbers, non-canonical
+# and bad strings, and the over-long and non-ASCII inputs the parser refuses
+GOOD_CELLS = st.one_of(
+    st.integers(0, 6).map(str), st.sampled_from(['"1/2"', '"7/3"', '"2/6"', '"03"'])
+)
+BAD_CELLS = st.one_of(
+    GOOD_CELLS,
+    st.sampled_from(["-1", "true", "null", "0.5", "2.0", '"1/0"', '"x"', '"1.5"']),
+    st.sampled_from(['"1e5000"', "1e5000", '"1e-5000"', '"٣"', "[]", "{}"]),
+)
+
+
+def _list(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+def _labels(prefix, count) -> str:
+    return _list(f'"{prefix}{i}"' for i in range(count))
+
+
+@st.composite
+def cli_runs(draw):
+    """A command line with its instance and result documents as JSON text.
+    Half the documents are well formed; the rest hold bad values or shapes."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    bad = draw(st.booleans())
+    skew = draw(st.sampled_from([0, 1, -1])) if bad else 0
+    cells = BAD_CELLS if bad else GOOD_CELLS
+
+    def rows(width):
+        widths = [width] * (n - 1) + [max(0, width + skew)]
+        return _list(
+            _list(draw(st.lists(cells, min_size=k, max_size=k))) for k in widths
+        )
+
+    players = _labels("p", n)
+    if draw(st.booleans()):
+        instance = (
+            f'{{"kind": "goods", "players": {players}, '
+            f'"goods": {_labels("g", m)}, "utilities": {rows(m)}}}'
+        )
+        fitting = f'{{"bundles": [{_list(map(str, range(m)))}{", []" * (n - 1)}]}}'
+    else:
+        issues = []
+        for t in range(m):
+            k = draw(st.integers(1, 3))
+            issues.append(
+                f'{{"name": "t{t}", "alternatives": {_labels("a", k)}, '
+                f'"utilities": {rows(k)}}}'
+            )
+        instance = (
+            f'{{"kind": "public", "players": {players}, "issues": {_list(issues)}}}'
+        )
+        fitting = f'{{"choices": {_list(["0"] * m)}}}'
+    if bad and draw(st.integers(0, 4)) == 0:
+        instance = draw(st.sampled_from(["[" * 5000 + "]" * 5000, "{", '"x"', "[]"]))
+    entries = st.lists(st.integers(-1, 3).map(str), min_size=m - 1, max_size=m + 1)
+    result = draw(
+        st.one_of(
+            st.just(fitting),
+            entries.map(lambda c: f'{{"choices": {_list(c)}}}'),
+            st.lists(entries.map(_list), min_size=n, max_size=n).map(
+                lambda b: f'{{"bundles": {_list(b)}}}'
+            ),
+            st.sampled_from(['{"choices": [0.5]}', '{"bundles": [[0, 0]]}', "{}"]),
+        )
+        if bad
+        else st.just(fitting)
+    )
+
+    commands = cli.PUBLIC_MECHANISMS + cli.GOODS_MECHANISMS + ("audit",)
+    command = draw(st.sampled_from(commands))
+    flags = ["audit"] if command == "audit" else ["solve", "--mechanism", command]
+    if command != "audit":
+        if draw(st.booleans()):
+            flags.append("--with-audit")
+        if draw(st.booleans()):
+            flags += ["--cap", str(draw(st.integers(0, 200)))]
+        if draw(st.booleans()):
+            flags += ["--order", ",".join(map(str, draw(st.permutations(range(n)))))]
+    elif draw(st.booleans()):
+        flags += ["--format", "text"]
+    if draw(st.booleans()):
+        flags.append("--allow-decimal")
+    if draw(st.booleans()):
+        flags += ["--po-cap", str(draw(st.integers(0, 200)))]
+    if draw(st.booleans()):
+        flags += ["--with-mms", "--mms-cap", str(draw(st.integers(0, 50)))]
+    return flags, instance, result
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_runs())
+def test_fuzzed_runs_end_in_a_documented_exit_code(tmp_path_factory, run_):
+    """Whatever the documents and flags, a run ends in 0, 2, 3 or 4 and
+    prints no traceback; a failed run prints one error line and no output."""
+    flags, instance_text, result_text = run_
+    folder = tmp_path_factory.mktemp("fuzz")
+    instance, result = folder / "instance.json", folder / "result.json"
+    instance.write_text(instance_text)
+    result.write_text(result_text)
+    argv = flags + ["--input", str(instance)]
+    if flags[0] == "audit":
+        argv += ["--result", str(result)]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, instance_text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 + err.getvalue().count("warning: ")

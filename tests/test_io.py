@@ -98,6 +98,59 @@ def test_decimal_strings_convert_exactly_when_allowed():
     assert parsed.utilities[0][0] == Fraction(1, 10)  # not the binary float
 
 
+def one_value_goods(value_json: str) -> str:
+    return (
+        '{"kind": "goods", "players": ["a"], "goods": ["g"], '
+        f'"utilities": [[{value_json}]]}}'
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["0", "1", "25", "-0", "3.5", "0.125", "1_0"]),
+    st.one_of(
+        st.integers(-13500, 13500),
+        st.sampled_from([4299, 4300, -4299, -4300, -4301, 12900, 12901, -12901]),
+    ),
+)
+def test_decimals_are_refused_exactly_when_to_json_could_not_write_them(
+    mantissa, exponent
+):
+    """A decimal string or float literal is refused when parsed exactly when
+    its exact value has a part with more digits than int-to-string conversion
+    allows, the values ``to_json`` fails on; zero reads as zero at any
+    exponent."""
+    text = f"{mantissa}e{exponent}"
+    exact = Fraction(text)
+    try:
+        io.to_json(io.encode_rational(exact))
+        writable = True
+    except ValueError:
+        writable = False
+    forms = [(json.dumps(text), "utilities[0][0]: too many digits in the exact value")]
+    if re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", mantissa):
+        forms.append((text, "malformed JSON: a number literal has too many digits"))
+    for value_json, message in forms:
+        if writable:
+            parsed = io.parse_instance(one_value_goods(value_json), allow_decimal=True)
+            assert parsed.utilities[0][0] == exact
+        else:
+            with pytest.raises(fd.InstanceFormatError, match=re.escape(message)):
+                io.parse_instance(one_value_goods(value_json), allow_decimal=True)
+
+
+@pytest.mark.parametrize(
+    "value", ["٣", "1/٣", "٣/4", "1.٣", "1e٣", "１", "\u00a01"]
+)
+@pytest.mark.parametrize("allow_decimal", [False, True])
+def test_only_ascii_digits_are_numbers(value, allow_decimal):
+    with pytest.raises(fd.InstanceFormatError) as info:
+        io.parse_instance(
+            one_value_goods(json.dumps(value)), allow_decimal=allow_decimal
+        )
+    assert str(info.value).startswith("utilities[0][0]: ")
+
+
 def test_zero_denominators_and_booleans_are_format_errors():
     base = {"kind": "goods", "players": ["a"], "goods": ["g"]}
     with pytest.raises(fd.InstanceFormatError, match="zero denominator"):
@@ -137,13 +190,13 @@ def reference_cell(value, where):
         raise fd.InstanceFormatError(f"{where}: booleans are not numbers")
     if isinstance(value, int):
         return Fraction(value), None
-    if re.fullmatch(r"[+-]?\d+", value):
+    if re.fullmatch(r"[+-]?[0-9]+", value):
         whole = Fraction(int(value))
         return whole, (
             f"{where}: whole number written as string {value!r}; "
             f"canonical form is the JSON integer {whole}"
         )
-    if re.fullmatch(r"[+-]?\d+/\d+", value):
+    if re.fullmatch(r"[+-]?[0-9]+/[0-9]+", value):
         p, q = (int(part) for part in value.split("/"))
         if q == 0:
             raise fd.InstanceFormatError(f"{where}: zero denominator in {value!r}")

@@ -194,3 +194,66 @@ def test_mechanisms_are_deterministic(inst):
     assert fd.round_robin(inst) == fd.round_robin(inst)
     assert fd.leximin(inst) == fd.leximin(inst)
     assert fd.max_nash_welfare(inst) == fd.max_nash_welfare(inst)
+
+
+@st.composite
+def goods_(draw, max_n=3, max_m=5):
+    """Random goods: zero-heavy rows, and some goods nobody values."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    unvalued = draw(st.sets(st.integers(0, m - 1)))
+    rows = []
+    for _ in range(n):
+        zero_heavy = draw(st.booleans())
+        rows.append(
+            [
+                0
+                if g in unvalued or (zero_heavy and draw(st.integers(0, 3)))
+                else draw(UTILITIES)
+                for g in range(m)
+            ]
+        )
+    return fd.goods_instance(rows)
+
+
+@settings(deadline=None)
+@given(goods_(), st.data())
+def test_goods_route_equals_the_embedding_route(goods, data):
+    """Each mechanism and the Pareto check give on a goods instance exactly
+    what they give on its public embedding: outcome, utilities, picks,
+    support, normalization and witness."""
+    image = fd.goods_to_public(goods)
+    assert goods.scaled == image.scaled
+    order = data.draw(st.permutations(range(goods.n)))
+    assert fd.round_robin(goods, order=order) == fd.round_robin(image, order=order)
+    assert fd.leximin(goods) == fd.leximin(image)
+    assert fd.max_nash_welfare(goods) == fd.max_nash_welfare(image)
+    owners = data.draw(st.tuples(*[st.integers(0, goods.n - 1)] * goods.m))
+    outcome = fd.Outcome(choices=owners)
+    check = fd.check_pareto_optimal(goods, outcome)
+    assert check == fd.check_pareto_optimal(image, outcome)
+    alloc = fd.outcome_to_allocation(goods, outcome)
+    po = fd.audit_goods(goods, alloc, po_cap=10**4).po
+    assert po.satisfied == check.satisfied
+    assert po.witness == (
+        check.witness and fd.outcome_to_allocation(goods, check.witness)
+    )
+
+
+def test_leximin_with_every_player_excluded_picks_the_first_outcome():
+    """With both shares zero for everyone the objective is empty, so every
+    outcome ties and the all-zeros one wins, on goods as on the embedding."""
+    goods = fd.goods_instance([[0, 0, 0], [0, 0, 0]])
+    result = fd.leximin(goods)
+    assert result.outcome.choices == (0, 0, 0)
+    assert result.normalization == (None, None)
+    assert result == fd.leximin(fd.goods_to_public(goods))
+
+
+def test_search_mechanisms_respect_the_cap_on_goods():
+    goods = fd.goods_instance([[1, 2, 3, 4], [4, 3, 2, 1]])
+    for search in (fd.leximin, fd.max_nash_welfare):
+        with pytest.raises(fd.CapExceeded) as info:
+            search(goods, cap=15)
+        assert info.value.required == 16
+    assert fd.leximin(goods, cap=16) == fd.leximin(fd.goods_to_public(goods))

@@ -1,8 +1,9 @@
-"""Source rules for the package, checked on its syntax trees.
+"""Source rules for the package: checks on its syntax trees, and a size ceiling.
 
 No module may use an ``assert`` statement (``python -O`` strips them, so an
-invariant must raise a FairdecError instead), and no module may reach into
-another module's private, ``_``-prefixed names.
+invariant must raise a FairdecError instead), no module may reach into
+another module's private, ``_``-prefixed names, and the package may not grow
+past the line ceiling ROADMAP.md sets for it.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairdec"
 MODULES = sorted(PACKAGE.glob("*.py"))
+LINE_CEILING = 2924  # src/fairdec/*.py, all lines counted
 
 
 def _private(name: str) -> bool:
@@ -59,3 +61,8 @@ def test_no_assert_statements(path):
 def test_no_private_imports_across_modules(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _private_imports(tree) == []
+
+
+def test_the_package_stays_under_its_line_ceiling():
+    lines = sum(len(path.read_text().splitlines()) for path in MODULES)
+    assert lines <= LINE_CEILING, f"src/fairdec has {lines} lines"
