@@ -18,7 +18,6 @@ import argparse
 import functools
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 from . import io
@@ -55,13 +54,6 @@ def _order_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"order must be comma-separated integers, got {text!r}"
         )
-
-
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"cannot read {text!r} as a rational")
 
 
 def _read(path: str) -> str:
@@ -178,7 +170,7 @@ def _cmd_gen(args) -> int:
         n=args.n,
         m=args.m,
         k=args.k,
-        delta=args.delta,
+        delta=None if args.delta is None else io.read_value(args.delta, "--delta"),
         seed=args.seed,
         umin=args.umin,
         umax=args.umax,
@@ -269,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, result_formats=("json", "text")):
-        p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument(
-            "--format", choices=result_formats, default="json", help="output format"
-        )
-
     def add_parse_opts(p):
         p.add_argument(
             "--allow-decimal",
@@ -316,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_audit_opts(solve)
     add_parse_opts(solve)
-    add_io(solve, result_formats=("json",))
+    solve.add_argument("--out", help="write output here instead of stdout")
     solve.set_defaults(handler=_cmd_solve)
 
     aud = sub.add_parser("audit", help="audit a result file against an instance")
@@ -324,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--result", required=True)
     add_audit_opts(aud)
     add_parse_opts(aud)
-    add_io(aud)
+    aud.add_argument("--out", help="write output here instead of stdout")
+    aud.add_argument("--format", choices=("json", "text"), default="json")
     aud.set_defaults(handler=_cmd_audit)
 
     gen = sub.add_parser("gen", help="generate a named instance family")
@@ -332,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int)
     gen.add_argument("--m", type=int)
     gen.add_argument("--k", type=int)
-    gen.add_argument("--delta", type=_rational_arg)
+    gen.add_argument("--delta")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--umin", type=int, default=0)
     gen.add_argument("--umax", type=int, default=5)
@@ -349,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--input", required=True)
     orc.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     add_parse_opts(orc)
-    add_io(orc, result_formats=("json",))
+    orc.add_argument("--out", help="write output here instead of stdout")
     orc.set_defaults(handler=_cmd_oracle)
 
     red = sub.add_parser("reduce", help="embed a goods instance as a public one")
@@ -368,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--k", type=int, default=2)
     bench.add_argument("--umin", type=int, default=0)
     bench.add_argument("--umax", type=int, default=5)
-    bench.add_argument("--format", choices=("csv",), default="csv")
     bench.add_argument("--out")
     bench.set_defaults(handler=_cmd_bench)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,12 +36,13 @@ from .model import (
     Issue,
     MechanismResult,
     Outcome,
+    TooManyDigits,
+    exact_value,
 )
 from .private_goods import TransferTrace
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _RATIO_RE = re.compile(r"[+-]?[0-9]+/[0-9]+")
-_EXPONENT_RE = re.compile(r"[eE]([+-]?[0-9]+(?:_[0-9]+)*)\s*$")
 
 
 class NonCanonicalRationalWarning(UserWarning):
@@ -57,34 +57,6 @@ def encode_rational(value: Fraction) -> int | str:
 
 def _at(path: str, index: tuple[int, ...]) -> str:
     return path + "".join(f"[{k}]" for k in index)
-
-
-class _TooManyDigits(ValueError):
-    """A decimal whose exact value has more digits than ``to_json`` writes."""
-
-
-def _decimal(text: str) -> Fraction:
-    """The exact value of a decimal string or float literal. Raises
-    _TooManyDigits when its numerator or denominator has more digits than
-    int-to-string conversion allows (sys.get_int_max_str_digits(), 0 for no
-    limit), and ValueError when ``text`` is no ASCII number Fraction reads."""
-    if not text.isascii():
-        raise ValueError(f"non-ASCII characters in {text!r}")
-    limit = sys.get_int_max_str_digits()
-    exponent = _EXPONENT_RE.search(text)
-    if limit and exponent and abs(int(exponent[1])) > 3 * limit:
-        # Fraction reads at most 2 * limit mantissa digits, so a non-zero value
-        # needs more than ``limit`` digits here; do not build 10**exponent
-        mantissa = Fraction(text[: exponent.start()] + "e0")
-        if mantissa:
-            raise _TooManyDigits(text)
-        return mantissa
-    result = Fraction(text)
-    try:
-        str(result)  # the conversion to_json makes
-    except ValueError:
-        raise _TooManyDigits(text)
-    return result
 
 
 def _decode_rational(value, allow_decimal: bool, path: str, *index: int) -> Fraction:
@@ -127,13 +99,13 @@ def _decode_rational(value, allow_decimal: bool, path: str, *index: int) -> Frac
             return result
         if allow_decimal:
             try:
-                return _decimal(value)
-            except _TooManyDigits:
+                return exact_value(value)
+            except TooManyDigits:
                 raise InstanceFormatError(
                     f"{_at(path, index)}: too many digits in the exact value of "
                     f"a {len(value)}-character number"
                 )
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise InstanceFormatError(
                     f"{_at(path, index)}: cannot read {value!r} as a number"
                 )
@@ -144,10 +116,17 @@ def _decode_rational(value, allow_decimal: bool, path: str, *index: int) -> Frac
     raise InstanceFormatError(f"{_at(path, index)}: cannot read {value!r} as a number")
 
 
+def read_value(text: str, path: str) -> Fraction:
+    """Read one value given outside a document, such as an option, by the
+    rules of a document read with ``allow_decimal``; errors and warnings name
+    it as ``path``."""
+    return _decode_rational(text, True, path)
+
+
 def _loads(text: str | bytes, allow_decimal: bool):
     def float_hook(literal: str):
         if allow_decimal:
-            return _decimal(literal)
+            return exact_value(literal)
         raise InstanceFormatError(
             f"float literal {literal} in document; use integers or \"p/q\" "
             f"strings, or pass the lossless-decimal option"

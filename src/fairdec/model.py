@@ -35,6 +35,8 @@ Instances, outcomes and allocations are immutable once built.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,12 +47,45 @@ from .errors import InstanceFormatError
 
 RationalLike = Union[Fraction, int, str]
 
+_EXPONENT_RE = re.compile(r"[eE]([+-]?[0-9]+(?:_[0-9]+)*)\s*$")
+
+
+class TooManyDigits(ValueError):
+    """A value whose exact form has more digits than ``io.to_json`` writes."""
+
+
+def exact_value(text: str) -> Fraction:
+    """The exact value of an integer, "p/q" or decimal string. Raises
+    TooManyDigits when its numerator or denominator has more digits than
+    int-to-string conversion allows (sys.get_int_max_str_digits(), 0 for no
+    limit), and ValueError when ``text`` is no ASCII number Fraction reads."""
+    if not text.isascii():
+        raise ValueError(f"non-ASCII characters in {text!r}")
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT_RE.search(text)
+    if limit and exponent and abs(int(exponent[1])) > 3 * limit:
+        # Fraction reads at most 2 * limit mantissa digits, so a non-zero value
+        # needs more than ``limit`` digits here; do not build 10**exponent
+        mantissa = Fraction(text[: exponent.start()] + "e0")
+        if mantissa:
+            raise TooManyDigits(text)
+        return mantissa
+    result = Fraction(text)
+    try:
+        str(result)  # the conversion io.to_json makes
+    except ValueError:
+        raise TooManyDigits(text)
+    return result
+
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, "p/q" string, decimal string, or Fraction to Fraction."""
+    """Coerce an int, "p/q" string, decimal string, or Fraction to Fraction;
+    a string is read by ``exact_value``."""
     if isinstance(value, bool):
         raise TypeError("booleans are not utilities")
-    if isinstance(value, (Fraction, int, str)):
+    if isinstance(value, str):
+        return exact_value(value)
+    if isinstance(value, (Fraction, int)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 

@@ -1,16 +1,18 @@
 """Brute-force reference optimizers.
 
-Everything here is plain lexicographic enumeration with no pruning and no
-shortcuts. The mechanisms module reproduces these results with search-tree
-pruning; tests require both paths to agree bit for bit, so this module must
-stay independent of that code and obviously correct.
+Everything here is plain lexicographic enumeration in Fraction arithmetic,
+with no pruning and no shortcuts. The mechanisms module reproduces these
+results with search-tree pruning; tests require both paths to agree bit for
+bit, so this module stays obviously correct and imports nothing of the
+package but the model, the shares and the errors.
 
-Tie-breaking, shared with the mechanisms:
-- among outcomes with equal objective value, the lexicographically smallest
-  choice vector wins (the first one found, since enumeration is lexicographic)
-- for the Nash objective, the product ranges over a support set S chosen
-  first: the largest set of players that can simultaneously get positive
-  utility, ties broken by the lexicographically smallest sorted player tuple
+The tie rule, shared with the mechanisms: each objective ranks outcomes by a
+key on their utility vectors, and the first outcome in lexicographic
+choice-vector order wins; a later one replaces it only with a strictly
+greater key. The Nash key is the size of the support (the players with
+positive utility), then the lexicographically smallest support, then the
+product over it. An outcome that misses a player of the best support has
+product 0 over it, so this is the largest product over that support.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from math import prod
+from typing import Any, Callable, Iterator, Sequence
 
-from .errors import CapExceeded, InvariantError
+from .errors import CapExceeded
 from .model import (
     Allocation,
     DecisionInstance,
@@ -28,6 +31,7 @@ from .model import (
     Instance,
     MechanismResult,
     Outcome,
+    outcome_to_allocation,
     utility_vector,
 )
 from .shares import share_profile
@@ -68,10 +72,7 @@ def enumerate_allocations(
     if size > cap:
         raise CapExceeded(size, cap, what="allocation enumeration")
     for owners in itertools.product(range(goods.n), repeat=goods.m):
-        bundles = [set() for _ in range(goods.n)]
-        for g, owner in enumerate(owners):
-            bundles[owner].add(g)
-        yield Allocation(bundles=tuple(frozenset(b) for b in bundles))
+        yield outcome_to_allocation(goods, Outcome(choices=owners))
 
 
 def leximin_normalization(instance: Instance) -> tuple[Fraction | None, ...]:
@@ -87,17 +88,25 @@ def _support(utilities: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(i for i, u in enumerate(utilities) if u > 0)
 
 
-def _nash_support(instance: DecisionInstance, cap: int) -> tuple[int, ...]:
-    best: tuple[int, ...] | None = None
+def _first_best(
+    instance: DecisionInstance, cap: int, key: Callable[[tuple[Fraction, ...]], Any]
+) -> tuple[Outcome, tuple[Fraction, ...]]:
+    """The first outcome in lexicographic order whose key no later outcome
+    strictly exceeds, with its utility vector."""
+    best = None
     for outcome in enumerate_outcomes(instance, cap):
-        support = _support(utility_vector(instance, outcome))
-        if best is None or len(support) > len(best):
-            best = support
-        elif len(support) == len(best) and support < best:
-            best = support
-    if best is None:
-        raise InvariantError("instances have at least one outcome")
-    return best
+        utils = utility_vector(instance, outcome)
+        value = key(utils)
+        if best is None or value > best[0]:
+            best = value, outcome, utils
+    return best[1], best[2]
+
+
+def _nash_key(utils: tuple[Fraction, ...]) -> tuple:
+    """Support size, then the lexicographically smallest support (negated, so
+    it ranks highest), then the product over it."""
+    support = _support(utils)
+    return len(support), [-i for i in support], prod(utils[i] for i in support)
 
 
 def exact_optimum(
@@ -109,63 +118,34 @@ def exact_optimum(
 
     Objectives:
         "utilitarian": maximize the utility sum.
-        "nash": maximize the product of utilities over the support set S
-            (largest achievable set of positive-utility players, lex tie-break),
-            which every maximizer then automatically covers.
+        "nash": maximize the product of utilities over the largest set of
+            players who can all get positive utility (``support``).
         "leximin": maximize the ascending sorted vector of normalized utilities
             lexicographically; players whose RRS and Prop are both zero are
             left out of the objective.
     """
+    divisors = None
     if objective == "utilitarian":
-        best_outcome = best_utils = None
-        best_value: Fraction | None = None
-        for outcome in enumerate_outcomes(instance, cap):
-            utils = utility_vector(instance, outcome)
-            value = sum(utils, Fraction(0))
-            if best_value is None or value > best_value:
-                best_outcome, best_utils, best_value = outcome, utils, value
-        return MechanismResult(
-            mechanism="oracle:utilitarian",
-            outcome=best_outcome,
-            utilities=best_utils,
-        )
-
-    if objective == "nash":
-        support = _nash_support(instance, cap)
-        best_outcome = best_utils = None
-        best_value = None
-        for outcome in enumerate_outcomes(instance, cap):
-            utils = utility_vector(instance, outcome)
-            value = Fraction(1)
-            for i in support:
-                value *= utils[i]
-            if best_value is None or value > best_value:
-                best_outcome, best_utils, best_value = outcome, utils, value
-        return MechanismResult(
-            mechanism="oracle:nash",
-            outcome=best_outcome,
-            utilities=best_utils,
-            support=support,
-        )
-
-    if objective == "leximin":
+        key = sum
+    elif objective == "nash":
+        key = _nash_key
+    elif objective == "leximin":
         divisors = leximin_normalization(instance)
         included = [i for i, d in enumerate(divisors) if d is not None]
-        best_outcome = best_utils = None
-        best_key: tuple[Fraction, ...] | None = None
-        for outcome in enumerate_outcomes(instance, cap):
-            utils = utility_vector(instance, outcome)
-            key = tuple(sorted(utils[i] / divisors[i] for i in included))
-            if best_key is None or key > best_key:
-                best_outcome, best_utils, best_key = outcome, utils, key
-        return MechanismResult(
-            mechanism="oracle:leximin",
-            outcome=best_outcome,
-            utilities=best_utils,
-            normalization=divisors,
-        )
 
-    raise ValueError(f"unknown objective {objective!r}")
+        def key(utils):
+            return sorted(utils[i] / divisors[i] for i in included)
+
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    outcome, utils = _first_best(instance, cap, key)
+    return MechanismResult(
+        mechanism=f"oracle:{objective}",
+        outcome=outcome,
+        utilities=utils,
+        support=_support(utils) if objective == "nash" else None,
+        normalization=divisors,
+    )
 
 
 def pareto_frontier(

@@ -430,6 +430,36 @@ def test_gen_refuses_instances_solve_would_reject(capsys, tmp_path, params, defe
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", ["٣/١٠٠", "1e99999999999", "1/0", " 1/0", "x"])
+def test_gen_reads_delta_like_a_document_value(capsys, tmp_path, delta):
+    out = tmp_path / "f.json"
+    argv = ["gen", "--family", "theorem6_upper", "--delta", delta, "--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: --delta: ") and err.count("\n") == 1
+
+
+def test_gen_delta_forms_of_one_value_write_the_same_bytes(capsys):
+    outputs = {
+        run(capsys, ["gen", "--family", "theorem6_upper", *flags])
+        for flags in ([], ["--delta", "1/100"], ["--delta", "0.01"])
+    }
+    assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
+def test_only_audit_takes_a_format(capsys, contested_file, command):
+    argv = {
+        "solve": ["solve", "--mechanism", "mnw", "--input", contested_file],
+        "oracle": ["oracle", "--objective", "nash", "--input", contested_file],
+        "bench": ["bench", "--trials", "1", "--seed", "1"],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--format", "json"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_oracle_matches_the_mechanism(capsys, contested_file):
     code, out, _ = run(
         capsys, ["oracle", "--objective", "nash", "--input", contested_file]

@@ -155,6 +155,11 @@ def test_zero_denominators_and_booleans_are_format_errors():
     base = {"kind": "goods", "players": ["a"], "goods": ["g"]}
     with pytest.raises(fd.InstanceFormatError, match="zero denominator"):
         io.parse_instance(json.dumps({**base, "utilities": [["1/0"]]}))
+    # a zero denominator the decimal reader meets is refused the same way
+    with pytest.raises(fd.InstanceFormatError, match="cannot read ' 1/0'"):
+        io.parse_instance(
+            json.dumps({**base, "utilities": [[" 1/0"]]}), allow_decimal=True
+        )
     with pytest.raises(fd.InstanceFormatError, match="boolean"):
         io.parse_instance(json.dumps({**base, "utilities": [[True]]}))
 

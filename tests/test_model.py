@@ -16,6 +16,15 @@ def test_as_fraction_accepts_exact_forms():
     assert fd.as_fraction(Fraction(5, 4)) == Fraction(5, 4)
 
 
+@pytest.mark.parametrize("text", ["٣", "1/٣", "1e99999999999", "1e-5000", "x"])
+def test_as_fraction_reads_strings_like_documents(text):
+    """Non-ASCII digits and values io.to_json could not write are refused,
+    without building 10**exponent."""
+    with pytest.raises(ValueError):
+        fd.as_fraction(text)
+    assert fd.as_fraction("0.125") == Fraction(1, 8)
+
+
 def test_as_fraction_rejects_bools_and_floats():
     with pytest.raises(TypeError):
         fd.as_fraction(True)

@@ -1,6 +1,8 @@
 """Brute-force enumeration oracles and the feasible-product bound."""
 
+import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +127,71 @@ def test_optima_lie_on_the_frontier(inst):
     frontier = {u for u, _ in fd.pareto_frontier(inst)}
     for objective in ("utilitarian", "nash", "leximin"):
         assert fd.exact_optimum(inst, objective).utilities in frontier
+
+
+@st.composite
+def oracle_instances(draw):
+    """Public instances or goods embeddings with fractions over 2, 3 and 7,
+    zero-heavy rows, issues with one alternative, and all-zero instances."""
+    value = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3, 7])),
+    )
+    if draw(st.integers(0, 7)) == 0:
+        value = st.just(Fraction(0))
+    n = draw(st.integers(1, 3))
+
+    def matrix(rows, width):
+        return draw(
+            st.lists(
+                st.lists(value, min_size=width, max_size=width),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+
+    if draw(st.booleans()):
+        goods = fd.goods_instance(matrix(n, draw(st.integers(1, 4))))
+        return fd.goods_to_public(goods)
+    widths = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=1, max_size=4))
+    return fd.decision_instance([matrix(n, k) for k in widths])
+
+
+@settings(deadline=None, max_examples=150)
+@given(oracle_instances())
+def test_each_optimum_is_the_first_outcome_with_the_greatest_key(inst):
+    """The oracle's definition: by its objective's key, the returned outcome is
+    at least every outcome and strictly above every outcome before it in
+    lexicographic order; Nash's support is the largest set of players some
+    outcome gives positive utility, the lexicographically smallest on a tie."""
+    everything = [
+        (choices, fd.utility_vector(inst, fd.Outcome(choices)))
+        for choices in itertools.product(*(range(issue.k) for issue in inst.issues))
+    ]
+    supports = {
+        tuple(i for i, u in enumerate(utils) if u > 0) for _, utils in everything
+    }
+    for objective in ("utilitarian", "nash", "leximin"):
+        result = fd.exact_optimum(inst, objective)
+        assert result.utilities == fd.utility_vector(inst, result.outcome)
+        if objective == "utilitarian":
+            key = sum
+        elif objective == "nash":
+            assert result.support == min(supports, key=lambda s: (-len(s), s))
+            assert all(result.utilities[i] > 0 for i in result.support)
+            key = lambda utils: prod(utils[i] for i in result.support)  # noqa: E731
+        else:
+            shares = fd.share_profile(inst)
+            assert result.normalization == tuple(
+                rrs or prop or None for rrs, prop in zip(shares.rrs, shares.prop)
+            )
+            divisors = [(i, d) for i, d in enumerate(result.normalization) if d]
+            key = lambda utils: sorted(utils[i] / d for i, d in divisors)  # noqa: E731
+        best = key(result.utilities)
+        for choices, utils in everything:
+            assert best >= key(utils)
+            if choices < result.outcome.choices:
+                assert best > key(utils)
 
 
 def test_product_bound_check_fields():

@@ -2,8 +2,10 @@
 
 No module may use an ``assert`` statement (``python -O`` strips them, so an
 invariant must raise a FairdecError instead), no module may reach into
-another module's private, ``_``-prefixed names, and the package may not grow
-past the line ceiling ROADMAP.md sets for it.
+another module's private, ``_``-prefixed names, the brute-force reference
+``oracles.py`` imports no package module but ``model``, ``shares`` and
+``errors``, and the package may not grow past the line ceiling ROADMAP.md sets
+for it.
 """
 
 import ast
@@ -46,6 +48,23 @@ def _private_imports(tree: ast.Module) -> list[str]:
     return found
 
 
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Package modules imported, relatively or by name; ``__init__`` stands
+    for the package itself."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["fairdec" * bool(node.level), node.module]))
+            if module == "fairdec":  # from . import m, from fairdec import m
+                dotted += [f"fairdec.{alias.name}" for alias in node.names]
+            else:
+                dotted.append(module)
+    parts = [name.split(".") for name in dotted]
+    return {p[1] if len(p) > 1 else "__init__" for p in parts if p[0] == "fairdec"}
+
+
 def test_the_package_has_modules():
     assert any(path.name == "shares.py" for path in MODULES)
 
@@ -61,6 +80,11 @@ def test_no_assert_statements(path):
 def test_no_private_imports_across_modules(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _private_imports(tree) == []
+
+
+def test_the_reference_stands_alone():
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    assert _package_imports(tree) <= {"model", "shares", "errors"}
 
 
 def test_the_package_stays_under_its_line_ceiling():
