@@ -9,10 +9,12 @@ the binary float). A number with more digits than ``int`` converts is an
 InstanceFormatError with a message of its own, and so is a decimal whose
 exact value ``to_json`` could not write ("1e5000"). Digits are ASCII only.
 
-A utility row of plain JSON integers is read in one step through a table
-local to one parse, so a document holds one Fraction per distinct whole
-value; any other row is read value by value, and the path naming a value is
-built only for an error or a warning.
+Decoding is this module's only job on input. A utility row of plain JSON
+integers is kept as it is; any other row is decoded value by value, a JSON
+integer staying an integer and a string or decimal becoming a Fraction. The
+rows then go to ``model.decision_instance`` or ``model.goods_instance``,
+which build the instance, its integer view and its check. No error text or
+path naming a value is built unless the value is refused or warned about.
 
 ``to_json`` output is canonical (sorted keys, fixed indentation), so
 emit-parse-emit is byte stable and parse(emit(x)) == x for every model value.
@@ -30,14 +32,14 @@ from .audit import AuditReport
 from .errors import InstanceFormatError
 from .model import (
     Allocation,
-    DecisionInstance,
     GoodsInstance,
     Instance,
-    Issue,
     MechanismResult,
     Outcome,
     TooManyDigits,
+    decision_instance,
     exact_value,
+    goods_instance,
 )
 from .private_goods import TransferTrace
 
@@ -59,15 +61,13 @@ def _at(path: str, index: tuple[int, ...]) -> str:
     return path + "".join(f"[{k}]" for k in index)
 
 
-def _decode_rational(value, allow_decimal: bool, path: str, *index: int) -> Fraction:
-    """Read one rational. Errors and warnings name it as ``path`` followed by
-    ``[k]`` for each ``k`` in ``index``, a string built only for them."""
+def _decode_rational(value, allow_decimal: bool, path: str, *index: int):
+    """Read one rational: an int stays an int, any other value becomes a
+    Fraction. Errors and warnings name it as ``path`` followed by ``[k]`` for
+    each ``k`` in ``index``, a string built only for them."""
     if isinstance(value, bool):
         raise InstanceFormatError(f"{_at(path, index)}: booleans are not numbers")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        # produced by the float hook, which only fires under allow_decimal
+    if isinstance(value, (int, Fraction)):  # a Fraction comes from the float hook
         return value
     if isinstance(value, str):
         if _INT_RE.fullmatch(value) or _RATIO_RE.fullmatch(value):
@@ -146,79 +146,58 @@ def _loads(text: str | bytes, allow_decimal: bool):
         raise InstanceFormatError("malformed JSON: nested too deeply") from exc
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InstanceFormatError(message)
-
-
 def _string_list(value, path: str) -> tuple[str, ...]:
-    _require(
-        isinstance(value, list) and all(isinstance(s, str) for s in value),
-        f"{path}: expected a list of strings",
-    )
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise InstanceFormatError(f"{path}: expected a list of strings")
     return tuple(value)
 
 
-class _WholeValues(dict):
-    """Each JSON int met in one document, mapped to one shared Fraction."""
-
-    def __missing__(self, value: int) -> Fraction:
-        self[value] = result = Fraction(value)
-        return result
-
-
-def _matrix(
-    rows: list, path: str, allow_decimal: bool, whole: _WholeValues
-) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of the utility matrix at ``path``, each a list of rationals."""
-    matrix = []
+def _matrix(rows, path: str, expected: str, allow_decimal: bool) -> list[list]:
+    """The utility matrix at ``path``, ``expected`` to be a list of lists; a
+    row of plain JSON ints is kept, any other is decoded value by value."""
+    if not isinstance(rows, list):
+        raise InstanceFormatError(f"{path}: expected {expected}")
     for i, row in enumerate(rows):
-        _require(isinstance(row, list), f"{path}[{i}]: expected a list")
-        if all(type(v) is int for v in row):  # bool is not int here
-            matrix.append(tuple(map(whole.__getitem__, row)))
-        else:
-            matrix.append(
-                tuple(
-                    _decode_rational(v, allow_decimal, path, i, a)
-                    for a, v in enumerate(row)
-                )
-            )
-    return tuple(matrix)
+        if not isinstance(row, list):
+            raise InstanceFormatError(f"{path}[{i}]: expected a list")
+        if not {*map(type, row)} <= {int}:  # bool is not int here
+            rows[i] = [
+                _decode_rational(v, allow_decimal, path, i, a)
+                for a, v in enumerate(row)
+            ]
+    return rows
 
 
 def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
     """Read an instance document; raises InstanceFormatError on any defect,
     including the structural ones an instance reports when it is built."""
     data = _loads(text, allow_decimal)
-    _require(isinstance(data, dict), "top level must be an object")
+    if not isinstance(data, dict):
+        raise InstanceFormatError("top level must be an object")
     kind = data.get("kind")
+    if kind not in ("public", "goods"):
+        raise InstanceFormatError('kind must be "public" or "goods"')
+    players = _string_list(data.get("players"), "players")
     if kind == "goods":
-        players = _string_list(data.get("players"), "players")
         goods = _string_list(data.get("goods"), "goods")
         rows = data.get("utilities")
-        _require(isinstance(rows, list), "utilities: expected a list of rows")
-        matrix = _matrix(rows, "utilities", allow_decimal, _WholeValues())
-        return GoodsInstance(utilities=matrix, players=players, goods=goods)
-    if kind == "public":
-        players = _string_list(data.get("players"), "players")
-        raw_issues = data.get("issues")
-        _require(isinstance(raw_issues, list), "issues: expected a list")
-        issues = []
-        whole = _WholeValues()
-        for t, raw in enumerate(raw_issues):
-            _require(isinstance(raw, dict), f"issues[{t}]: expected an object")
-            name = raw.get("name")
-            _require(isinstance(name, str), f"issues[{t}].name: expected a string")
-            alternatives = _string_list(
-                raw.get("alternatives"), f"issues[{t}].alternatives"
-            )
-            path = f"issues[{t}].utilities"
-            rows = raw.get("utilities")
-            _require(isinstance(rows, list), f"{path}: expected a list")
-            matrix = _matrix(rows, path, allow_decimal, whole)
-            issues.append(Issue(utilities=matrix, name=name, alternatives=alternatives))
-        return DecisionInstance(issues=tuple(issues), players=players)
-    raise InstanceFormatError('kind must be "public" or "goods"')
+        matrix = _matrix(rows, "utilities", "a list of rows", allow_decimal)
+        return goods_instance(matrix, players, goods)
+    issues = data.get("issues")
+    if not isinstance(issues, list):
+        raise InstanceFormatError("issues: expected a list")
+    utilities, names, alternatives = [], [], []
+    for t, issue in enumerate(issues):
+        if not isinstance(issue, dict):
+            raise InstanceFormatError(f"issues[{t}]: expected an object")
+        names.append(issue.get("name"))
+        if not isinstance(names[-1], str):
+            raise InstanceFormatError(f"issues[{t}].name: expected a string")
+        labels = issue.get("alternatives")
+        alternatives.append(_string_list(labels, f"issues[{t}].alternatives"))
+        rows, path = issue.get("utilities"), f"issues[{t}].utilities"
+        utilities.append(_matrix(rows, path, "a list", allow_decimal))
+    return decision_instance(utilities, players, names, alternatives)
 
 
 @dataclass(frozen=True)
@@ -229,38 +208,37 @@ class ParsedResult:
     allocation: Allocation | None
 
 
+def _integers(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    )
+
+
 def parse_result(text: str | bytes) -> ParsedResult:
     data = _loads(text, allow_decimal=True)
-    _require(isinstance(data, dict), "top level must be an object")
+    if not isinstance(data, dict):
+        raise InstanceFormatError("top level must be an object")
     mechanism = data.get("mechanism")
-    _require(
-        mechanism is None or isinstance(mechanism, str),
-        "mechanism: expected a string",
-    )
+    if not (mechanism is None or isinstance(mechanism, str)):
+        raise InstanceFormatError("mechanism: expected a string")
     if "choices" in data:
         choices = data["choices"]
-        _require(
-            isinstance(choices, list)
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in choices),
-            "choices: expected a list of integers",
-        )
+        if not _integers(choices):
+            raise InstanceFormatError("choices: expected a list of integers")
         return ParsedResult(outcome=Outcome(choices=tuple(choices)), allocation=None)
     if "bundles" in data:
         bundles = data["bundles"]
-        _require(isinstance(bundles, list), "bundles: expected a list of lists")
+        if not isinstance(bundles, list):
+            raise InstanceFormatError("bundles: expected a list of lists")
         seen: set[int] = set()
         parsed = []
         for i, bundle in enumerate(bundles):
-            _require(
-                isinstance(bundle, list)
-                and all(isinstance(g, int) and not isinstance(g, bool) for g in bundle),
-                f"bundles[{i}]: expected a list of integers",
-            )
+            if not _integers(bundle):
+                raise InstanceFormatError(f"bundles[{i}]: expected a list of integers")
             duplicates = seen & set(bundle)
-            _require(
-                not duplicates and len(set(bundle)) == len(bundle),
-                f"bundles[{i}]: goods allocated twice: {sorted(duplicates) or bundle}",
-            )
+            if duplicates or len(set(bundle)) != len(bundle):
+                message = f"goods allocated twice: {sorted(duplicates) or bundle}"
+                raise InstanceFormatError(f"bundles[{i}]: {message}")
             seen |= set(bundle)
             parsed.append(frozenset(bundle))
         return ParsedResult(outcome=None, allocation=Allocation(bundles=tuple(parsed)))

@@ -10,12 +10,16 @@ An instance checks itself when built and raises InstanceFormatError with
 every structural defect, so no negative, ragged or empty instance exists.
 
 Every per-player quantity is unchanged when one player's utilities are scaled
-by a positive constant, so each instance carries one integer view, computed
-once on first use: ``scales[i]``, the lcm of player i's denominators;
-``scaled[t][i]``, her utilities on issue t times it; ``maxima[i][t]``, her best
-scaled utility on issue t; and ``ranking[i]``, her issues by those maxima,
-largest first, ties low. Readers add and compare these integers and divide by
-``scales[i]`` once per result.
+by a positive constant, so each instance carries one integer view:
+``scales[i]``, the lcm of player i's denominators; ``scaled[t][i]``, her
+utilities on issue t times it; ``maxima[i][t]``, her best scaled utility on
+issue t; and ``ranking[i]``, her issues by those maxima, largest first, ties
+low. Readers add and compare these integers and divide by ``scales[i]`` once
+per result. The factories read the view as they convert the values: a row of
+plain ints is its own scaled row when its player's scale is 1, and only the
+other rows are read back from their Fractions. An instance built bare derives
+the view from its Fractions. Either way the check when built reads the signs
+off the integer rows.
 
 Allocating private goods is the special case with one issue per good and one
 alternative per player: the alternative that hands good g to player i gives
@@ -40,14 +44,19 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InstanceFormatError
 
 RationalLike = Union[Fraction, int, str]
 
-_EXPONENT_RE = re.compile(r"[eE]([+-]?[0-9]+(?:_[0-9]+)*)\s*$")
+# an integer, "p/q", or a decimal with an optional exponent, in ASCII digits:
+# what Fraction reads, less surrounding whitespace and underscores
+_NUMBER_RE = re.compile(
+    r"[+-]?(?:[0-9]+/[0-9]+|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE]([+-]?[0-9]+))?)"
+)
 
 
 class TooManyDigits(ValueError):
@@ -58,15 +67,15 @@ def exact_value(text: str) -> Fraction:
     """The exact value of an integer, "p/q" or decimal string. Raises
     TooManyDigits when its numerator or denominator has more digits than
     int-to-string conversion allows (sys.get_int_max_str_digits(), 0 for no
-    limit), and ValueError when ``text`` is no ASCII number Fraction reads."""
-    if not text.isascii():
-        raise ValueError(f"non-ASCII characters in {text!r}")
+    limit), and ValueError when ``text`` is none of those forms."""
+    number = _NUMBER_RE.fullmatch(text)
+    if number is None:
+        raise ValueError(f"not a number: {text!r}")
     limit = sys.get_int_max_str_digits()
-    exponent = _EXPONENT_RE.search(text)
-    if limit and exponent and abs(int(exponent[1])) > 3 * limit:
+    if limit and number[1] and abs(int(number[1])) > 3 * limit:
         # Fraction reads at most 2 * limit mantissa digits, so a non-zero value
         # needs more than ``limit`` digits here; do not build 10**exponent
-        mantissa = Fraction(text[: exponent.start()] + "e0")
+        mantissa = Fraction(text[: number.start(1)] + "0")
         if mantissa:
             raise TooManyDigits(text)
         return mantissa
@@ -90,9 +99,79 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _scale_to_int(values: Iterable[Fraction], scale: int) -> tuple[int, ...]:
-    """Each value times ``scale``, a multiple of every denominator, as an int."""
-    return tuple(v.numerator * (scale // v.denominator) for v in values)
+class _WholeValues(dict):
+    """Each int met in one build, mapped to one shared Fraction."""
+
+    def __missing__(self, value: int) -> Fraction:
+        self[value] = result = Fraction(value)
+        return result
+
+
+def _read_rows(matrix: Iterable[Iterable[RationalLike]], whole: _WholeValues):
+    """The rows of one utility matrix as Fractions, and each row's ints when it
+    holds only ints (bool is not int here), else None."""
+    matrix = [*map(tuple, matrix)]
+    ints = [row if {*map(type, row)} <= {int} else None for row in matrix]
+    return tuple(
+        tuple(map(as_fraction if whole_row is None else whole.__getitem__, row))
+        for row, whole_row in zip(matrix, ints)
+    ), ints
+
+
+def _scaled_rows(rows_by_player, ints_by_player=None) -> tuple[tuple[int, ...], list]:
+    """Each player's scale, the lcm of her denominators, and her rows times it.
+    A row read from ints (held in her ints, else None, as for every row by
+    default) has no denominator and is its own scaled row at scale 1: none of
+    its Fractions is read back."""
+    scales, scaled = [], []
+    for rows, ints in zip(rows_by_player, ints_by_player or repeat(repeat(None))):
+        read = [row for row, whole in zip(rows, ints) if whole is None]
+        scale = lcm(*(v.denominator for row in read for v in row))
+        scales.append(scale)
+        scaled.append(
+            tuple(
+                tuple(v.numerator * (scale // v.denominator) for v in row)
+                if whole is None
+                else whole if scale == 1 else tuple(map(scale.__mul__, whole))
+                for row, whole in zip(rows, ints)
+            )
+        )
+    return tuple(scales), scaled
+
+
+def _public_view(issues: Sequence[Issue], n: int, ints=None) -> dict:
+    """``scales`` and ``scaled`` of ``issues`` for ``n`` players, or none when
+    an issue lacks a row for some player; ``ints[t][i]`` holds the ints that
+    row i of issue t was read from, or None, as for every row by default."""
+    if not n or any(len(issue.utilities) != n for issue in issues):
+        return {}
+    by_player = zip(*(issue.utilities for issue in issues))
+    scales, rows = _scaled_rows(by_player, ints and zip(*ints))
+    return {"scales": scales, "scaled": tuple(zip(*rows))}
+
+
+def _goods_view(rows: Sequence[Sequence[Fraction]], ints=None) -> dict:
+    """``scales`` and ``maxima`` of a goods matrix, ``ints`` as in _public_view."""
+    scales, maxima = _scaled_rows(zip(rows), ints and zip(ints))
+    return {"scales": scales, "maxima": tuple(row for row, in maxima)}
+
+
+def _diagonal(rows, zero) -> tuple:
+    """The goods embedding of ``rows``, one per player: for each good g, row i
+    holds rows[i][g] at alternative i (g goes to i) and ``zero`` elsewhere."""
+    zeros = (zero,) * len(rows)
+    return tuple(
+        tuple(zeros[:i] + (value,) + zeros[i + 1 :] for i, value in enumerate(column))
+        for column in zip(*rows)
+    )
+
+
+def _built(cls, view: dict, **fields):
+    """``cls(**fields)`` holding ``view``, the integer view read off its values."""
+    instance = cls.__new__(cls)
+    vars(instance).update(view)
+    instance.__init__(**fields)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -122,11 +201,18 @@ class Issue:
 
 
 class _Instance:
-    """What both instance kinds share: the check when built, ``n`` and
-    ``ranking``, read off the kind's ``players`` and ``maxima``."""
+    """What both instance kinds share: the integer view and the check when
+    built, ``n`` and ``ranking``. A public instance holds ``scales`` and
+    ``scaled`` from then on, a goods one ``scales`` and ``maxima``."""
 
     def __post_init__(self) -> None:
-        violations = _violations(self)
+        if "scales" not in vars(self):  # built bare: read every row's Fractions
+            vars(self).update(
+                _goods_view(self.utilities)
+                if isinstance(self, GoodsInstance)
+                else _public_view(self.issues, self.n)
+            )
+        violations = list(_violations(self))
         if violations:
             raise InstanceFormatError(
                 "; ".join(f"{v.path}: {v.message}" for v in violations), violations
@@ -161,22 +247,6 @@ class DecisionInstance(_Instance):
         return self.issues[issue].utilities[player][alternative]
 
     @cached_property
-    def scales(self) -> tuple[int, ...]:
-        """scales[i]: the lcm of player i's utility denominators."""
-        return tuple(
-            lcm(*(v.denominator for issue in self.issues for v in issue.utilities[i]))
-            for i in range(self.n)
-        )
-
-    @cached_property
-    def scaled(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """scaled[t][i]: player i's utilities on issue t times scales[i]."""
-        return tuple(
-            tuple(map(_scale_to_int, issue.utilities, self.scales))
-            for issue in self.issues
-        )
-
-    @cached_property
     def maxima(self) -> tuple[tuple[int, ...], ...]:
         """maxima[i][t]: player i's best scaled utility on issue t."""
         return tuple(
@@ -200,27 +270,10 @@ class GoodsInstance(_Instance):
         return self.utilities[player][good]
 
     @cached_property
-    def scales(self) -> tuple[int, ...]:
-        """scales[i]: the lcm of player i's utility denominators."""
-        return tuple(lcm(*(v.denominator for v in row)) for row in self.utilities)
-
-    @cached_property
-    def maxima(self) -> tuple[tuple[int, ...], ...]:
-        """maxima[i][g]: player i's value for good g times scales[i]."""
-        return tuple(map(_scale_to_int, self.utilities, self.scales))
-
-    @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """scaled[g][i]: the embedding's view of good g for player i, maxima[i][g]
         at alternative i (the good goes to her) and 0 at every other one."""
-        zeros = (0,) * self.n
-        return tuple(
-            tuple(
-                zeros[:i] + (row[g],) + zeros[i + 1 :]
-                for i, row in enumerate(self.maxima)
-            )
-            for g in range(self.m)
-        )
+        return _diagonal(self.maxima, 0)
 
 
 Instance = DecisionInstance | GoodsInstance
@@ -273,7 +326,9 @@ class MechanismResult:
     normalization: tuple[Fraction | None, ...] | None = None
 
 
-def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
+def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, ...]:
+    if given is not None:
+        return tuple(given)
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
@@ -288,20 +343,18 @@ def decision_instance(
     ``utilities[t][i][a]`` is player i's utility for alternative a of issue t.
     Labels default to p1.., issue1.., a1.. when omitted.
     """
-    n = len(utilities[0]) if utilities else 0
-    player_labels = tuple(players) if players is not None else _default_labels("p", n)
-    issues = []
+    players = _labels(players, "p", len(utilities[0]) if utilities else 0)
+    names = _labels(issue_names, "issue", len(utilities))
+    whole = _WholeValues()
+    issues, ints = [], []
     for t, matrix in enumerate(utilities):
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in matrix)
-        k = len(rows[0]) if rows else 0
-        name = issue_names[t] if issue_names is not None else f"issue{t + 1}"
-        alts = (
-            tuple(alternative_names[t])
-            if alternative_names is not None
-            else _default_labels("a", k)
-        )
-        issues.append(Issue(utilities=rows, name=name, alternatives=alts))
-    return DecisionInstance(issues=tuple(issues), players=player_labels)
+        rows, whole_rows = _read_rows(matrix, whole)
+        alternatives = None if alternative_names is None else alternative_names[t]
+        alternatives = _labels(alternatives, "a", len(rows[0]) if rows else 0)
+        issues.append(Issue(utilities=rows, name=names[t], alternatives=alternatives))
+        ints.append(whole_rows)
+    view = _public_view(issues, len(players), ints)
+    return _built(DecisionInstance, view, issues=tuple(issues), players=players)
 
 
 def goods_instance(
@@ -310,82 +363,64 @@ def goods_instance(
     goods: Sequence[str] | None = None,
 ) -> GoodsInstance:
     """Build a GoodsInstance from an n-by-m utility matrix (rows = players)."""
-    rows = tuple(tuple(as_fraction(v) for v in row) for row in utilities)
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    player_labels = tuple(players) if players is not None else _default_labels("p", n)
-    good_labels = tuple(goods) if goods is not None else _default_labels("g", m)
-    return GoodsInstance(utilities=rows, players=player_labels, goods=good_labels)
+    rows, ints = _read_rows(utilities, _WholeValues())
+    players = _labels(players, "p", len(rows))
+    goods = _labels(goods, "g", len(rows[0]) if rows else 0)
+    view = _goods_view(rows, ints)
+    return _built(GoodsInstance, view, utilities=rows, players=players, goods=goods)
 
 
 def allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
     return Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
-def _row_violations(
-    path: str, rows: Sequence[Sequence[Fraction]], width: int
-) -> list[Violation]:
-    """Width and sign defects of the rows of one utility matrix at ``path``."""
-    violations = []
-    for i, row in enumerate(rows):
+def _row_violations(path: str, rows, signs, width: int) -> Iterator[Violation]:
+    """Width and sign defects of the rows of one utility matrix at ``path``;
+    ``signs[i]`` holds integers with the signs of ``rows[i]``."""
+    for i, (row, ints) in enumerate(zip(rows, signs)):
         if len(row) != width:
-            violations.append(
-                Violation(f"{path}[{i}]", f"expected {width} entries, got {len(row)}")
-            )
-        violations.extend(
-            Violation(f"{path}[{i}][{a}]", f"negative utility {value}")
-            for a, value in enumerate(row)
-            if value.numerator < 0
-        )
-    return violations
+            yield Violation(f"{path}[{i}]", f"expected {width} entries, got {len(row)}")
+        if min(ints, default=0) < 0:
+            for a, v in enumerate(ints):
+                if v < 0:
+                    yield Violation(f"{path}[{i}][{a}]", f"negative utility {row[a]}")
 
 
-def _violations(instance: Instance) -> list[Violation]:
-    """Structural defects; an empty list means the instance is well formed.
+def _violations(instance: Instance) -> Iterator[Violation]:
+    """Structural defects; none means the instance is well formed.
 
     Checks: n >= 1, m >= 1, every issue has k_t >= 1, every utility matrix has
     exactly n rows of consistent width, and every utility is non-negative.
     """
-    violations: list[Violation] = []
     n = instance.n
     if n < 1:
-        violations.append(Violation("players", "at least one player is required"))
+        yield Violation("players", "at least one player is required")
     if isinstance(instance, GoodsInstance):
+        rows = instance.utilities
         if instance.m < 1:
-            violations.append(Violation("goods", "at least one good is required"))
-        if len(instance.utilities) != n:
-            violations.append(
-                Violation(
-                    "utilities",
-                    f"expected {n} utility rows (one per player), got {len(instance.utilities)}",
-                )
-            )
-        return violations + _row_violations("utilities", instance.utilities, instance.m)
-
+            yield Violation("goods", "at least one good is required")
+        if len(rows) != n:
+            message = f"expected {n} utility rows (one per player), got {len(rows)}"
+            yield Violation("utilities", message)
+        yield from _row_violations("utilities", rows, instance.maxima, instance.m)
+        return
     if instance.m < 1:
-        violations.append(Violation("issues", "at least one issue is required"))
+        yield Violation("issues", "at least one issue is required")
+    signs = getattr(instance, "scaled", None) or [  # no view: the numerators
+        [[v.numerator for v in row] for row in issue.utilities]
+        for issue in instance.issues
+    ]
     for t, issue in enumerate(instance.issues):
-        k = issue.k
+        k, rows, labels = issue.k, issue.utilities, issue.alternatives
         if k < 1:
-            violations.append(
-                Violation(f"issues[{t}]", "an issue needs at least one alternative")
-            )
-        if len(issue.utilities) != n:
-            violations.append(
-                Violation(
-                    f"issues[{t}].utilities",
-                    f"expected {n} rows (one per player), got {len(issue.utilities)}",
-                )
-            )
-        if len(issue.alternatives) != k:
-            violations.append(
-                Violation(
-                    f"issues[{t}].alternatives",
-                    f"expected {k} alternative labels, got {len(issue.alternatives)}",
-                )
-            )
-        violations += _row_violations(f"issues[{t}].utilities", issue.utilities, k)
-    return violations
+            yield Violation(f"issues[{t}]", "an issue needs at least one alternative")
+        if len(rows) != n:
+            message = f"expected {n} rows (one per player), got {len(rows)}"
+            yield Violation(f"issues[{t}].utilities", message)
+        if len(labels) != k:
+            message = f"expected {k} alternative labels, got {len(labels)}"
+            yield Violation(f"issues[{t}].alternatives", message)
+        yield from _row_violations(f"issues[{t}].utilities", rows, signs[t], k)
 
 
 def goods_to_public(goods: GoodsInstance) -> DecisionInstance:
@@ -395,20 +430,10 @@ def goods_to_public(goods: GoodsInstance) -> DecisionInstance:
     utility u_i(g_t) to player i and zero to everyone else. Outcomes of the
     image correspond bijectively to allocations with identical utilities.
     """
-    issues = []
-    zero = Fraction(0)  # one object for all n(n-1)m off-diagonal cells
-    for g in range(goods.m):
-        rows = tuple(
-            tuple(
-                goods.utilities[i][g] if i == j else zero
-                for j in range(goods.n)
-            )
-            for i in range(goods.n)
-        )
-        issues.append(
-            Issue(utilities=rows, name=goods.goods[g], alternatives=goods.players)
-        )
-    return DecisionInstance(issues=tuple(issues), players=goods.players)
+    diagonal = _diagonal(goods.utilities, Fraction(0))  # one zero for n(n-1)m cells
+    issues = tuple(map(Issue, diagonal, goods.goods, repeat(goods.players)))
+    view = {"scales": goods.scales, "scaled": goods.scaled}  # the goods' own view
+    return _built(DecisionInstance, view, issues=issues, players=goods.players)
 
 
 def outcome_to_allocation(goods: GoodsInstance, outcome: Outcome) -> Allocation:

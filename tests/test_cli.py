@@ -439,6 +439,22 @@ def test_gen_reads_delta_like_a_document_value(capsys, tmp_path, delta):
     assert err.startswith("error: --delta: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", [" 7 ", "1_0", "1_0/3", "\t5\n"])
+def test_whitespace_and_underscores_exit_two_with_one_line(capsys, tmp_path, value):
+    path = tmp_path / "spaced.json"
+    path.write_text(
+        '{"kind": "goods", "players": ["a"], "goods": ["g", "h"], '
+        f'"utilities": [[1, {json.dumps(value)}]]}}'
+    )
+    argv = ["solve", "--mechanism", "round-robin", "--input", str(path)]
+    expected = f"error: utilities[0][1]: cannot read {value!r} as a number\n"
+    assert run(capsys, argv + ["--allow-decimal"]) == (2, "", expected)
+    out = tmp_path / "f.json"
+    argv = ["gen", "--family", "theorem6_upper", "--delta", value, "--out", str(out)]
+    expected = f"error: --delta: cannot read {value!r} as a number\n"
+    assert run(capsys, argv) == (2, "", expected) and not out.exists()
+
+
 def test_gen_delta_forms_of_one_value_write_the_same_bytes(capsys):
     outputs = {
         run(capsys, ["gen", "--family", "theorem6_upper", *flags])

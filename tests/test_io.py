@@ -1,6 +1,7 @@
 """JSON round trips, canonical rationals, and text rendering."""
 
 import json
+import math
 import random
 import re
 import warnings
@@ -107,7 +108,7 @@ def one_value_goods(value_json: str) -> str:
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from(["0", "1", "25", "-0", "3.5", "0.125", "1_0"]),
+    st.sampled_from(["0", "1", "25", "-0", "3.5", "0.125", "2.50"]),
     st.one_of(
         st.integers(-13500, 13500),
         st.sampled_from([4299, 4300, -4299, -4300, -4301, 12900, 12901, -12901]),
@@ -149,6 +150,17 @@ def test_only_ascii_digits_are_numbers(value, allow_decimal):
             one_value_goods(json.dumps(value)), allow_decimal=allow_decimal
         )
     assert str(info.value).startswith("utilities[0][0]: ")
+
+
+@pytest.mark.parametrize("value", [" 7 ", "1_0", "1_0/3", "\t5\n"])
+def test_whitespace_and_underscores_are_not_numbers(value):
+    """The decimal reader takes what a strict document takes, plus decimals
+    with an optional exponent; Fraction's extra spellings are refused."""
+    with pytest.raises(fd.InstanceFormatError) as info:
+        io.parse_instance(one_value_goods(json.dumps(value)), allow_decimal=True)
+    assert str(info.value) == f"utilities[0][0]: cannot read {value!r} as a number"
+    with pytest.raises(ValueError):
+        fd.as_fraction(value)
 
 
 def test_zero_denominators_and_booleans_are_format_errors():
@@ -304,6 +316,113 @@ def test_int_rows_read_like_any_other_row(issues):
         )
 
 
+@st.composite
+def value_rows(draw, k, allow_decimal):
+    """One utility row of ``k`` values as a document holds it: all JSON ints
+    (all zero at times), canonical "p/q" strings (whole values among them
+    become ints), or, under ``allow_decimal``, decimal strings and float
+    literals mixed with ints."""
+    kinds = ["whole", "zeros", "ratio"] + ["decimal"] * allow_decimal
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zeros":
+        return [0] * k
+    if kind == "whole":
+        return draw(st.lists(st.integers(0, 9), min_size=k, max_size=k))
+    if kind == "ratio":
+        values = st.fractions(0, 9, max_denominator=12).map(io.encode_rational)
+        return draw(st.lists(values, min_size=k, max_size=k))
+    cents = st.integers(0, 999)
+    values = st.one_of(
+        st.integers(0, 9),
+        cents.map(lambda c: f"{c // 100}.{c % 100:02d}"),
+        cents.map(lambda c: c / 8),  # a float literal with an exact decimal
+    )
+    return draw(st.lists(values, min_size=k, max_size=k))
+
+
+@st.composite
+def instance_documents(draw):
+    """A public or goods document, valid, where a player may have rows of
+    both kinds across issues; and whether it is read with allow_decimal."""
+    allow_decimal = draw(st.booleans())
+    n = draw(st.integers(1, 3))
+    players = [f"p{i}" for i in range(n)]
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 5))
+        rows = [draw(value_rows(m, allow_decimal)) for _ in range(n)]
+        goods = [f"g{g}" for g in range(m)]
+        doc = {"kind": "goods", "players": players, "goods": goods, "utilities": rows}
+        return doc, allow_decimal
+    issues = []
+    for t in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 3))
+        rows = [draw(value_rows(k, allow_decimal)) for _ in range(n)]
+        labels = [f"a{a}" for a in range(k)]
+        issues.append({"name": f"t{t}", "alternatives": labels, "utilities": rows})
+    return {"kind": "public", "players": players, "issues": issues}, allow_decimal
+
+
+def _fractions(matrix):
+    return tuple(
+        tuple(Fraction(json.dumps(v) if type(v) is float else v) for v in row)
+        for row in matrix
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_documents())
+def test_parsing_builds_the_instance_and_view_of_its_fractions(case):
+    """The parse route, with its whole-row shortcut, builds the instance the
+    decoded Fractions build bare, and the integer view computed here from
+    those Fractions: the lcm of a player's denominators, then each value's
+    numerator times scale // denominator."""
+    doc, allow_decimal = case
+    parsed = io.parse_instance(json.dumps(doc), allow_decimal=allow_decimal)
+    players = tuple(doc["players"])
+    if doc["kind"] == "goods":
+        matrices = [_fractions(doc["utilities"])]
+        bare = fd.GoodsInstance(matrices[0], players, tuple(doc["goods"]))
+    else:
+        matrices = [_fractions(issue["utilities"]) for issue in doc["issues"]]
+        bare = fd.DecisionInstance(
+            issues=tuple(
+                fd.Issue(rows, issue["name"], tuple(issue["alternatives"]))
+                for rows, issue in zip(matrices, doc["issues"])
+            ),
+            players=players,
+        )
+    assert parsed == bare
+    n = len(players)
+    scales = tuple(
+        math.lcm(*(v.denominator for rows in matrices for v in rows[i]))
+        for i in range(n)
+    )
+    scaled = tuple(
+        tuple(
+            tuple(v.numerator * (scales[i] // v.denominator) for v in rows[i])
+            for i in range(n)
+        )
+        for rows in matrices
+    )
+    if doc["kind"] == "goods":
+        maxima = scaled[0]
+        zeros = (0,) * n
+        scaled = tuple(
+            tuple(zeros[:i] + (maxima[i][g],) + zeros[i + 1 :] for i in range(n))
+            for g in range(len(doc["goods"]))
+        )
+    else:
+        maxima = tuple(tuple(max(rows[i]) for rows in scaled) for i in range(n))
+    ranking = tuple(
+        tuple(sorted(range(len(row)), key=lambda t: -row[t])) for row in maxima
+    )
+    for instance in (parsed, bare):
+        assert instance.scales == scales
+        assert instance.scaled == scaled
+        assert instance.maxima == maxima
+        assert instance.ranking == ranking
+
+
 def test_a_boolean_in_an_int_row_is_still_refused_at_its_place():
     doc = {"kind": "goods", "players": ["a"], "goods": ["g", "h", "i"]}
     for row, place in (([1, True, 3], 1), ([0, 2, False], 2)):
@@ -324,6 +443,112 @@ def test_each_whole_value_is_one_fraction_per_document():
     again = io.parse_instance(text)
     # the table lives for one parse only: a second parse builds its own values
     assert again.issues[0].utilities[0][0] is not parsed.issues[0].utilities[0][0]
+
+
+DEFECTIVE_PUBLIC = {
+    "kind": "public",
+    "players": ["a", "b"],
+    "issues": [
+        {"name": "t1", "alternatives": ["x", "y"], "utilities": [[1, -2], [0, -3]]},
+        {
+            "name": "t2",
+            "alternatives": ["x", "y"],
+            "utilities": [["1/2", "-1/3"], ["-5/7", 1]],
+        },
+        {"name": "t3", "alternatives": ["x", "y"], "utilities": [[1, 2], [-3]]},
+        {"name": "t4", "alternatives": ["x", "y"], "utilities": [[-1, 2]]},
+    ],
+}
+DEFECTIVE_GOODS = {
+    "kind": "goods",
+    "players": ["a", "b", "c", "d", "e"],
+    "goods": ["g", "h"],
+    "utilities": [[1, -2], ["-1/2", "1/3"], [-4], [0, -7]],
+}
+PUBLIC_DEFECTS = [
+    ("issues[0].utilities[0][1]", "negative utility -2"),
+    ("issues[0].utilities[1][1]", "negative utility -3"),
+    ("issues[1].utilities[0][1]", "negative utility -1/3"),
+    ("issues[1].utilities[1][0]", "negative utility -5/7"),
+    ("issues[2].utilities[1]", "expected 2 entries, got 1"),
+    ("issues[2].utilities[1][0]", "negative utility -3"),
+]
+GOODS_DEFECTS = [
+    ("utilities[0][1]", "negative utility -2"),
+    ("utilities[1][0]", "negative utility -1/2"),
+    ("utilities[2]", "expected 2 entries, got 1"),
+    ("utilities[2][0]", "negative utility -4"),
+    ("utilities[3][1]", "negative utility -7"),
+]
+# (document, its defects); the second of each kind has the right row count,
+# so its signs are read off the integer view rather than the numerators
+DEFECTIVE = {
+    "public": (
+        DEFECTIVE_PUBLIC,
+        PUBLIC_DEFECTS
+        + [
+            ("issues[3].utilities", "expected 2 rows (one per player), got 1"),
+            ("issues[3].utilities[0][0]", "negative utility -1"),
+        ],
+    ),
+    "public-rows-match": (
+        {**DEFECTIVE_PUBLIC, "issues": DEFECTIVE_PUBLIC["issues"][:3]},
+        PUBLIC_DEFECTS,
+    ),
+    "goods": (
+        DEFECTIVE_GOODS,
+        [("utilities", "expected 5 utility rows (one per player), got 4")]
+        + GOODS_DEFECTS,
+    ),
+    "goods-rows-match": (
+        {**DEFECTIVE_GOODS, "players": DEFECTIVE_GOODS["players"][:4]},
+        GOODS_DEFECTS,
+    ),
+}
+
+
+def _bare(doc):
+    """The document's instance built by its dataclass, values as Fractions."""
+    def rows(matrix):
+        return tuple(tuple(map(Fraction, row)) for row in matrix)
+
+    if doc["kind"] == "goods":
+        return fd.GoodsInstance(
+            rows(doc["utilities"]), tuple(doc["players"]), tuple(doc["goods"])
+        )
+    issues = tuple(
+        fd.Issue(rows(issue["utilities"]), issue["name"], tuple(issue["alternatives"]))
+        for issue in doc["issues"]
+    )
+    return fd.DecisionInstance(issues=issues, players=tuple(doc["players"]))
+
+
+def _factory(doc):
+    if doc["kind"] == "goods":
+        return fd.goods_instance(doc["utilities"], doc["players"], doc["goods"])
+    return fd.decision_instance(
+        [issue["utilities"] for issue in doc["issues"]],
+        doc["players"],
+        [issue["name"] for issue in doc["issues"]],
+        [issue["alternatives"] for issue in doc["issues"]],
+    )
+
+
+@pytest.mark.parametrize("doc, defects", DEFECTIVE.values(), ids=DEFECTIVE.keys())
+def test_defect_texts_are_the_same_on_every_route(doc, defects):
+    """Negative int and "p/q" cells, a ragged row and a wrong row count give
+    the texts and violations pinned here whether the instance is parsed,
+    built by its factory or built bare."""
+    routes = (
+        lambda: io.parse_instance(json.dumps(doc)),
+        lambda: _factory(doc),
+        lambda: _bare(doc),
+    )
+    for build in routes:
+        with pytest.raises(fd.InstanceFormatError) as info:
+            build()
+        assert [(v.path, v.message) for v in info.value.violations] == defects
+        assert str(info.value) == "; ".join(f"{path}: {text}" for path, text in defects)
 
 
 def test_parse_result_infers_the_kind():
