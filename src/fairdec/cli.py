@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--mms-cap",
             type=int,
             default=DEFAULT_MMS_CAP,
-            help="partition enumeration cap for MMS",
+            help="refuse MMS when the issues have more partitions than this",
         )
 
     solve = sub.add_parser("solve", help="run a mechanism on an instance file")

@@ -105,7 +105,7 @@ def _decode_rational(value, allow_decimal: bool, path: str, *index: int):
                     f"{_at(path, index)}: too many digits in the exact value of "
                     f"a {len(value)}-character number"
                 )
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 raise InstanceFormatError(
                     f"{_at(path, index)}: cannot read {value!r} as a number"
                 )

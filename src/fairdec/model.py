@@ -67,7 +67,8 @@ def exact_value(text: str) -> Fraction:
     """The exact value of an integer, "p/q" or decimal string. Raises
     TooManyDigits when its numerator or denominator has more digits than
     int-to-string conversion allows (sys.get_int_max_str_digits(), 0 for no
-    limit), and ValueError when ``text`` is none of those forms."""
+    limit), and ValueError when ``text`` is none of those forms or a "p/q"
+    with q = 0."""
     number = _NUMBER_RE.fullmatch(text)
     if number is None:
         raise ValueError(f"not a number: {text!r}")
@@ -79,7 +80,10 @@ def exact_value(text: str) -> Fraction:
         if mantissa:
             raise TooManyDigits(text)
         return mantissa
-    result = Fraction(text)
+    try:
+        result = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     try:
         str(result)  # the conversion io.to_json makes
     except ValueError:

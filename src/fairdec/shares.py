@@ -13,7 +13,8 @@ p = floor(m / n):
   u^(m-p+1) + ... + u^(m)
 - maximin share: the best min-bundle value over all partitions of the issues
   into n bundles, where a bundle's value is the sum of its per-issue maxima
-  (0 when m < n, since some bundle must stay empty)
+  (0 when m < n, since some bundle must stay empty); found by an exact
+  branch and bound over the bundle sums, not by listing the partitions
 
 The chain Prop >= MMS >= RRS >= PPS holds for every player. Every share
 sums the player's scaled maxima (``model``'s integer view) in the order of
@@ -86,11 +87,15 @@ def _partitions_up_to(m: int, n: int) -> int:
 def maximin_share(
     instance: Instance, player: int, cap: int = DEFAULT_MMS_CAP
 ) -> Fraction:
-    """Brute-force maximin share over all partitions into n bundles.
+    """Exact maximin share: the best smallest bundle over all partitions of
+    the issues into n bundles.
 
-    Enumerates set partitions of the issues into at most n unlabeled blocks;
-    only partitions using exactly n blocks can beat zero. Raises CapExceeded
-    (with the exact partition count) when the space is larger than ``cap``.
+    A depth-first branch and bound deals the ranked maxima, largest first, to
+    n bundles. It starts from the greedy split, stops once a split reaches
+    the mean, cuts a branch whose bundles cannot all beat the best split even
+    if the rest were spread ideally, and tries one bundle per distinct sum.
+    Raises CapExceeded (with the exact number of partitions into at most n
+    blocks) when that number is larger than ``cap``, before any search.
     """
     return _share(instance, player, _mms, cap)
 
@@ -103,35 +108,45 @@ def _mms(values: list[int], n: int, cap: int) -> int:
     if space > cap:
         raise CapExceeded(space, cap, what="maximin-share partition enumeration")
 
-    # bundle value only depends on the multiset of maxima
-    best = 0
+    # rest[t]: the value of items t, t+1, ... still to place
+    rest = [0] * (m + 1)
+    for t in range(m - 1, -1, -1):
+        rest[t] = rest[t + 1] + values[t]
+    goal = rest[0] // n  # the smallest block never exceeds the mean
     sums = [0] * n
-    # Depth-first over restricted growth strings on an explicit stack: item t
-    # sits in block[t] (-1 before its first placement) and may go into any of
-    # the opened[t] blocks its predecessors opened, or open the next one.
+    for value in values:  # greedy (LPT) split: each item to the lowest block
+        sums[sums.index(min(sums))] += value
+    best = min(sums)
+    # Depth-first on an explicit stack: item t sits in block[t] (-1 while not
+    # placed) and todo[t] holds the blocks it has yet to try, one per distinct
+    # current sum (blocks of equal sum are interchangeable), lowest sum last.
+    sums = [0] * n
     block = [-1] * m
-    opened = [0] * (m + 1)
+    todo = [[0]] + [[] for _ in range(m - 1)]
     t = 0
-    while t >= 0:
-        if t == m:
-            if opened[m] == n:
-                worst = min(sums)
-                if worst > best:
-                    best = worst
-            t -= 1
-            continue
-        b = block[t]
-        if b >= 0:
-            sums[b] -= values[t]
-        b += 1
-        if b <= opened[t] and b < n:
-            sums[b] += values[t]
-            block[t] = b
-            opened[t + 1] = opened[t] if b < opened[t] else b + 1
-            t += 1
-        else:
+    while t >= 0 and best < goal:
+        if block[t] >= 0:
+            sums[block[t]] -= values[t]
+        if not todo[t]:
             block[t] = -1
             t -= 1
+            continue
+        b = block[t] = todo[t].pop()
+        sums[b] += values[t]
+        order = sorted(range(n), key=sums.__getitem__)
+        # water-filling: the k lowest blocks end no higher than their sum
+        # plus everything left, spread evenly over them
+        level = rest[t + 1]
+        for k, j in enumerate(order, 1):
+            level += sums[j]
+            if level // k <= best:
+                break
+        else:
+            if t + 1 == m:
+                best = sums[order[0]]
+            else:
+                t += 1
+                todo[t] = list({sums[j]: j for j in reversed(order)}.values())
     return best
 
 

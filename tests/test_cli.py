@@ -274,6 +274,22 @@ def test_cap_exhaustion_is_exit_three(capsys, contested_file):
     assert "cap" in err
 
 
+def test_mms_cap_counts_partitions_and_is_exit_three(capsys, contested_file):
+    """--mms-cap bounds the number of partitions (128 for 8 issues and two
+    players), not the work the search does."""
+    solve = ["solve", "--mechanism", "round-robin", "--input", contested_file]
+    solve += ["--with-audit", "--with-mms", "--mms-cap"]
+    code, out, err = run(capsys, solve + ["100"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: maximin-share partition enumeration needs 128 points but the "
+        "cap is 100; raise the cap to run this deliberately\n"
+    )
+    code, out, err = run(capsys, solve + ["128"])
+    assert (code, err) == (0, "")
+    assert all("mms" in player for player in json.loads(out)["audit"]["players"])
+
+
 def test_degenerate_instances_are_exit_four(capsys, goods_file, monkeypatch):
     import fairdec.cli as cli
 

@@ -25,6 +25,24 @@ def test_as_fraction_reads_strings_like_documents(text):
     assert fd.as_fraction("0.125") == Fraction(1, 8)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        fd.as_fraction,
+        lambda text: fd.goods_instance([[text]]),
+        lambda text: fd.decision_instance([[[text]]]),
+    ],
+    ids=["as_fraction", "goods_instance", "decision_instance"],
+)
+def test_zero_denominators_are_value_errors(build):
+    """A "p/q" with q = 0 is refused as a ValueError, like any other string
+    that is not a number, not with a bare ZeroDivisionError."""
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+        build("1/0")
+    with pytest.raises(ValueError, match=r"^not a number: 'x'$"):
+        build("x")
+
+
 def test_as_fraction_rejects_bools_and_floats():
     with pytest.raises(TypeError):
         fd.as_fraction(True)

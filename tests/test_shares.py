@@ -67,6 +67,34 @@ def test_maximin_share_respects_the_cap():
     assert fd.maximin_share(inst, 0, cap=128) == 4
 
 
+def test_maximin_share_searches_past_the_greedy_split():
+    # greedy deals 3, 3, 2, 2, 2 into 3+2+2 and 3+2, smallest 5; 3+3 and
+    # 2+2+2 reach 6, the mean
+    goods = fd.goods_instance([[3, 3, 2, 2, 2]] * 2)
+    assert fd.maximin_share(goods, 0) == 6
+
+
+def test_maximin_share_of_goods_one_to_twelve_and_four_players():
+    # 700,075 partitions into at most 4 blocks, under the default cap
+    goods = fd.goods_instance([list(range(1, 13))] * 4)
+    assert fd.maximin_share(goods, 0) == 19  # 78 // 4
+
+
+def test_maximin_share_of_two_players_and_twenty_goods():
+    """524,288 partitions, none reaching the mean: every value is even and
+    half the total is odd, so the search must prove its best split optimal.
+    A subset-sum table gives the same answer."""
+    values = [2 * (37 * t % 101 + 1) for t in range(19)] + [198]
+    total = sum(values)
+    assert total // 2 % 2 == 1
+    reachable = {0}
+    for value in values:
+        reachable |= {s + value for s in reachable}
+    best = max(min(s, total - s) for s in reachable)
+    assert best == total // 2 - 1
+    assert fd.maximin_share(fd.goods_instance([values] * 2), 0) == best
+
+
 def test_share_profile_skips_mms_by_default():
     profile = fd.share_profile(two_player_contest())
     assert profile.mms is None
@@ -144,26 +172,30 @@ def test_shares_ignore_player_order(inst, rng):
 
 def _mms_reference(values, n):
     """Exact rational reference: the best smallest bundle over every way of
-    handing the values to n labeled bundles."""
-    best = Fraction(0)
-    for owners in itertools.product(range(n), repeat=len(values)):
-        sums = [Fraction(0)] * n
-        for value, owner in zip(values, owners):
-            sums[owner] += value
-        best = max(best, min(sums))
-    return best
+    handing the values to n labeled bundles. The n**m ways are dealt item by
+    item, and ways that reach the same vector of Fraction sums are kept once."""
+    vectors = {(Fraction(0),) * n}
+    for value in values:
+        vectors = {
+            v[:j] + (v[j] + value,) + v[j + 1 :] for v in vectors for j in range(n)
+        }
+    return max(min(v) for v in vectors)
 
 
 @st.composite
-def fractional_goods_(draw, max_n=3, max_m=6):
-    """Integer values and fractions with pairwise coprime denominators."""
+def fractional_goods_(draw, max_n=4, max_m=7):
+    """Integer values and fractions with pairwise coprime denominators. Cells
+    are drawn either freely or from a palette of zero and up to three values,
+    so rows repeat values and hold many zeros, and bundles tie on their sums."""
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
     value = st.one_of(
         st.integers(0, 5),
         st.builds(Fraction, st.integers(0, 35), st.sampled_from([2, 3, 7])),
     )
-    return fd.goods_instance([[draw(value) for _ in range(m)] for _ in range(n)])
+    palette = [0] + draw(st.lists(value, max_size=3))
+    cell = st.one_of(st.sampled_from(palette), value)
+    return fd.goods_instance([[draw(cell) for _ in range(m)] for _ in range(n)])
 
 
 @settings(deadline=None)
@@ -172,3 +204,13 @@ def test_integer_maximin_share_matches_rational_enumeration(goods):
     """MMS summed over one common denominator equals plain Fraction sums."""
     for i in range(goods.n):
         assert fd.maximin_share(goods, i) == _mms_reference(goods.utilities[i], goods.n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_maximin_share_of_every_small_multiset(n):
+    """Every multiset of up to 7 values from 0..3: ties and zeros throughout,
+    and many lists on which the greedy split falls short."""
+    for m in range(1, 8):
+        for values in itertools.combinations_with_replacement(range(3, -1, -1), m):
+            goods = fd.goods_instance([list(values)] * n)
+            assert fd.maximin_share(goods, 0) == _mms_reference(values, n)
