@@ -59,15 +59,18 @@ def _order_arg(text: str) -> tuple[int, ...]:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}")
 
 
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise FairdecError(f"cannot write {out}: {exc}")
 
 
 def _load_instance(args) -> Instance:

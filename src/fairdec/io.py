@@ -9,12 +9,13 @@ the binary float). A number with more digits than ``int`` converts is an
 InstanceFormatError with a message of its own, and so is a decimal whose
 exact value ``to_json`` could not write ("1e5000"). Digits are ASCII only.
 
-Decoding is this module's only job on input. A utility row of plain JSON
-integers is kept as it is; any other row is decoded value by value, a JSON
-integer staying an integer and a string or decimal becoming a Fraction. The
-rows then go to ``model.decision_instance`` or ``model.goods_instance``,
-which build the instance, its integer view and its check. No error text or
-path naming a value is built unless the value is refused or warned about.
+Decoding is this module's only job on input. A utility matrix whose values
+are all plain JSON integers, found by one type set over them, is kept as it
+is; any other is decoded row by row, a JSON integer staying an integer and a
+string or decimal becoming a Fraction. ``model.decision_instance`` or
+``model.goods_instance``, told which it was, builds and checks the instance.
+No error text or path naming a value is built unless the value is refused or
+warned about.
 
 ``to_json`` output is canonical (sorted keys, fixed indentation), so
 emit-parse-emit is byte stable and parse(emit(x)) == x for every model value.
@@ -27,6 +28,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .audit import AuditReport
 from .errors import InstanceFormatError
@@ -69,51 +71,36 @@ def _decode_rational(value, allow_decimal: bool, path: str, *index: int):
         raise InstanceFormatError(f"{_at(path, index)}: booleans are not numbers")
     if isinstance(value, (int, Fraction)):  # a Fraction comes from the float hook
         return value
-    if isinstance(value, str):
-        if _INT_RE.fullmatch(value) or _RATIO_RE.fullmatch(value):
-            try:
-                result = Fraction(value)
-            except ZeroDivisionError:
-                raise InstanceFormatError(
-                    f"{_at(path, index)}: zero denominator in {value!r}"
-                )
-            except ValueError:  # more digits than int() converts
-                raise InstanceFormatError(
-                    f"{_at(path, index)}: too many digits in a "
-                    f"{len(value)}-character number"
-                )
-            if "/" not in value:
-                warnings.warn(
-                    f"{_at(path, index)}: whole number written as string {value!r}; "
-                    f"canonical form is the JSON integer {int(result)}",
-                    NonCanonicalRationalWarning,
-                    stacklevel=2,
-                )
-            elif encode_rational(result) != value:
-                warnings.warn(
-                    f"{_at(path, index)}: non-canonical rational {value!r} read as "
-                    f"{encode_rational(result)}",
-                    NonCanonicalRationalWarning,
-                    stacklevel=2,
-                )
-            return result
-        if allow_decimal:
-            try:
-                return exact_value(value)
-            except TooManyDigits:
-                raise InstanceFormatError(
-                    f"{_at(path, index)}: too many digits in the exact value of "
-                    f"a {len(value)}-character number"
-                )
-            except ValueError:
-                raise InstanceFormatError(
-                    f"{_at(path, index)}: cannot read {value!r} as a number"
-                )
+    if not isinstance(value, str):
+        message = f"cannot read {value!r} as a number"
+        raise InstanceFormatError(f"{_at(path, index)}: {message}")
+    plain = _INT_RE.fullmatch(value) or _RATIO_RE.fullmatch(value)
+    if not (plain or allow_decimal):
         raise InstanceFormatError(
             f"{_at(path, index)}: {value!r} is not an integer or \"p/q\" string "
             f"(decimals need the lossless-decimal option)"
         )
-    raise InstanceFormatError(f"{_at(path, index)}: cannot read {value!r} as a number")
+    try:
+        result = exact_value(value)
+    except TooManyDigits:
+        exact = "" if plain else "the exact value of "
+        raise InstanceFormatError(
+            f"{_at(path, index)}: too many digits in {exact}a "
+            f"{len(value)}-character number"
+        )
+    except ValueError as exc:  # a zero denominator, or no number at all
+        message = exc if plain else f"cannot read {value!r} as a number"
+        raise InstanceFormatError(f"{_at(path, index)}: {message}")
+    if plain and ("/" not in value or encode_rational(result) != value):
+        message = (
+            f"whole number written as string {value!r}; "
+            f"canonical form is the JSON integer {result}"
+            if "/" not in value
+            else f"non-canonical rational {value!r} read as {encode_rational(result)}"
+        )
+        where = _at(path, index)
+        warnings.warn(f"{where}: {message}", NonCanonicalRationalWarning, stacklevel=2)
+    return result
 
 
 def read_value(text: str, path: str) -> Fraction:
@@ -152,20 +139,24 @@ def _string_list(value, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _matrix(rows, path: str, expected: str, allow_decimal: bool) -> list[list]:
-    """The utility matrix at ``path``, ``expected`` to be a list of lists; a
-    row of plain JSON ints is kept, any other is decoded value by value."""
+def _matrix(rows, path: str, expected: str, allow_decimal: bool) -> tuple:
+    """The utility matrix at ``path``, ``expected`` to be a list of lists, and
+    whether its values are all plain JSON ints (bool is not int here); any
+    other matrix has each row that is not decoded value by value."""
     if not isinstance(rows, list):
         raise InstanceFormatError(f"{path}: expected {expected}")
+    cells = chain.from_iterable(rows)  # read only when every row is a list
+    if {*map(type, rows)} <= {list} and {*map(type, cells)} <= {int}:
+        return rows, True
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise InstanceFormatError(f"{path}[{i}]: expected a list")
-        if not {*map(type, row)} <= {int}:  # bool is not int here
+        if not {*map(type, row)} <= {int}:
             rows[i] = [
                 _decode_rational(v, allow_decimal, path, i, a)
                 for a, v in enumerate(row)
             ]
-    return rows
+    return rows, False
 
 
 def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
@@ -181,12 +172,12 @@ def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
     if kind == "goods":
         goods = _string_list(data.get("goods"), "goods")
         rows = data.get("utilities")
-        matrix = _matrix(rows, "utilities", "a list of rows", allow_decimal)
-        return goods_instance(matrix, players, goods)
+        matrix, ints = _matrix(rows, "utilities", "a list of rows", allow_decimal)
+        return goods_instance(matrix, players, goods, ints=ints)
     issues = data.get("issues")
     if not isinstance(issues, list):
         raise InstanceFormatError("issues: expected a list")
-    utilities, names, alternatives = [], [], []
+    utilities, names, alternatives, ints = [], [], [], True
     for t, issue in enumerate(issues):
         if not isinstance(issue, dict):
             raise InstanceFormatError(f"issues[{t}]: expected an object")
@@ -196,8 +187,10 @@ def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
         labels = issue.get("alternatives")
         alternatives.append(_string_list(labels, f"issues[{t}].alternatives"))
         rows, path = issue.get("utilities"), f"issues[{t}].utilities"
-        utilities.append(_matrix(rows, path, "a list", allow_decimal))
-    return decision_instance(utilities, players, names, alternatives)
+        matrix, whole = _matrix(rows, path, "a list", allow_decimal)
+        utilities.append(matrix)
+        ints = ints and whole
+    return decision_instance(utilities, players, names, alternatives, ints=ints)
 
 
 @dataclass(frozen=True)
@@ -245,15 +238,22 @@ def parse_result(text: str | bytes) -> ParsedResult:
     raise InstanceFormatError('result needs "choices" or "bundles"')
 
 
+def _rows_document(rows, scales) -> list[list]:
+    """Integer rows, each over its player's scale, as a document writes them."""
+    return [
+        list(row) if scale == 1 else [encode_rational(Fraction(v, scale)) for v in row]
+        for row, scale in zip(rows, scales)
+    ]
+
+
 def instance_document(instance: Instance) -> dict:
+    """The document of an instance, written from its integer view."""
     if isinstance(instance, GoodsInstance):
         return {
             "kind": "goods",
             "players": list(instance.players),
             "goods": list(instance.goods),
-            "utilities": [
-                [encode_rational(v) for v in row] for row in instance.utilities
-            ],
+            "utilities": _rows_document(instance.maxima, instance.scales),
         }
     return {
         "kind": "public",
@@ -262,11 +262,9 @@ def instance_document(instance: Instance) -> dict:
             {
                 "name": issue.name,
                 "alternatives": list(issue.alternatives),
-                "utilities": [
-                    [encode_rational(v) for v in row] for row in issue.utilities
-                ],
+                "utilities": _rows_document(rows, instance.scales),
             }
-            for issue in instance.issues
+            for issue, rows in zip(instance.issues, instance.scaled)
         ],
     }
 

@@ -10,28 +10,29 @@ An instance checks itself when built and raises InstanceFormatError with
 every structural defect, so no negative, ragged or empty instance exists.
 
 Every per-player quantity is unchanged when one player's utilities are scaled
-by a positive constant, so each instance carries one integer view:
+by a positive constant, so an instance is stored as one integer view:
 ``scales[i]``, the lcm of player i's denominators; ``scaled[t][i]``, her
 utilities on issue t times it; ``maxima[i][t]``, her best scaled utility on
 issue t; and ``ranking[i]``, her issues by those maxima, largest first, ties
 low. Readers add and compare these integers and divide by ``scales[i]`` once
-per result. The factories read the view as they convert the values: a row of
-plain ints is its own scaled row when its player's scale is 1, and only the
-other rows are read back from their Fractions. An instance built bare derives
-the view from its Fractions. Either way the check when built reads the signs
-off the integer rows.
+per result. The Fraction rows (``.utilities``) are built on first read, one
+Fraction per distinct value. The factories check a matrix of plain ints in
+whole-matrix passes, with no Python loop per row, and keep it as its own view
+at scale 1. Any other matrix, or one that fails a pass, is read into Fractions
+and built bare: the instance checks them row by row, so that every defect has
+its path, and then reads its view off them.
 
 Allocating private goods is the special case with one issue per good and one
 alternative per player: the alternative that hands good g to player i gives
 u_i(g) to i and zero to everyone else. A GoodsInstance derives the view of
-that embedding from its own matrix, with no Fraction: ``maxima[i][g]`` is
-player i's scaled value for good g, and ``scaled[g][i]`` holds it at
-alternative i and 0 at every other. So everything that reads the view
-(mechanisms, shares, the Pareto check) takes either kind, ``Instance``.
-``goods_to_public`` builds the embedding itself as a DecisionInstance;
+that embedding from its own matrix: ``maxima[i][g]`` is player i's scaled
+value for good g, and ``scaled[g][i]`` holds it at alternative i and 0 at
+every other. So everything that reads the view (mechanisms, shares, the
+Pareto check) takes either kind, ``Instance``. ``goods_to_public`` builds the
+embedding as a DecisionInstance on the goods' own view;
 ``outcome_to_allocation`` and ``allocation_to_outcome`` move between outcomes
-and allocations (the chosen alternative index of a reduced issue is the
-recipient of the good).
+and allocations (the chosen alternative of a reduced issue is the recipient
+of the good).
 
 Inputs and results are ``fractions.Fraction``. Nothing in this package rounds.
 Instances, outcomes and allocations are immutable once built.
@@ -44,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -84,6 +85,8 @@ def exact_value(text: str) -> Fraction:
         result = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:  # the form matched, so its digits exceed the limit
+        raise TooManyDigits(text) from None
     try:
         str(result)  # the conversion io.to_json makes
     except ValueError:
@@ -103,79 +106,51 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-class _WholeValues(dict):
-    """Each int met in one build, mapped to one shared Fraction."""
-
-    def __missing__(self, value: int) -> Fraction:
-        self[value] = result = Fraction(value)
-        return result
-
-
-def _read_rows(matrix: Iterable[Iterable[RationalLike]], whole: _WholeValues):
-    """The rows of one utility matrix as Fractions, and each row's ints when it
-    holds only ints (bool is not int here), else None."""
-    matrix = [*map(tuple, matrix)]
-    ints = [row if {*map(type, row)} <= {int} else None for row in matrix]
-    return tuple(
-        tuple(map(as_fraction if whole_row is None else whole.__getitem__, row))
-        for row, whole_row in zip(matrix, ints)
-    ), ints
+def _fits(rows, n: int, width: int, ints: bool | None) -> bool:
+    """Whether a matrix is ``n`` >= 1 rows of ``width`` >= 1 plain ints (bool
+    is not int here), none negative, by whole-matrix passes; ``ints`` tells
+    whether its values are all plain ints, when the caller knows."""
+    if ints is None:
+        ints = {*map(type, chain.from_iterable(rows))} <= {int}
+    if not (ints and 0 < n == len(rows) and 0 < width):
+        return False
+    return {*map(len, rows)} == {width} and min(map(min, rows)) >= 0
 
 
-def _scaled_rows(rows_by_player, ints_by_player=None) -> tuple[tuple[int, ...], list]:
-    """Each player's scale, the lcm of her denominators, and her rows times it.
-    A row read from ints (held in her ints, else None, as for every row by
-    default) has no denominator and is its own scaled row at scale 1: none of
-    its Fractions is read back."""
-    scales, scaled = [], []
-    for rows, ints in zip(rows_by_player, ints_by_player or repeat(repeat(None))):
-        read = [row for row, whole in zip(rows, ints) if whole is None]
-        scale = lcm(*(v.denominator for row in read for v in row))
-        scales.append(scale)
-        scaled.append(
-            tuple(
-                tuple(v.numerator * (scale // v.denominator) for v in row)
-                if whole is None
-                else whole if scale == 1 else tuple(map(scale.__mul__, whole))
-                for row, whole in zip(rows, ints)
-            )
-        )
-    return tuple(scales), scaled
-
-
-def _public_view(issues: Sequence[Issue], n: int, ints=None) -> dict:
-    """``scales`` and ``scaled`` of ``issues`` for ``n`` players, or none when
-    an issue lacks a row for some player; ``ints[t][i]`` holds the ints that
-    row i of issue t was read from, or None, as for every row by default."""
-    if not n or any(len(issue.utilities) != n for issue in issues):
-        return {}
-    by_player = zip(*(issue.utilities for issue in issues))
-    scales, rows = _scaled_rows(by_player, ints and zip(*ints))
-    return {"scales": scales, "scaled": tuple(zip(*rows))}
-
-
-def _goods_view(rows: Sequence[Sequence[Fraction]], ints=None) -> dict:
-    """``scales`` and ``maxima`` of a goods matrix, ``ints`` as in _public_view."""
-    scales, maxima = _scaled_rows(zip(rows), ints and zip(ints))
-    return {"scales": scales, "maxima": tuple(row for row, in maxima)}
-
-
-def _diagonal(rows, zero) -> tuple:
-    """The goods embedding of ``rows``, one per player: for each good g, row i
-    holds rows[i][g] at alternative i (g goes to i) and ``zero`` elsewhere."""
-    zeros = (zero,) * len(rows)
-    return tuple(
-        tuple(zeros[:i] + (value,) + zeros[i + 1 :] for i, value in enumerate(column))
-        for column in zip(*rows)
+def _scaled(matrices, n: int) -> tuple:
+    """Each of the ``n`` players' scales, the lcm of her denominators in
+    ``matrices``, and the matrices with each of her rows times her scale."""
+    scales = tuple(
+        lcm(*(v.denominator for rows in matrices for v in rows[i])) for i in range(n)
+    )
+    return scales, tuple(
+        tuple(tuple(int(v * s) for v in row) for row, s in zip(rows, scales))
+        for rows in matrices
     )
 
 
-def _built(cls, view: dict, **fields):
-    """``cls(**fields)`` holding ``view``, the integer view read off its values."""
-    instance = cls.__new__(cls)
-    vars(instance).update(view)
-    instance.__init__(**fields)
-    return instance
+def _made(cls, **fields):
+    """A ``cls`` holding ``fields``, past its __init__ and check when built."""
+    made = cls.__new__(cls)
+    vars(made).update(fields)
+    return made
+
+
+class _Unscaled:
+    """A holder of Fraction ``utilities`` that a factory leaves unbuilt: they
+    are built on first read from ``_source``, the integer rows, each player's
+    scale, and the table that makes equal values of an instance one Fraction."""
+
+    def __getattr__(self, name: str):
+        if name != "utilities":
+            raise AttributeError(name)
+        rows, scales, values = self._source
+        built = []
+        for row, scale in zip(rows, scales):
+            fractions = [*map(Fraction, row, repeat(scale))]
+            built.append(tuple(map(values.setdefault, fractions, fractions)))
+        object.__setattr__(self, name, tuple(built))
+        return self.utilities
 
 
 @dataclass(frozen=True)
@@ -192,7 +167,7 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class Issue:
+class Issue(_Unscaled):
     """One issue: a label, alternative labels, and an n-by-k utility matrix."""
 
     utilities: tuple[tuple[Fraction, ...], ...]  # rows = players, cols = alternatives
@@ -200,27 +175,29 @@ class Issue:
     alternatives: tuple[str, ...]
 
     @property
-    def k(self) -> int:
-        return len(self.utilities[0]) if self.utilities else 0
+    def k(self) -> int:  # unbuilt rows come from a checked view: a label per column
+        rows = vars(self).get("utilities", [self.alternatives])
+        return len(rows[0]) if rows else 0
 
 
 class _Instance:
-    """What both instance kinds share: the integer view and the check when
-    built, ``n`` and ``ranking``. A public instance holds ``scales`` and
-    ``scaled`` from then on, a goods one ``scales`` and ``maxima``."""
+    """What both instance kinds share: the check when built bare, ``n`` and
+    ``ranking``. A public instance holds ``scales`` and ``scaled``, a goods
+    one ``scales`` and ``maxima``."""
 
     def __post_init__(self) -> None:
-        if "scales" not in vars(self):  # built bare: read every row's Fractions
-            vars(self).update(
-                _goods_view(self.utilities)
-                if isinstance(self, GoodsInstance)
-                else _public_view(self.issues, self.n)
-            )
         violations = list(_violations(self))
         if violations:
             raise InstanceFormatError(
                 "; ".join(f"{v.path}: {v.message}" for v in violations), violations
             )
+        # built bare: the view is read off the Fractions
+        if isinstance(self, GoodsInstance):
+            scales, (maxima,) = _scaled([self.utilities], self.n)
+            vars(self).update(scales=scales, maxima=maxima)
+        else:
+            scales, scaled = _scaled([issue.utilities for issue in self.issues], self.n)
+            vars(self).update(scales=scales, scaled=scaled)
 
     @property
     def n(self) -> int:
@@ -248,18 +225,16 @@ class DecisionInstance(_Instance):
         return len(self.issues)
 
     def utility(self, player: int, issue: int, alternative: int) -> Fraction:
-        return self.issues[issue].utilities[player][alternative]
+        return Fraction(self.scaled[issue][player][alternative], self.scales[player])
 
     @cached_property
     def maxima(self) -> tuple[tuple[int, ...], ...]:
         """maxima[i][t]: player i's best scaled utility on issue t."""
-        return tuple(
-            tuple(max(rows[i]) for rows in self.scaled) for i in range(self.n)
-        )
+        return tuple(tuple(map(max, rows)) for rows in zip(*self.scaled))
 
 
 @dataclass(frozen=True)
-class GoodsInstance(_Instance):
+class GoodsInstance(_Instance, _Unscaled):
     """Indivisible private goods: an n-by-m utility matrix, checked when built."""
 
     utilities: tuple[tuple[Fraction, ...], ...]  # rows = players, cols = goods
@@ -271,13 +246,17 @@ class GoodsInstance(_Instance):
         return len(self.goods)
 
     def utility(self, player: int, good: int) -> Fraction:
-        return self.utilities[player][good]
+        return Fraction(self.maxima[player][good], self.scales[player])
 
     @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """scaled[g][i]: the embedding's view of good g for player i, maxima[i][g]
         at alternative i (the good goes to her) and 0 at every other one."""
-        return _diagonal(self.maxima, 0)
+        zeros = (0,) * self.n
+        return tuple(
+            tuple(zeros[:i] + (v,) + zeros[i + 1 :] for i, v in enumerate(column))
+            for column in zip(*self.maxima)
+        )
 
 
 Instance = DecisionInstance | GoodsInstance
@@ -336,62 +315,89 @@ def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, 
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
+def _public(scaled, scales, players, labels) -> DecisionInstance:
+    """The public instance of a checked view, ``labels`` holding each issue's
+    name and alternative labels; its Fraction rows unbuilt."""
+    values: dict = {}  # the table its issues share once their rows are read
+    issues = tuple(
+        _made(Issue, name=name, alternatives=alts, _source=(rows, scales, values))
+        for rows, (name, alts) in zip(scaled, labels)
+    )
+    view = dict(scales=scales, scaled=scaled)
+    return _made(DecisionInstance, issues=issues, players=players, **view)
+
+
 def decision_instance(
     utilities: Sequence[Sequence[Sequence[RationalLike]]],
     players: Sequence[str] | None = None,
     issue_names: Sequence[str] | None = None,
     alternative_names: Sequence[Sequence[str]] | None = None,
+    *,
+    ints: bool | None = None,
 ) -> DecisionInstance:
     """Build a DecisionInstance from per-issue utility matrices.
 
     ``utilities[t][i][a]`` is player i's utility for alternative a of issue t.
-    Labels default to p1.., issue1.., a1.. when omitted.
+    Labels default to p1.., issue1.., a1.. when omitted. ``ints`` says whether
+    every value is a plain int, when the caller knows; else it is tested.
     """
-    players = _labels(players, "p", len(utilities[0]) if utilities else 0)
-    names = _labels(issue_names, "issue", len(utilities))
-    whole = _WholeValues()
-    issues, ints = [], []
-    for t, matrix in enumerate(utilities):
-        rows, whole_rows = _read_rows(matrix, whole)
-        alternatives = None if alternative_names is None else alternative_names[t]
-        alternatives = _labels(alternatives, "a", len(rows[0]) if rows else 0)
-        issues.append(Issue(utilities=rows, name=names[t], alternatives=alternatives))
-        ints.append(whole_rows)
-    view = _public_view(issues, len(players), ints)
-    return _built(DecisionInstance, view, issues=tuple(issues), players=players)
+    matrices = tuple(tuple(map(tuple, matrix)) for matrix in utilities)
+    players = _labels(players, "p", len(matrices[0]) if matrices else 0)
+    names = _labels(issue_names, "issue", len(matrices))
+    given = [None] * len(matrices) if alternative_names is None else alternative_names
+    labels = [  # indexed, so that a short list of names is an IndexError
+        (names[t], _labels(given[t], "a", len(rows[0]) if rows else 0))
+        for t, rows in enumerate(matrices)
+    ]
+    n = len(players)
+    fits = (_fits(matrix, n, len(a), ints) for matrix, (_, a) in zip(matrices, labels))
+    if matrices and all(fits):
+        return _public(matrices, (1,) * n, players, labels)
+    issues = tuple(
+        Issue(tuple(tuple(map(as_fraction, row)) for row in rows), name, alts)
+        for rows, (name, alts) in zip(matrices, labels)
+    )
+    return DecisionInstance(issues, players)
 
 
 def goods_instance(
     utilities: Sequence[Sequence[RationalLike]],
     players: Sequence[str] | None = None,
     goods: Sequence[str] | None = None,
+    *,
+    ints: bool | None = None,
 ) -> GoodsInstance:
-    """Build a GoodsInstance from an n-by-m utility matrix (rows = players)."""
-    rows, ints = _read_rows(utilities, _WholeValues())
+    """Build a GoodsInstance from an n-by-m utility matrix (rows = players);
+    ``ints`` as in ``decision_instance``."""
+    rows = tuple(map(tuple, utilities))
     players = _labels(players, "p", len(rows))
     goods = _labels(goods, "g", len(rows[0]) if rows else 0)
-    view = _goods_view(rows, ints)
-    return _built(GoodsInstance, view, utilities=rows, players=players, goods=goods)
+    scales = (1,) * len(players)
+    if _fits(rows, len(players), len(goods), ints):
+        view = dict(scales=scales, maxima=rows, _source=(rows, scales, {}))
+        return _made(GoodsInstance, players=players, goods=goods, **view)
+    fractions = tuple(tuple(map(as_fraction, row)) for row in rows)
+    return GoodsInstance(fractions, players, goods)
 
 
 def allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
     return Allocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
-def _row_violations(path: str, rows, signs, width: int) -> Iterator[Violation]:
-    """Width and sign defects of the rows of one utility matrix at ``path``;
-    ``signs[i]`` holds integers with the signs of ``rows[i]``."""
-    for i, (row, ints) in enumerate(zip(rows, signs)):
+def _row_violations(path: str, rows, width: int) -> Iterator[Violation]:
+    """Width and sign defects of the rows of one utility matrix at ``path``."""
+    for i, row in enumerate(rows):
         if len(row) != width:
             yield Violation(f"{path}[{i}]", f"expected {width} entries, got {len(row)}")
-        if min(ints, default=0) < 0:
-            for a, v in enumerate(ints):
+        if min(row, default=0) < 0:
+            for a, v in enumerate(row):
                 if v < 0:
-                    yield Violation(f"{path}[{i}][{a}]", f"negative utility {row[a]}")
+                    yield Violation(f"{path}[{i}][{a}]", f"negative utility {v}")
 
 
 def _violations(instance: Instance) -> Iterator[Violation]:
-    """Structural defects; none means the instance is well formed.
+    """Structural defects of an instance built bare; none means it is well
+    formed.
 
     Checks: n >= 1, m >= 1, every issue has k_t >= 1, every utility matrix has
     exactly n rows of consistent width, and every utility is non-negative.
@@ -406,14 +412,10 @@ def _violations(instance: Instance) -> Iterator[Violation]:
         if len(rows) != n:
             message = f"expected {n} utility rows (one per player), got {len(rows)}"
             yield Violation("utilities", message)
-        yield from _row_violations("utilities", rows, instance.maxima, instance.m)
+        yield from _row_violations("utilities", rows, instance.m)
         return
     if instance.m < 1:
         yield Violation("issues", "at least one issue is required")
-    signs = getattr(instance, "scaled", None) or [  # no view: the numerators
-        [[v.numerator for v in row] for row in issue.utilities]
-        for issue in instance.issues
-    ]
     for t, issue in enumerate(instance.issues):
         k, rows, labels = issue.k, issue.utilities, issue.alternatives
         if k < 1:
@@ -424,7 +426,7 @@ def _violations(instance: Instance) -> Iterator[Violation]:
         if len(labels) != k:
             message = f"expected {k} alternative labels, got {len(labels)}"
             yield Violation(f"issues[{t}].alternatives", message)
-        yield from _row_violations(f"issues[{t}].utilities", rows, signs[t], k)
+        yield from _row_violations(f"issues[{t}].utilities", rows, k)
 
 
 def goods_to_public(goods: GoodsInstance) -> DecisionInstance:
@@ -432,12 +434,11 @@ def goods_to_public(goods: GoodsInstance) -> DecisionInstance:
 
     Issue t has n alternatives; alternative i hands good t to player i, giving
     utility u_i(g_t) to player i and zero to everyone else. Outcomes of the
-    image correspond bijectively to allocations with identical utilities.
+    image correspond bijectively to allocations with identical utilities. The
+    image is built on the goods' own view.
     """
-    diagonal = _diagonal(goods.utilities, Fraction(0))  # one zero for n(n-1)m cells
-    issues = tuple(map(Issue, diagonal, goods.goods, repeat(goods.players)))
-    view = {"scales": goods.scales, "scaled": goods.scaled}  # the goods' own view
-    return _built(DecisionInstance, view, issues=issues, players=goods.players)
+    labels = zip(goods.goods, repeat(goods.players))
+    return _public(goods.scaled, goods.scales, goods.players, labels)
 
 
 def outcome_to_allocation(goods: GoodsInstance, outcome: Outcome) -> Allocation:

@@ -42,10 +42,7 @@ Objective = str  # "nash" | "leximin" | "utilitarian"
 
 
 def outcome_space_size(instance: DecisionInstance) -> int:
-    size = 1
-    for issue in instance.issues:
-        size *= issue.k
-    return size
+    return prod(issue.k for issue in instance.issues)
 
 
 def enumerate_outcomes(

@@ -138,6 +138,25 @@ def test_solve_missing_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_unwritable_out_is_exit_two_with_one_line(capsys, tmp_path, goods_file):
+    out = tmp_path / "no-such-dir" / "result.json"
+    argv = ["solve", "--mechanism", "pps-po", "--input", goods_file, "--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def test_undecodable_input_names_its_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "goods", "players": ["\xff"]}')
+    argv = ["solve", "--mechanism", "pps-po", "--input", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def test_non_canonical_values_warn_one_line_each(capsys, tmp_path):
     document = {
         "kind": "goods",
@@ -192,8 +211,15 @@ def test_over_long_numbers_exit_two_with_one_line(capsys, tmp_path, value, messa
         ("1e5000", "malformed JSON: a number literal has too many digits"),
         ('"1e-5000"', "utilities[0][1]: too many digits in the exact value of a "
          "7-character number"),
+        (f'"1.{"1" * 5000}"', "utilities[0][1]: too many digits in the exact "
+         "value of a 5002-character number"),
     ],
-    ids=["exponent-string", "exponent-literal", "negative-exponent-string"],
+    ids=[
+        "exponent-string",
+        "exponent-literal",
+        "negative-exponent-string",
+        "long-mantissa-string",
+    ],
 )
 def test_over_long_decimals_are_refused_when_parsed(capsys, tmp_path, value, message):
     path = tmp_path / "long.json"

@@ -664,3 +664,138 @@ def test_emit_parse_emit_is_byte_stable(inst):
     once = io.to_json(io.instance_document(inst))
     again = io.to_json(io.instance_document(io.parse_instance(once)))
     assert once == again
+
+
+PLANTED = ("none", "ratio", "true", "negative", "ragged", "missing")
+
+
+@st.composite
+def planted_documents(draw):
+    """An all-int public or goods document of 1-20 players and 1-60 issues or
+    goods, with one planted change at a random cell or row: a canonical "p/q"
+    string, ``true``, a negative int, a ragged row or a missing row; and the
+    change, its cell, and the path prefix of its issue or matrix."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, m = draw(st.integers(1, 20)), draw(st.integers(1, 60))
+    goods, change = draw(st.booleans()), draw(st.sampled_from(PLANTED))
+    widths = [m] if goods else [rng.randint(1, 4) for _ in range(m)]
+    matrices = [
+        [[rng.randint(0, 9) for _ in range(k)] for _ in range(n)] for k in widths
+    ]
+    doc = {"kind": "goods" if goods else "public"}
+    doc["players"] = [f"p{i}" for i in range(n)]
+    if goods:
+        doc["goods"], doc["utilities"] = [f"g{g}" for g in range(m)], matrices[0]
+    else:
+        doc["issues"] = [
+            {"name": f"t{t}", "alternatives": [f"a{a}" for a in range(k)]}
+            for t, k in enumerate(widths)
+        ]
+        for issue, rows in zip(doc["issues"], matrices):
+            issue["utilities"] = rows
+    t, i = rng.randrange(len(matrices)), rng.randrange(n)
+    prefix = "utilities" if goods else f"issues[{t}]"
+    row = matrices[t][i]
+    a = rng.randrange(len(row))
+    cell = f"{prefix}{'' if goods else '.utilities'}[{i}][{a}]"
+    if change == "ratio":
+        q = rng.choice([2, 3, 7])
+        row[a] = f"{q * rng.randint(0, 3) + rng.randint(1, q - 1)}/{q}"
+    elif change == "true":
+        row[a] = True
+    elif change == "negative":
+        row[a] = -rng.randint(1, 9)
+    elif change == "ragged":
+        row.append(0) if rng.random() < 0.5 else row.pop()
+    elif change == "missing":
+        del matrices[t][i]
+    return doc, change, cell, prefix
+
+
+def _view(instance):
+    return instance.scales, instance.scaled, instance.maxima
+
+
+def _rows(instance):
+    if isinstance(instance, fd.GoodsInstance):
+        return instance.utilities
+    return [issue.utilities for issue in instance.issues]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_documents())
+def test_whole_matrix_checks_agree_with_the_per_row_route(case):
+    """An all-int document takes the whole-matrix checks, and one planted
+    change sends it to the per-row route; either way parsing, the factory and
+    the bare dataclass agree on the instance or on every violation."""
+    doc, change, cell, prefix = case
+    if change == "true":
+        with pytest.raises(fd.InstanceFormatError) as info:
+            io.parse_instance(json.dumps(doc))
+        assert str(info.value) == f"{cell}: booleans are not numbers"
+        with pytest.raises(TypeError, match="booleans are not utilities"):
+            _factory(doc)
+        return
+    routes = (
+        lambda: io.parse_instance(json.dumps(doc)),
+        lambda: _factory(doc),
+        lambda: _bare(doc),
+    )
+    if change in ("none", "ratio"):
+        parsed, built, bare = (build() for build in routes)
+        assert parsed == built == bare
+        assert _rows(parsed) == _rows(built) == _rows(bare)
+        assert _view(parsed) == _view(built) == _view(bare)
+        return
+    texts = []
+    for build in routes:
+        with pytest.raises(fd.InstanceFormatError) as info:
+            build()
+        texts.append((str(info.value), info.value.violations))
+    assert texts[0] == texts[1] == texts[2]
+    paths = [v.path for v in texts[0][1]]
+    if change == "negative":
+        assert paths == [cell]
+    assert any(path.startswith(prefix) for path in paths)
+
+
+def _unbuilt(instance) -> bool:
+    """Whether an instance has built none of its Fraction rows."""
+    if isinstance(instance, fd.GoodsInstance):
+        return "utilities" not in vars(instance)
+    return not any("utilities" in vars(issue) for issue in instance.issues)
+
+
+def test_the_timed_path_builds_no_fraction_rows():
+    """Parsing an all-int document, the audits, the mechanisms, the outcome
+    space and every document written of them read the integer view only, so
+    the Fraction rows stay unbuilt until something reads them."""
+    from fairdec.oracles import outcome_space_size
+
+    goods = fd.random_goods(4, 40, 11)
+    for source in (fd.random_public(4, 40, 3, 11), goods, fd.goods_to_public(goods)):
+        assert _unbuilt(source)
+        text = io.to_json(io.instance_document(source))
+        instance = io.parse_instance(text)
+        result = fd.round_robin(instance)
+        if isinstance(instance, fd.GoodsInstance):
+            alloc = fd.outcome_to_allocation(instance, result.outcome)
+            report = fd.audit_goods(instance, alloc)
+            image = fd.goods_to_public(instance)
+            assert _unbuilt(image)
+            doc = io.goods_result_document("round-robin", alloc, result.utilities)
+        else:
+            report = fd.audit(instance, result.outcome)
+            outcome_space_size(instance)
+            doc = io.result_document(result)
+        io.to_json(doc), io.to_json(io.audit_document(report))
+        assert io.to_json(io.instance_document(instance)) == text
+        assert _unbuilt(instance) and _unbuilt(source)
+    small_text = io.to_json(io.instance_document(fd.random_public(3, 6, 2, 1)))
+    small = io.parse_instance(small_text)
+    fd.leximin(small), fd.max_nash_welfare(small)
+    fd.audit(small, fd.round_robin(small).outcome, with_mms=True, po_cap=10**4)
+    assert _unbuilt(small)
+    first = small.issues[0].utilities[0]  # read: now built, from the view
+    assert first == tuple(map(Fraction, small.scaled[0][0]))
+    assert not _unbuilt(small)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
 from fairdec.audit import best_unowned_good
+from fairdec.model import TooManyDigits
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -43,6 +44,15 @@ def test_zero_denominators_are_value_errors(build):
         build("x")
 
 
+def test_over_long_decimals_are_too_many_digits():
+    """A decimal whose mantissa has more digits than int() converts is refused
+    as TooManyDigits, like one with a huge exponent."""
+    with pytest.raises(TooManyDigits):
+        fd.as_fraction("1." + "1" * 5000)
+    with pytest.raises(TooManyDigits):
+        fd.as_fraction("1e99999999999")
+
+
 def test_as_fraction_rejects_bools_and_floats():
     with pytest.raises(TypeError):
         fd.as_fraction(True)
@@ -58,6 +68,15 @@ def test_factories_fill_default_labels():
     goods = fd.goods_instance([[1, 2, 3]])
     assert goods.players == ("p1",)
     assert goods.goods == ("g1", "g2", "g3")
+
+
+@pytest.mark.parametrize(
+    "labels", [{"issue_names": ["x"]}, {"alternative_names": [["a"]]}]
+)
+def test_a_short_label_list_drops_no_issue(labels):
+    for utilities in ([[[1]], [[2]]], [[[1]], [["1/2"]]]):
+        with pytest.raises(IndexError):
+            fd.decision_instance(utilities, **labels)
 
 
 def test_factories_keep_explicit_labels():
