@@ -13,9 +13,8 @@ Decoding is this module's only job on input. A utility matrix whose values
 are all plain JSON integers, found by one type set over them, is kept as it
 is; any other is decoded row by row, a JSON integer staying an integer and a
 string or decimal becoming a Fraction. ``model.decision_instance`` or
-``model.goods_instance``, told which it was, builds and checks the instance.
-No error text or path naming a value is built unless the value is refused or
-warned about.
+``model.goods_instance`` then builds and checks the instance. No error text
+or path naming a value is built unless the value is refused or warned about.
 
 ``to_json`` output is canonical (sorted keys, fixed indentation), so
 emit-parse-emit is byte stable and parse(emit(x)) == x for every model value.
@@ -139,15 +138,15 @@ def _string_list(value, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _matrix(rows, path: str, expected: str, allow_decimal: bool) -> tuple:
-    """The utility matrix at ``path``, ``expected`` to be a list of lists, and
-    whether its values are all plain JSON ints (bool is not int here); any
-    other matrix has each row that is not decoded value by value."""
+def _matrix(rows, path: str, expected: str, allow_decimal: bool) -> list[list]:
+    """The utility matrix at ``path``, ``expected`` to be a list of lists: kept
+    when one type set finds only plain JSON ints in it (bool is not int
+    here), else with each row that is not all ints decoded value by value."""
     if not isinstance(rows, list):
         raise InstanceFormatError(f"{path}: expected {expected}")
     cells = chain.from_iterable(rows)  # read only when every row is a list
     if {*map(type, rows)} <= {list} and {*map(type, cells)} <= {int}:
-        return rows, True
+        return rows
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise InstanceFormatError(f"{path}[{i}]: expected a list")
@@ -156,7 +155,7 @@ def _matrix(rows, path: str, expected: str, allow_decimal: bool) -> tuple:
                 _decode_rational(v, allow_decimal, path, i, a)
                 for a, v in enumerate(row)
             ]
-    return rows, False
+    return rows
 
 
 def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
@@ -172,12 +171,12 @@ def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
     if kind == "goods":
         goods = _string_list(data.get("goods"), "goods")
         rows = data.get("utilities")
-        matrix, ints = _matrix(rows, "utilities", "a list of rows", allow_decimal)
-        return goods_instance(matrix, players, goods, ints=ints)
+        matrix = _matrix(rows, "utilities", "a list of rows", allow_decimal)
+        return goods_instance(matrix, players, goods)
     issues = data.get("issues")
     if not isinstance(issues, list):
         raise InstanceFormatError("issues: expected a list")
-    utilities, names, alternatives, ints = [], [], [], True
+    utilities, names, alternatives = [], [], []
     for t, issue in enumerate(issues):
         if not isinstance(issue, dict):
             raise InstanceFormatError(f"issues[{t}]: expected an object")
@@ -187,10 +186,8 @@ def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
         labels = issue.get("alternatives")
         alternatives.append(_string_list(labels, f"issues[{t}].alternatives"))
         rows, path = issue.get("utilities"), f"issues[{t}].utilities"
-        matrix, whole = _matrix(rows, path, "a list", allow_decimal)
-        utilities.append(matrix)
-        ints = ints and whole
-    return decision_instance(utilities, players, names, alternatives, ints=ints)
+        utilities.append(_matrix(rows, path, "a list", allow_decimal))
+    return decision_instance(utilities, players, names, alternatives)
 
 
 @dataclass(frozen=True)

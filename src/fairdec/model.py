@@ -17,10 +17,9 @@ issue t; and ``ranking[i]``, her issues by those maxima, largest first, ties
 low. Readers add and compare these integers and divide by ``scales[i]`` once
 per result. The Fraction rows (``.utilities``) are built on first read, one
 Fraction per distinct value. The factories check a matrix of plain ints in
-whole-matrix passes, with no Python loop per row, and keep it as its own view
-at scale 1. Any other matrix, or one that fails a pass, is read into Fractions
-and built bare: the instance checks them row by row, so that every defect has
-its path, and then reads its view off them.
+whole-matrix passes, with no Python loop per row, and keep it as its own
+view at scale 1. Only a matrix that fails a pass is read into Fractions (its
+rows that are not all ints) and checked row by row, as a bare instance is.
 
 Allocating private goods is the special case with one issue per good and one
 alternative per player: the alternative that hands good g to player i gives
@@ -106,26 +105,40 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _fits(rows, n: int, width: int, ints: bool | None) -> bool:
+def _fits(rows, n: int, width: int) -> bool:
     """Whether a matrix is ``n`` >= 1 rows of ``width`` >= 1 plain ints (bool
-    is not int here), none negative, by whole-matrix passes; ``ints`` tells
-    whether its values are all plain ints, when the caller knows."""
-    if ints is None:
-        ints = {*map(type, chain.from_iterable(rows))} <= {int}
-    if not (ints and 0 < n == len(rows) and 0 < width):
-        return False
-    return {*map(len, rows)} == {width} and min(map(min, rows)) >= 0
+    is not int here), none negative, by whole-matrix passes."""
+    return (
+        0 < n == len(rows) and 0 < width
+        and {*map(type, chain.from_iterable(rows))} <= {int}
+        and not any(_row_violations("", rows, width))
+    )
+
+
+def _read(rows) -> tuple:
+    """A matrix with each row that is not all plain ints read into Fractions."""
+    return tuple(
+        row if {*map(type, row)} <= {int} else tuple(map(as_fraction, row))
+        for row in rows
+    )
 
 
 def _scaled(matrices, n: int) -> tuple:
     """Each of the ``n`` players' scales, the lcm of her denominators in
-    ``matrices``, and the matrices with each of her rows times her scale."""
-    scales = tuple(
-        lcm(*(v.denominator for rows in matrices for v in rows[i])) for i in range(n)
-    )
-    return scales, tuple(
-        tuple(tuple(int(v * s) for v in row) for row, s in zip(rows, scales))
-        for rows in matrices
+    ``matrices``, and the matrices with each of her rows times her scale. A
+    row of plain ints adds no denominator, and is kept where its scale is 1."""
+    ints = [[{*map(type, row)} <= {int} for row in rows] for rows in matrices]
+    scales = [
+        lcm(*(v.denominator for m, w in zip(matrices, ints) if not w[i] for v in m[i]))
+        for i in range(n)
+    ]
+    return tuple(scales), tuple(
+        tuple(
+            row if whole and s == 1
+            else tuple(v.numerator * (s // v.denominator) for v in row)
+            for row, s, whole in zip(rows, scales, wholes)
+        )
+        for rows, wholes in zip(matrices, ints)
     )
 
 
@@ -137,9 +150,8 @@ def _made(cls, **fields):
 
 
 class _Unscaled:
-    """A holder of Fraction ``utilities`` that a factory leaves unbuilt: they
-    are built on first read from ``_source``, the integer rows, each player's
-    scale, and the table that makes equal values of an instance one Fraction."""
+    """Fraction ``utilities`` that a factory leaves unbuilt, built on first read
+    from ``_source``: integer rows, scales and a table of shared values."""
 
     def __getattr__(self, name: str):
         if name != "utilities":
@@ -185,13 +197,12 @@ class _Instance:
     ``ranking``. A public instance holds ``scales`` and ``scaled``, a goods
     one ``scales`` and ``maxima``."""
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # built bare: the view is read off checked rows
         violations = list(_violations(self))
         if violations:
             raise InstanceFormatError(
                 "; ".join(f"{v.path}: {v.message}" for v in violations), violations
             )
-        # built bare: the view is read off the Fractions
         if isinstance(self, GoodsInstance):
             scales, (maxima,) = _scaled([self.utilities], self.n)
             vars(self).update(scales=scales, maxima=maxima)
@@ -230,7 +241,9 @@ class DecisionInstance(_Instance):
     @cached_property
     def maxima(self) -> tuple[tuple[int, ...], ...]:
         """maxima[i][t]: player i's best scaled utility on issue t."""
-        return tuple(tuple(map(max, rows)) for rows in zip(*self.scaled))
+        return tuple(
+            tuple(max(rows[i]) for rows in self.scaled) for i in range(self.n)
+        )
 
 
 @dataclass(frozen=True)
@@ -315,7 +328,7 @@ def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, 
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
-def _public(scaled, scales, players, labels) -> DecisionInstance:
+def _public(scales, scaled, players, labels) -> DecisionInstance:
     """The public instance of a checked view, ``labels`` holding each issue's
     name and alternative labels; its Fraction rows unbuilt."""
     values: dict = {}  # the table its issues share once their rows are read
@@ -332,14 +345,11 @@ def decision_instance(
     players: Sequence[str] | None = None,
     issue_names: Sequence[str] | None = None,
     alternative_names: Sequence[Sequence[str]] | None = None,
-    *,
-    ints: bool | None = None,
 ) -> DecisionInstance:
     """Build a DecisionInstance from per-issue utility matrices.
 
     ``utilities[t][i][a]`` is player i's utility for alternative a of issue t.
-    Labels default to p1.., issue1.., a1.. when omitted. ``ints`` says whether
-    every value is a plain int, when the caller knows; else it is tested.
+    Labels default to p1.., issue1.., a1.. when omitted.
     """
     matrices = tuple(tuple(map(tuple, matrix)) for matrix in utilities)
     players = _labels(players, "p", len(matrices[0]) if matrices else 0)
@@ -349,35 +359,30 @@ def decision_instance(
         (names[t], _labels(given[t], "a", len(rows[0]) if rows else 0))
         for t, rows in enumerate(matrices)
     ]
-    n = len(players)
-    fits = (_fits(matrix, n, len(a), ints) for matrix, (_, a) in zip(matrices, labels))
+    fits = [_fits(rows, len(players), len(a)) for rows, (_, a) in zip(matrices, labels)]
     if matrices and all(fits):
-        return _public(matrices, (1,) * n, players, labels)
-    issues = tuple(
-        Issue(tuple(tuple(map(as_fraction, row)) for row in rows), name, alts)
-        for rows, (name, alts) in zip(matrices, labels)
-    )
-    return DecisionInstance(issues, players)
+        return _public((1,) * len(players), matrices, players, labels)
+    matrices = [rows if fit else _read(rows) for rows, fit in zip(matrices, fits)]
+    issues = tuple(Issue(rows, *names) for rows, names in zip(matrices, labels))
+    bare = DecisionInstance(issues, players)  # checked and viewed bare
+    return _public(bare.scales, bare.scaled, players, labels)
 
 
 def goods_instance(
     utilities: Sequence[Sequence[RationalLike]],
     players: Sequence[str] | None = None,
     goods: Sequence[str] | None = None,
-    *,
-    ints: bool | None = None,
 ) -> GoodsInstance:
-    """Build a GoodsInstance from an n-by-m utility matrix (rows = players);
-    ``ints`` as in ``decision_instance``."""
+    """Build a GoodsInstance from an n-by-m utility matrix (rows = players)."""
     rows = tuple(map(tuple, utilities))
     players = _labels(players, "p", len(rows))
     goods = _labels(goods, "g", len(rows[0]) if rows else 0)
-    scales = (1,) * len(players)
-    if _fits(rows, len(players), len(goods), ints):
-        view = dict(scales=scales, maxima=rows, _source=(rows, scales, {}))
-        return _made(GoodsInstance, players=players, goods=goods, **view)
-    fractions = tuple(tuple(map(as_fraction, row)) for row in rows)
-    return GoodsInstance(fractions, players, goods)
+    view = dict(scales=(1,) * len(players), maxima=rows)
+    if not _fits(rows, len(players), len(goods)):
+        bare = GoodsInstance(_read(rows), players, goods)  # checked and viewed bare
+        view = dict(scales=bare.scales, maxima=bare.maxima)
+    view["_source"] = (view["maxima"], view["scales"], {})
+    return _made(GoodsInstance, players=players, goods=goods, **view)
 
 
 def allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
@@ -386,6 +391,8 @@ def allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
 
 def _row_violations(path: str, rows, width: int) -> Iterator[Violation]:
     """Width and sign defects of the rows of one utility matrix at ``path``."""
+    if width and {*map(len, rows)} <= {width} and min(map(min, rows), default=0) >= 0:
+        return  # whole-matrix passes find none, so no row is read one by one
     for i, row in enumerate(rows):
         if len(row) != width:
             yield Violation(f"{path}[{i}]", f"expected {width} entries, got {len(row)}")
@@ -396,8 +403,7 @@ def _row_violations(path: str, rows, width: int) -> Iterator[Violation]:
 
 
 def _violations(instance: Instance) -> Iterator[Violation]:
-    """Structural defects of an instance built bare; none means it is well
-    formed.
+    """Structural defects; none means the instance is well formed.
 
     Checks: n >= 1, m >= 1, every issue has k_t >= 1, every utility matrix has
     exactly n rows of consistent width, and every utility is non-negative.
@@ -438,7 +444,7 @@ def goods_to_public(goods: GoodsInstance) -> DecisionInstance:
     image is built on the goods' own view.
     """
     labels = zip(goods.goods, repeat(goods.players))
-    return _public(goods.scaled, goods.scales, goods.players, labels)
+    return _public(goods.scales, goods.scaled, goods.players, labels)
 
 
 def outcome_to_allocation(goods: GoodsInstance, outcome: Outcome) -> Allocation:

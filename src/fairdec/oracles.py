@@ -42,7 +42,10 @@ Objective = str  # "nash" | "leximin" | "utilitarian"
 
 
 def outcome_space_size(instance: DecisionInstance) -> int:
-    return prod(issue.k for issue in instance.issues)
+    size = 1
+    for issue in instance.issues:
+        size *= issue.k
+    return size
 
 
 def enumerate_outcomes(

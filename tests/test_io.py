@@ -743,6 +743,7 @@ def test_whole_matrix_checks_agree_with_the_per_row_route(case):
     )
     if change in ("none", "ratio"):
         parsed, built, bare = (build() for build in routes)
+        assert _unbuilt(parsed) and _unbuilt(built)
         assert parsed == built == bare
         assert _rows(parsed) == _rows(built) == _rows(bare)
         assert _view(parsed) == _view(built) == _view(bare)

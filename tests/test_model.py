@@ -60,6 +60,27 @@ def test_as_fraction_rejects_bools_and_floats():
         fd.as_fraction(0.5)
 
 
+def test_the_factories_type_test_every_matrix():
+    """A bool is refused and a Fraction or string is read at its value, in
+    any matrix; only a matrix that is not all plain ints is read by row, and
+    every factory-built instance leaves its Fraction rows unbuilt."""
+    for build in (
+        lambda: fd.goods_instance([[True]]),
+        lambda: fd.decision_instance([[[1, 2]], [[0, True]]]),
+    ):
+        with pytest.raises(TypeError, match="booleans are not utilities"):
+            build()
+    half = fd.goods_instance([[Fraction(1, 2), 1], ["1", 0]])
+    assert "utilities" not in vars(half)
+    assert (half.scales, half.maxima) == ((2, 1), ((1, 2), (1, 0)))
+    assert half.utilities == ((Fraction(1, 2), 1), (1, 0))
+    mixed = fd.decision_instance([[[1, 2], [3, 4]], [["1/3", 0], [5, 6]]])
+    assert not any("utilities" in vars(issue) for issue in mixed.issues)
+    assert mixed.scales == (3, 1)
+    assert mixed.scaled == (((3, 6), (3, 4)), ((1, 0), (5, 6)))
+    assert mixed.issues[1].utilities == ((Fraction(1, 3), 0), (5, 6))
+
+
 def test_factories_fill_default_labels():
     inst = fd.decision_instance([[[1, 0], [0, 1]]])
     assert inst.players == ("p1", "p2")
