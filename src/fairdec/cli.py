@@ -382,21 +382,9 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.handler(args)
-        except InstanceFormatError as exc:
+        except (FairdecError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except CapExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except DegenerateInstance as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        except FairdecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return {CapExceeded: 3, DegenerateInstance: 4}.get(type(exc), 2)
 
 
 if __name__ == "__main__":

@@ -22,33 +22,32 @@ proportional share (never empty: under weighted-welfare maximality the
 owner-maxima sum beats the weighted average, so someone is at quota), grows
 it until a player violating the one-good relaxation joins, and routes a good
 to her. Violators can reappear, so the search stops after ``SEARCH_ROUNDS``
-rounds and reports whether the final allocation is certified. Its Prop1 test
-is the audit's: the bundle's value plus ``audit.best_unowned_good``, the
-first good of the player's ranking outside her bundle.
+rounds and reports whether the final allocation is certified. It tests Prop1
+by the audit's rule, on scaled integers: n times the bundle plus the first
+good of the player's ranking outside it reaches her row sum.
 
-Both procedures read their thresholds from one ``shares.share_profile`` call
-and share one round routine, ``_transfer_round``: grow the group from its
-seeds by tie creation until a needy player joins, then replay the ties.
+Both share one round, ``_transfer_round``: grow the group from its seeds by
+tie creation until a needy player joins, then replay the ties.
 
-Ratio conventions when creating ties (a candidate is a group member i, an
-outside player j, and a good g of i): a zero for j with a positive value for
-i is an infinite ratio and is never selected; a good worthless to everyone
-gives the degenerate ratio 1 (flagged on the trace event). Candidate ties
-take the lowest i, then j, then g. Welfare and ratios are read from the
-instance's integer view: with w_k / scales[k] as an integer pair, each ratio
-is a pair of integers over ``maxima``, compared by cross-multiplying, and one
-``Fraction`` is built per chosen factor.
+Ratio conventions (a candidate tie is a group member i, an outside player j
+and a good g of i): a zero for j beside a positive value for i is an
+infinite ratio, never chosen; a good worthless to both is the degenerate
+ratio 1, flagged on the trace event; ties go to the lowest i, then j, then
+g. Ratios are integer pairs over ``maxima``, compared by cross-multiplying.
+The weights scale all of i's ratios toward j alike, so ``_cheapest`` keeps
+only the two goods of i that can win for j, in a table per run that drops
+i's entries when her bundle changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
-from .audit import best_unowned_good
 from .errors import DegenerateInstance, InvariantError
-from .model import Allocation, GoodsInstance, allocation, bundle_utility
+from .model import Allocation, GoodsInstance, allocation
 from .shares import share_profile
 
 SEARCH_ROUNDS = 100
@@ -110,36 +109,55 @@ def weighted_welfare_allocation(
     return allocation(bundles)
 
 
-def _min_ratio_candidate(
-    goods: GoodsInstance,
-    weights: list[Fraction],
-    bundles: list[set[int]],
-    dec: set[int],
-) -> WeightReduction | None:
-    """Cheapest tie to create: argmin over group members i, outside players j
-    and goods g of i of (w_i u_i(g)) / (w_j u_j(g)), or None when every
-    candidate ratio is infinite. With e_k = w_k / scales[k] as the pair
-    (num_k, den_k), that ratio is the pair (num_i den_j maxima[i][g],
-    den_i num_j maxima[j][g]); pairs are compared by cross-multiplying."""
-    e = [(w.numerator, w.denominator * s) for w, s in zip(weights, goods.scales)]
+class _Run:
+    """One allocator run: the weights, their welfare argmax ``initial``, the
+    bundles, and the tie table ``ties[i][j]``, emptied for i when she trades."""
+
+    def __init__(self, goods: GoodsInstance):
+        self.goods = goods
+        self.weights: list[Fraction] = [Fraction(1, goods.n)] * goods.n
+        self.initial = weighted_welfare_allocation(goods, self.weights)
+        self.bundles = [set(b) for b in self.initial.bundles]
+        self.ties: list[dict[int, list]] = [{} for _ in range(goods.n)]
+
+
+def _cheapest(goods: GoodsInstance, i: int, j: int, bundle: set[int]) -> list:
+    """ties[i][j]: the goods g of i's bundle that can be her cheapest tie
+    toward j at any weights, as (maxima[i][g], maxima[j][g], g), lowest g
+    first: the lowest good with the least such ratio among those j values,
+    and the lowest good worthless to both."""
+    row_i, row_j = goods.maxima[i], goods.maxima[j]
+    least = zero = None
+    for g in sorted(bundle):
+        a, b = row_i[g], row_j[g]
+        if not a and b:
+            # an owned good someone values is owned by someone who values it
+            raise InvariantError("an owned good is worthless to its owner")
+        if not a and zero is None:
+            zero = (0, 0, g)
+        elif a and b and (least is None or a * least[1] < least[0] * b):
+            least = (a, b, g)
+    return sorted(filter(None, (least, zero)), key=itemgetter(2))
+
+
+def _min_ratio_candidate(run: _Run, dec: set[int]) -> WeightReduction | None:
+    """Cheapest tie to create: argmin of (w_i u_i(g)) / (w_j u_j(g)) over
+    group members i, outside players j and goods g in ``ties[i][j]``, built
+    when missing, or None if all are infinite. With e_k = w_k / scales[k] as
+    (num_k, den_k), it is (num_i den_j maxima[i][g], den_i num_j maxima[j][g])."""
+    goods, ties = run.goods, run.ties
+    e = [(w.numerator, w.denominator * s) for w, s in zip(run.weights, goods.scales)]
     best = None
     for i in sorted(dec):
-        row_i, owned = goods.maxima[i], sorted(bundles[i])
         for j in range(goods.n):
             if j in dec:
                 continue
-            row_j = goods.maxima[j]
+            if j not in ties[i]:
+                ties[i][j] = _cheapest(goods, i, j, run.bundles[i])
             left, right = e[i][0] * e[j][1], e[i][1] * e[j][0]
-            for g in owned:
-                top, bottom = left * row_i[g], right * row_j[g]
-                if bottom == 0:
-                    if top:
-                        continue  # infinite: j can never tie on this good
-                    top = bottom = 1  # worthless to both: degenerate ratio 1
-                elif top == 0:
-                    # an owned good someone values is owned by someone who
-                    # values it, so the numerator is positive here
-                    raise InvariantError("an owned good is worthless to its owner")
+            for a, b, g in ties[i][j]:
+                # a good worthless to both, (0, 0, g), is the degenerate ratio 1
+                top, bottom = left * a or 1, right * b or 1
                 if best is None or top * best[1] < best[0] * bottom:
                     best = (top, bottom, i, j, g)
     if best is None:
@@ -154,13 +172,7 @@ def _min_ratio_candidate(
     )
 
 
-def _transfer_round(
-    goods: GoodsInstance,
-    weights: list[Fraction],
-    bundles: list[set[int]],
-    seeds: set[int],
-    needy: set[int],
-) -> Round | None:
+def _transfer_round(run: _Run, seeds: set[int], needy: set[int]) -> Round | None:
     """One round: grow DEC from ``seeds`` by tie creation until a player in
     ``needy`` joins, then replay the recorded ties back to a seed, moving one
     good per link along a tie, which preserves welfare-maximality.
@@ -172,12 +184,12 @@ def _transfer_round(
     snapshots = [tuple(sorted(dec))]
     reductions: list[WeightReduction] = []
     while True:
-        reduction = _min_ratio_candidate(goods, weights, bundles, dec)
+        reduction = _min_ratio_candidate(run, dec)
         if reduction is None:
             return None
         if reduction.factor != 1:
             for member in dec:
-                weights[member] /= reduction.factor
+                run.weights[member] /= reduction.factor
         j = reduction.recipient
         dec.add(j)
         snapshots.append(tuple(sorted(dec)))
@@ -188,8 +200,9 @@ def _transfer_round(
     transfers = []
     while j not in seeds:
         i, g = links[j].donor, links[j].good
-        bundles[i].remove(g)
-        bundles[j].add(g)
+        run.bundles[i].remove(g)
+        run.bundles[j].add(g)
+        run.ties[i], run.ties[j] = {}, {}
         transfers.append(Transfer(donor=i, recipient=j, good=g))
         j = i
     return Round(tuple(snapshots), tuple(reductions), tuple(transfers))
@@ -211,20 +224,18 @@ def pps_po_allocate(
     """
     n = goods.n
     p = goods.m // n
-    weights: list[Fraction] = [Fraction(1, n)] * n
-    initial = weighted_welfare_allocation(goods, weights)
-    bundles = [set(b) for b in initial.bundles]
+    run = _Run(goods)
     quota_bound = [share > 0 for share in share_profile(goods).pps]
     rounds: list[Round] = []
 
     while True:
-        ls = {i for i in range(n) if quota_bound[i] and len(bundles[i]) < p}
+        ls = {i for i in range(n) if quota_bound[i] and len(run.bundles[i]) < p}
         if not ls:
             break
-        gt = {i for i in range(n) if len(bundles[i]) > p}
+        gt = {i for i in range(n) if len(run.bundles[i]) > p}
         if not gt:
             raise InvariantError("a player below quota forces another above it")
-        round_ = _transfer_round(goods, weights, bundles, seeds=gt, needy=ls)
+        round_ = _transfer_round(run, seeds=gt, needy=ls)
         if round_ is None:
             raise DegenerateInstance(
                 "no chain of ties can route a good to a player below quota: "
@@ -232,8 +243,8 @@ def pps_po_allocate(
             )
         rounds.append(round_)
 
-    trace = TransferTrace(initial=initial, rounds=tuple(rounds))
-    return allocation(bundles), tuple(weights), trace
+    trace = TransferTrace(initial=run.initial, rounds=tuple(rounds))
+    return allocation(run.bundles), tuple(run.weights), trace
 
 
 @dataclass(frozen=True)
@@ -256,30 +267,30 @@ class Prop1SearchResult:
 def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
     """Search for a Pareto-optimal allocation satisfying proportionality up to
     one good, by routing goods toward violating players along welfare ties."""
-    n = goods.n
-    weights: list[Fraction] = [Fraction(1, n)] * n
-    initial = weighted_welfare_allocation(goods, weights)
-    bundles = [set(b) for b in initial.bundles]
-    prop = share_profile(goods).prop
+    n, rows = goods.n, goods.maxima
+    run = _Run(goods)
+    bundles = run.bundles
+    totals = [sum(row) for row in rows]
     rounds: list[Round] = []
     losses: list[tuple[int, int]] = []
 
-    def held(i: int) -> Fraction:
-        return bundle_utility(goods, i, bundles[i])
+    def held(i: int) -> int:
+        return n * sum(map(rows[i].__getitem__, bundles[i]))
 
     def prop1_ok(i: int) -> bool:
-        return held(i) + best_unowned_good(goods, i, bundles[i]) >= prop[i]
+        best = next((rows[i][g] for g in goods.ranking[i] if g not in bundles[i]), 0)
+        return held(i) + n * best >= totals[i]
 
     for round_index in range(SEARCH_ROUNDS):
         violators = {i for i in range(n) if not prop1_ok(i)}
         if not violators:
             break
-        seeds = {i for i in range(n) if held(i) >= prop[i]}
+        seeds = {i for i in range(n) if held(i) >= totals[i]}
         if not seeds:
             raise InvariantError(
                 "weighted-welfare maximality puts someone at her share"
             )
-        round_ = _transfer_round(goods, weights, bundles, seeds, needy=violators)
+        round_ = _transfer_round(run, seeds, needy=violators)
         if round_ is None:
             break  # stuck: no tie can reach any violating player
         rounds.append(round_)
@@ -289,8 +300,8 @@ def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
 
     return Prop1SearchResult(
         allocation=allocation(bundles),
-        weights=tuple(weights),
+        weights=tuple(run.weights),
         certified_prop1=all(prop1_ok(i) for i in range(n)),
-        trace=TransferTrace(initial=initial, rounds=tuple(rounds)),
+        trace=TransferTrace(initial=run.initial, rounds=tuple(rounds)),
         prop1_losses=tuple(losses),
     )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -659,16 +660,31 @@ def test_maximin_share_of_a_long_single_player_file(capsys, tmp_path):
     assert doc["audit"]["players"][0]["mms"] == {"alpha": 1, "satisfied": True}
 
 
-def test_solve_under_python_O_matches_the_in_process_run(capsys, contested_file):
+def test_solve_under_python_O_matches_the_in_process_run(
+    capsys, contested_file, tmp_path
+):
     """No invariant depends on assert statements, which python -O strips."""
-    for mechanism in ("mnw", "leximin"):
-        argv = ["solve", "--mechanism", mechanism, "--input", contested_file]
-        argv += ["--with-audit", "--po-cap", "300"]
+    # skewed values (player i draws from 0..4(i+1)): both goods allocators
+    # run over ten rounds of ties on this file
+    rng = random.Random(1)
+    skewed = [[rng.randint(0, 4 * (i + 1)) for _ in range(60)] for i in range(6)]
+    goods_file = write_instance(tmp_path / "skewed.json", fd.goods_instance(skewed))
+    public = ["--input", contested_file, "--with-audit", "--po-cap", "300"]
+    goods = ["--input", goods_file, "--with-audit"]
+    for mechanism, args in [
+        ("mnw", public),
+        ("leximin", public),
+        ("pps-po", goods),
+        ("prop1-po", goods),
+    ]:
+        argv = ["solve", "--mechanism", mechanism, *args]
         code, expected, _ = run(capsys, argv)
         stripped_code, stripped_out, stripped_err = run_fresh(argv, "-O")
         assert code == 0
         assert stripped_code == 0, stripped_err
         assert stripped_out == expected
+        if args is goods:
+            assert len(json.loads(expected)["trace"]["rounds"]) > 10
 
 
 # JSON text of one utility cell: valid values, then non-numbers, non-canonical

@@ -1,11 +1,14 @@
 """Weighted welfare maximization and the share-guaranteeing transfer scheme."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
+from fairdec import io
 
 
 # integers, and fractions whose denominators are pairwise coprime, so the
@@ -116,6 +119,37 @@ def test_worthless_goods_move_along_degenerate_ties():
     assert reduction.degenerate
     assert (reduction.donor, reduction.recipient, reduction.good) == (0, 1, 3)
     assert reduction.factor == 1
+
+
+@pytest.mark.parametrize(
+    "rows, reductions, bundles",
+    [
+        # round one moves good 0 along a tie, which leaves it the donor's
+        # cheapest good toward the same recipient, at ratio 1: it must be
+        # gone from her entry in the tie table
+        (
+            [[3, 4, 4, 4], [2, 1, 1, 1]],
+            [(0, 1, 0, Fraction(3, 2), False), (0, 1, 1, Fraction(8, 3), False)],
+            [[2, 3], [0, 1]],
+        ),
+        # the worthless goods 0 and 1 and the valued good 2 all tie at
+        # ratio 1, and the lowest good goes first
+        (
+            [[0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 1, 1]],
+            [(0, 1, g, Fraction(1), g < 2) for g in range(3)],
+            [[3, 4, 5], [0, 1, 2]],
+        ),
+    ],
+    ids=["donor-gave-its-cheapest-good", "worthless-goods-tie-at-one"],
+)
+def test_tie_table_follows_the_bundles(rows, reductions, bundles):
+    alloc, _, trace = fd.pps_po_allocate(fd.goods_instance(rows))
+    assert [
+        (r.donor, r.recipient, r.good, r.factor, r.degenerate)
+        for round_ in trace.rounds
+        for r in round_.reductions
+    ] == reductions
+    assert [sorted(b) for b in alloc.bundles] == bundles
 
 
 def test_players_with_zero_pessimistic_share_are_exempt():
@@ -273,3 +307,42 @@ def test_every_recorded_tie_is_the_fraction_argmin(goods, prop1):
             bundles[t.recipient].add(t.good)
     assert tuple(w) == weights
     assert [frozenset(b) for b in bundles] == list(alloc.bundles)
+
+
+def skewed_goods(n, m, seed):
+    """Player i draws each value from 0..4(i+1), so ties chain over many rounds."""
+    rng = random.Random(seed)
+    return fd.goods_instance(
+        [[rng.randint(0, 4 * (i + 1)) for _ in range(m)] for i in range(n)]
+    )
+
+
+@pytest.mark.parametrize("prop1", [False, True], ids=["pps-po", "prop1-po"])
+@pytest.mark.parametrize("n, m", [(6, 60), (8, 80)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_multi_round_runs_replay_tie_by_tie(seed, n, m, prop1):
+    """The Fraction replay above on runs of 11 to 31 rounds, in which tie
+    table entries are built, read and dropped many times."""
+    goods = skewed_goods(n, m, seed)
+    trace = fd.prop1_po_search(goods).trace if prop1 else fd.pps_po_allocate(goods)[2]
+    assert len(trace.rounds) > 10
+    test_every_recorded_tie_is_the_fraction_argmin.hypothesis.inner_test(goods, prop1)
+
+
+def test_skewed_16x400_runs_are_pinned():
+    """PPS+PO on the skewed 16x400 instance at seed 7 keeps its round count
+    and its trace document bytes; the Prop1 search gives up there after all
+    its rounds, uncertified."""
+    goods = skewed_goods(16, 400, 7)
+    _, weights, trace = fd.pps_po_allocate(goods)
+    doc = {
+        "weights": [io.encode_rational(w) for w in weights],
+        **io.transfer_trace_document(trace),
+    }
+    assert len(trace.rounds) == 148
+    assert hashlib.sha256(io.to_json(doc).encode()).hexdigest() == (
+        "72bad599a69458fc4fb838ca852d53ce2d8d6c12473bb5321862a2701dfdedca"
+    )
+    result = fd.prop1_po_search(goods)
+    assert len(result.trace.rounds) == 100
+    assert not result.certified_prop1
