@@ -84,10 +84,10 @@ class AuditReport:
     po: ParetoCheck | None = None
 
 
-def _level(value: Fraction, *references: Fraction) -> AxiomCheck:
-    """The worst ratio value/reference over the non-zero references; with
-    none left the level is unbounded (None) and the axiom holds vacuously."""
-    alpha = min((value / r for r in references if r != 0), default=None)
+def _level(value: Fraction, reference: Fraction | int) -> AxiomCheck:
+    """The ratio value/reference; a zero reference leaves the level unbounded
+    (None), and the axiom holds vacuously."""
+    alpha = value / reference if reference else None
     return AxiomCheck(satisfied=alpha is None or alpha >= 1, alpha=alpha)
 
 
@@ -227,9 +227,11 @@ def audit_goods(
         value *= goods.scales[i]
         row = goods.maxima[i]
         rivals = [bundle for j, bundle in enumerate(alloc.bundles) if j != i]
-        worth = [sum(row[g] for g in bundle) for bundle in rivals]
-        best = [max((row[g] for g in bundle), default=0) for bundle in rivals]
-        envy.append((_level(value, *worth), _level(value, *map(sub, worth, best))))
+        worth = [sum(map(row.__getitem__, bundle)) for bundle in rivals]
+        top = [max(map(row.__getitem__, bundle), default=0) for bundle in rivals]
+        # no value is negative, so the worst ratio is over the largest reference
+        ef, ef1 = max(worth, default=0), max(map(sub, worth, top), default=0)
+        envy.append((_level(value, ef), _level(value, ef1)))
     players = _player_audits(goods, utilities, reach, with_mms, mms_cap, envy)
     po = None
     if po_cap is not None:

@@ -77,22 +77,18 @@ def _load_instance(args) -> Instance:
     return io.parse_instance(_read(args.input), allow_decimal=args.allow_decimal)
 
 
-def _audit_doc(args, instance, outcome=None, alloc=None) -> dict | None:
-    if not getattr(args, "with_audit", False):
-        return None
-    report = _run_audit(args, instance, outcome=outcome, alloc=alloc)
-    return io.audit_document(report)
-
-
 def _run_audit(args, instance, outcome=None, alloc=None):
-    kwargs = dict(
-        with_mms=args.with_mms,
-        mms_cap=args.mms_cap,
-        po_cap=args.po_cap,
-    )
+    options = dict(with_mms=args.with_mms, mms_cap=args.mms_cap, po_cap=args.po_cap)
     if isinstance(instance, GoodsInstance):
-        return audit_goods(instance, alloc, **kwargs)
-    return audit(instance, outcome, **kwargs)
+        return audit_goods(instance, alloc, **options)
+    return audit(instance, outcome, **options)
+
+
+def _audit_doc(args, instance, outcome=None, alloc=None) -> dict | None:
+    """The audit document ``--with-audit`` asks for, or None without it."""
+    if getattr(args, "with_audit", False):
+        return io.audit_document(_run_audit(args, instance, outcome, alloc))
+    return None
 
 
 def _public_result_doc(args, instance, result: MechanismResult) -> dict:
@@ -120,25 +116,20 @@ def _cmd_solve(args) -> int:
             raise InstanceFormatError(f"{mechanism} needs a goods instance")
         if mechanism == "pps-po":
             alloc, weights, trace = pps_po_allocate(instance)
-            trace_doc = {
-                "weights": [io.encode_rational(w) for w in weights],
-                **io.transfer_trace_document(trace),
-            }
+            trace_doc = {}
         else:
-            result = prop1_po_search(instance)
-            alloc = result.allocation
+            found = prop1_po_search(instance)
+            alloc, weights, trace = found.allocation, found.weights, found.trace
             trace_doc = {
-                "weights": [io.encode_rational(w) for w in result.weights],
-                "certified_prop1": result.certified_prop1,
-                "prop1_losses": [list(event) for event in result.prop1_losses],
-                **io.transfer_trace_document(result.trace),
+                "certified_prop1": found.certified_prop1,
+                "prop1_losses": [list(event) for event in found.prop1_losses],
             }
-        utilities = allocation_utilities(instance, alloc)
+        trace_doc["weights"] = [io.encode_rational(w) for w in weights]
         doc = io.goods_result_document(
             mechanism,
             alloc,
-            utilities,
-            trace=trace_doc,
+            allocation_utilities(instance, alloc),
+            trace={**trace_doc, **io.transfer_trace_document(trace)},
             audit_doc=_audit_doc(args, instance, alloc=alloc),
         )
         _write(io.to_json(doc), args.out)

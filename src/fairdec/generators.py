@@ -145,14 +145,15 @@ def lemma6_upper(n: int) -> tuple[GoodsInstance, Allocation]:
     bundles[1] = {0, 1}
     for i in range(2, n):
         bundles[i] = {i} | set(range(i * n, (i + 1) * n))
-    utilities = []
-    row0 = [Fraction(1)] * n + [cheap] * (m - n)
-    utilities.append(row0)
-    for i in range(1, n):
-        utilities.append(
-            [Fraction(1) if g in bundles[i] else Fraction(0) for g in range(m)]
-        )
-    return goods_instance(utilities), allocation(bundles)
+    return _unit_valued([1] * n + [cheap] * (m - n), bundles)
+
+
+def _unit_valued(row0: list, bundles: list) -> tuple[GoodsInstance, Allocation]:
+    """Player 1's values ``row0``, each other player's 1 on the goods of her
+    bundle and 0 elsewhere, and the allocation ``bundles``."""
+    m = len(row0)
+    rows = [row0] + [[int(g in bundle) for g in range(m)] for bundle in bundles[1:]]
+    return goods_instance(rows), allocation(bundles)
 
 
 def theorem6_upper(delta: Fraction = Fraction(1, 100)) -> GoodsInstance:
@@ -171,25 +172,13 @@ def theorem6_upper(delta: Fraction = Fraction(1, 100)) -> GoodsInstance:
 
 
 def _appendixA_candidate(n: int, m: int, k: int) -> tuple[GoodsInstance, Allocation]:
-    top = (k - 1) * n + 1
-    row0 = []
-    for g in range(m):
-        if g == 0:
-            row0.append(Fraction(top))
-        elif g <= k * n - 2:
-            row0.append(Fraction(n))
-        else:
-            row0.append(Fraction(1))
+    # the callers keep k * n - 1 <= m, so every run of values is there
+    row0 = [(k - 1) * n + 1] + [n] * (k * n - 2) + [1] * (m - k * n + 1)
     bundles = [set() for _ in range(n)]
     bundles[0] = {0}
     for g in range(1, m):
         bundles[1 + (g - 1) % (n - 1)].add(g)
-    utilities = [row0]
-    for i in range(1, n):
-        utilities.append(
-            [Fraction(1) if g in bundles[i] else Fraction(0) for g in range(m)]
-        )
-    return goods_instance(utilities), allocation(bundles)
+    return _unit_valued(row0, bundles)
 
 
 def appendixA(n: int, m: int) -> tuple[GoodsInstance, Allocation]:
@@ -245,12 +234,10 @@ def random_public(
     counts = list(k) if not isinstance(k, int) else [k] * m
     if len(counts) != m:
         raise ValueError("need one alternative count per issue")
-    issues = []
-    for t in range(m):
-        issues.append(
-            [[rng.randint(umin, umax) for _ in range(counts[t])] for _ in range(n)]
-        )
-    return decision_instance(issues)
+    draw = rng.randint
+    return decision_instance(
+        [[[draw(umin, umax) for _ in range(c)] for _ in range(n)] for c in counts]
+    )
 
 
 def random_goods(
@@ -283,12 +270,9 @@ def generate(
                 f"family {family!r} needs parameters: {', '.join(missing)}"
             )
 
-    if family == "example1":
-        return GeneratedInstance(family, example1())
-    if family == "example2":
-        return GeneratedInstance(family, example2())
-    if family == "compromise":
-        return GeneratedInstance(family, compromise())
+    fixed = {"example1": example1, "example2": example2, "compromise": compromise}
+    if family in fixed:
+        return GeneratedInstance(family, fixed[family]())
     if family == "theorem5":
         need(n=n)
         return GeneratedInstance(family, theorem5(n))

@@ -16,7 +16,11 @@ string or decimal becoming a Fraction. ``model.decision_instance`` or
 ``model.goods_instance`` then builds and checks the instance. No error text
 or path naming a value is built unless the value is refused or warned about.
 
-``to_json`` output is canonical (sorted keys, fixed indentation), so
+``to_json`` writes canonical output in one walk over the document: keys
+sorted, two-space indents, strings escaped by ``json.encoder``'s
+``encode_basestring``, and each list of ints joined at once. Its text equals
+json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) plus a newline;
+any value but a str, int, bool, None, dict, list or tuple is a TypeError. So
 emit-parse-emit is byte stable and parse(emit(x)) == x for every model value.
 """
 
@@ -28,6 +32,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring as _string
 
 from .audit import AuditReport
 from .errors import InstanceFormatError
@@ -363,6 +368,13 @@ _AXIOM_LABELS = (
 )
 
 
+def _witness(witness: Outcome | Allocation) -> tuple[str, list]:
+    """A Pareto witness as its kind, "bundles" or "choices", and its list."""
+    if isinstance(witness, Allocation):
+        return "bundles", bundles_document(witness)
+    return "choices", list(witness.choices)
+
+
 def audit_document(report: AuditReport) -> dict:
     players = [
         {
@@ -372,25 +384,53 @@ def audit_document(report: AuditReport) -> dict:
         }
         for player in report.players
     ]
-    doc: dict = {
+    po = None if report.po is None else {"satisfied": report.po.satisfied}
+    if po is not None and report.po.witness is not None:
+        kind, shown = _witness(report.po.witness)
+        po["witness_" + kind] = shown
+    return {
         "kind": "audit",
         "utilities": [encode_rational(u) for u in report.utilities],
         "players": players,
+        "po": po,
     }
-    if report.po is None:
-        doc["po"] = None
+
+
+def _emit(value, parts: list[str], newline: str) -> None:
+    """Append the JSON text of ``value`` to ``parts``; ``newline`` breaks the
+    line and indents it to the depth ``value`` sits at."""
+    if isinstance(value, str):
+        parts.append(_string(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{" + newline + "  "
+        for key in sorted(value):
+            parts.append(sep + _string(key) + ": ")
+            _emit(value[key], parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = newline + "  ", "[" + newline + "  "
+        if value and {*map(type, value)} == {int}:
+            parts.append(sep + ("," + inner).join(map(int.__repr__, value)))
+        else:
+            for item in value:
+                parts.append(sep)
+                _emit(item, parts, inner)
+                sep = "," + inner
+        parts.append(newline + "]" if value else "[]")
     else:
-        po: dict = {"satisfied": report.po.satisfied}
-        if isinstance(report.po.witness, Outcome):
-            po["witness_choices"] = list(report.po.witness.choices)
-        elif isinstance(report.po.witness, Allocation):
-            po["witness_bundles"] = bundles_document(report.po.witness)
-        doc["po"] = po
-    return doc
+        raise TypeError(f"{type(value).__name__} is not a JSON value")
 
 
 def to_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    parts: list[str] = []
+    _emit(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def render_audit_text(
@@ -405,24 +445,14 @@ def render_audit_text(
             check = getattr(player, field)
             if check is None:
                 continue
-            level = (
-                "α unbounded"
-                if check.alpha is None
-                else f"α = {encode_rational(check.alpha)}"
-            )
+            alpha = check.alpha
+            level = "α unbounded" if alpha is None else f"α = {encode_rational(alpha)}"
             verdict = "satisfied" if check.satisfied else "VIOLATED"
             lines.append(f"  {label}: {verdict} ({level})")
     if report.po is not None:
         if report.po.satisfied:
             lines.append("PO: satisfied (no dominating alternative)")
-        elif isinstance(report.po.witness, Allocation):
-            lines.append(
-                f"PO: VIOLATED (dominated by bundles "
-                f"{bundles_document(report.po.witness)})"
-            )
         else:
-            lines.append(
-                f"PO: VIOLATED (dominated by choices "
-                f"{list(report.po.witness.choices)})"
-            )
+            kind, shown = _witness(report.po.witness)
+            lines.append(f"PO: VIOLATED (dominated by {kind} {shown})")
     return "\n".join(lines) + "\n"

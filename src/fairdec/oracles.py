@@ -42,10 +42,7 @@ Objective = str  # "nash" | "leximin" | "utilitarian"
 
 
 def outcome_space_size(instance: DecisionInstance) -> int:
-    size = 1
-    for issue in instance.issues:
-        size *= issue.k
-    return size
+    return prod(issue.k for issue in instance.issues)
 
 
 def enumerate_outcomes(
@@ -200,12 +197,9 @@ def feasible_product_lower_bound(
 ) -> ProductBoundCheck:
     """Check sum_k max(0, 1 - x_k) <= delta and compare prod x_k against 1 - delta."""
     shortfall = sum((max(Fraction(0), 1 - x) for x in values), Fraction(0))
-    product = Fraction(1)
-    for x in values:
-        product *= x
     return ProductBoundCheck(
         feasible=shortfall <= delta,
         shortfall=shortfall,
-        product=product,
+        product=prod(values, start=Fraction(1)),
         floor=1 - delta,
     )

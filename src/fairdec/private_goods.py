@@ -43,11 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Sequence
 
 from .errors import DegenerateInstance, InvariantError
-from .model import Allocation, GoodsInstance, allocation
+from .model import Allocation, GoodsInstance, Outcome, allocation, outcome_to_allocation
 from .shares import share_profile
 
 SEARCH_ROUNDS = 100
@@ -92,21 +93,20 @@ class TransferTrace:
 def weighted_welfare_allocation(
     goods: GoodsInstance, weights: Sequence[Fraction]
 ) -> Allocation:
-    """Give each good to a player maximizing w_i * u_i(g); ties to the lowest index."""
+    """Give each good to a player maximizing w_i * u_i(g); ties to the lowest
+    index. Row i of ``maxima`` is scaled by one integer, w_i / scales[i] over
+    the least common denominator, and each column's first maximum wins."""
     weights = tuple(weights)
     if len(weights) != goods.n or any(w <= 0 for w in weights):
         raise ValueError("weights must be positive, one per player")
-    e = [(w.numerator, w.denominator * s) for w, s in zip(weights, goods.scales)]
-    rows = goods.maxima
-    bundles = [set() for _ in range(goods.n)]
-    for g in range(goods.m):
-        best = 0
-        for i in range(1, goods.n):
-            (num_i, den_i), (num_b, den_b) = e[i], e[best]
-            if num_i * rows[i][g] * den_b > num_b * rows[best][g] * den_i:
-                best = i
-        bundles[best].add(g)
-    return allocation(bundles)
+    dens = [w.denominator * s for w, s in zip(weights, goods.scales)]
+    common = lcm(*dens)
+    rows = [
+        [*map((w.numerator * (common // d)).__mul__, row)]
+        for w, d, row in zip(weights, dens, goods.maxima)
+    ]
+    owners = tuple(column.index(max(column)) for column in zip(*rows))
+    return outcome_to_allocation(goods, Outcome(choices=owners))
 
 
 class _Run:
@@ -271,21 +271,20 @@ def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
     run = _Run(goods)
     bundles = run.bundles
     totals = [sum(row) for row in rows]
+    held = [n * sum(map(row.__getitem__, b)) for row, b in zip(rows, bundles)]
     rounds: list[Round] = []
     losses: list[tuple[int, int]] = []
 
-    def held(i: int) -> int:
-        return n * sum(map(rows[i].__getitem__, bundles[i]))
-
     def prop1_ok(i: int) -> bool:
         best = next((rows[i][g] for g in goods.ranking[i] if g not in bundles[i]), 0)
-        return held(i) + n * best >= totals[i]
+        return held[i] + n * best >= totals[i]
 
+    ok = [prop1_ok(i) for i in range(n)]
     for round_index in range(SEARCH_ROUNDS):
-        violators = {i for i in range(n) if not prop1_ok(i)}
+        violators = {i for i in range(n) if not ok[i]}
         if not violators:
             break
-        seeds = {i for i in range(n) if held(i) >= totals[i]}
+        seeds = {i for i in range(n) if held[i] >= totals[i]}
         if not seeds:
             raise InvariantError(
                 "weighted-welfare maximality puts someone at her share"
@@ -294,14 +293,14 @@ def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
         if round_ is None:
             break  # stuck: no tie can reach any violating player
         rounds.append(round_)
-        for i in range(n):
-            if i not in violators and not prop1_ok(i):
-                losses.append((round_index, i))
+        held = [n * sum(map(row.__getitem__, b)) for row, b in zip(rows, bundles)]
+        ok = [prop1_ok(i) for i in range(n)]
+        losses += [(round_index, i) for i in range(n) if not (ok[i] or i in violators)]
 
     return Prop1SearchResult(
         allocation=allocation(bundles),
         weights=tuple(run.weights),
-        certified_prop1=all(prop1_ok(i) for i in range(n)),
+        certified_prop1=all(ok),
         trace=TransferTrace(initial=run.initial, rounds=tuple(rounds)),
         prop1_losses=tuple(losses),
     )

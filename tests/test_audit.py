@@ -146,6 +146,66 @@ def test_envy_checks_on_a_lopsided_split():
     assert swapped.players[0].ef1.satisfied  # removing the one good empties it
 
 
+def _envy_reference(goods, alloc, i):
+    """Player i's EF and EF1 levels in plain Fractions: the least value / r
+    over the rivals' references r that are not zero, None when all are."""
+    u = [goods.utility(i, g) for g in range(goods.m)]
+    value = sum((u[g] for g in alloc.bundles[i]), Fraction(0))
+    rivals = [[u[g] for g in b] for j, b in enumerate(alloc.bundles) if j != i]
+    worth = [sum(b, Fraction(0)) for b in rivals]
+    rest = [sum(b, Fraction(0)) - max(b, default=0) for b in rivals]
+    return tuple(
+        min((value / r for r in refs if r), default=None) for refs in (worth, rest)
+    )
+
+
+@st.composite
+def fraction_goods_with_allocation_(draw, max_n=4, max_m=7):
+    """Goods with "p/q"-style values (scales above 1) and zero-heavy rows, so
+    zero values and all-zero rival bundles occur, with any allocation."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    rows = []
+    for _ in range(n):
+        zero_heavy = draw(st.booleans())
+        rows.append(
+            [
+                0 if zero_heavy and draw(st.integers(0, 3)) else draw(UTILITIES)
+                for _ in range(m)
+            ]
+        )
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    bundles = [{g for g, o in enumerate(owners) if o == i} for i in range(n)]
+    return fd.goods_instance(rows), fd.allocation(bundles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_goods_with_allocation_())
+def test_envy_levels_are_the_least_fraction_ratio(pair):
+    goods, alloc = pair
+    report = fd.audit_goods(goods, alloc)
+    for i, player in enumerate(report.players):
+        ef, ef1 = _envy_reference(goods, alloc, i)
+        assert (player.ef.alpha, player.ef1.alpha) == (ef, ef1)
+        assert player.ef.satisfied == (ef is None or ef >= 1)
+        assert player.ef1.satisfied == (ef1 is None or ef1 >= 1)
+
+
+def test_envy_levels_with_zero_values_and_worthless_rivals():
+    # player 0 values player 1's goods at 0: both levels unbounded
+    # player 1 holds nothing she values: level 0 against a positive rival
+    goods = fd.goods_instance([[Fraction(5, 2), 0, 0], [Fraction(1, 3), 0, 2]])
+    alloc = fd.allocation([{0, 2}, {1}])
+    p0, p1 = fd.audit_goods(goods, alloc).players
+    assert (p0.ef.alpha, p0.ef.satisfied) == (None, True)
+    assert (p0.ef1.alpha, p0.ef1.satisfied) == (None, True)
+    assert (p1.ef.alpha, p1.ef.satisfied) == (0, False)
+    # without its best good (2) the rival bundle is worth 1/3 to player 1
+    assert (p1.ef1.alpha, p1.ef1.satisfied) == (0, False)
+    for i, player in enumerate((p0, p1)):
+        assert (player.ef.alpha, player.ef1.alpha) == _envy_reference(goods, alloc, i)
+
+
 def test_goods_pareto_witness_is_an_allocation():
     goods = fd.goods_instance([[2, 0], [0, 2]])
     backwards = fd.allocation([{1}, {0}])

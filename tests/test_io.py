@@ -581,6 +581,64 @@ def test_to_json_is_stable():
     assert io.to_json(io.instance_document(io.parse_instance(text))) == text
 
 
+def _dumps(doc) -> str:
+    """The text ``to_json`` must write: the standard library's, plus a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+json_scalars = st.one_of(
+    st.integers(),
+    st.integers(min_value=10**29, max_value=10**40),
+    st.integers(min_value=-(10**40), max_value=-(10**29)),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(alphabet=st.sampled_from('"\\/\x00\x01\x1f\n\t\u2028é漢\U0001f600 ')),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_to_json_writes_what_json_dumps_writes(doc):
+    assert io.to_json(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        (),
+        {"a": [], "b": {}, "c": ()},
+        [[], [[]], {}],
+        [1, True, 0, False, None],
+        (-(10**40), 10**30, 0),
+        {"é": "\x00\"\\", "A": ["\u2028", "漢"]},
+    ],
+)
+def test_to_json_writes_empty_and_mixed_containers_as_json_dumps(doc):
+    assert io.to_json(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "value", [1.0, 0.5, Fraction(1), Fraction(1, 2), {1, 2}, frozenset(), b"x"]
+)
+def test_to_json_refuses_what_is_not_a_json_value(value):
+    for doc in (value, [value], {"key": value}, [1, [value]], (value,)):
+        with pytest.raises(TypeError):
+            io.to_json(doc)
+
+
 def test_result_document_round_trip():
     inst = fd.generate("example2").instance
     result = fd.leximin(inst)
@@ -634,6 +692,12 @@ def test_audit_document_includes_witnesses():
     gdoc = io.audit_document(greport)
     # first improvement in enumeration order: both goods to player 1
     assert gdoc["po"] == {"satisfied": False, "witness_bundles": [[0, 1], []]}
+
+    text = io.render_audit_text(report)
+    assert text.endswith("PO: VIOLATED (dominated by choices [1, 1])\n")
+    text = io.render_audit_text(greport)
+    assert text.endswith("PO: VIOLATED (dominated by bundles [[0, 1], []])\n")
+    assert io.audit_document(fd.audit(inst, fd.Outcome(choices=(1, 1))))["po"] is None
 
 
 def test_text_rendering_names_axioms_and_verdicts():

@@ -54,6 +54,58 @@ def test_weighted_welfare_gives_each_good_to_a_weighted_maximizer():
     assert [sorted(b) for b in past.bundles] == [[], [0, 1, 2, 3]]
 
 
+def _fraction_argmax(goods, weights):
+    """Each good's owner by a plain scan of w_i * u_i(g) in Fractions: a later
+    player takes the good only with a strictly larger value."""
+    owners = []
+    for g in range(goods.m):
+        values = [w * goods.utility(i, g) for i, w in enumerate(weights)]
+        best = 0
+        for i in range(1, goods.n):
+            if values[i] > values[best]:
+                best = i
+        owners.append(best)
+    return owners
+
+
+# few distinct weights, so weighted values tie across players
+WEIGHTS = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3)]),
+    st.fractions(min_value=Fraction(1, 15), max_value=20, max_denominator=15),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_weighted_welfare_is_the_fraction_argmax(data):
+    values = data.draw(st.sampled_from([UTILITIES, TIE_HEAVY]))
+    goods = data.draw(goods_instances_(max_n=5, max_m=8, values=values))
+    weights = data.draw(st.lists(WEIGHTS, min_size=goods.n, max_size=goods.n))
+    alloc = fd.weighted_welfare_allocation(goods, weights)
+    owners = _fraction_argmax(goods, weights)
+    assert alloc.bundles == fd.allocation(
+        {g for g, owner in enumerate(owners) if owner == i} for i in range(goods.n)
+    ).bundles
+
+
+def test_weighted_welfare_argmax_on_p_q_rows():
+    """Rows read from "p/q" strings have scales above 1; equal weighted values
+    go to the lowest index, a larger one to its player."""
+    text = (
+        '{"kind": "goods", "players": ["a", "b", "c"], "goods": ["x", "y", "z"], '
+        '"utilities": [["1/2", "1/3", 0], ["3/4", "1/2", "5/7"], [1, "2/3", "5/7"]]}'
+    )
+    goods = io.parse_instance(text)
+    assert goods.scales == (6, 28, 21)
+    # w * u per good: x 1/3, 1/2, 1/2; y 2/9, 1/3, 1/3; z 0, 10/21, 5/14
+    weights = (Fraction(2, 3), Fraction(2, 3), Fraction(1, 2))
+    alloc = fd.weighted_welfare_allocation(goods, weights)
+    assert [sorted(b) for b in alloc.bundles] == [[], [0, 1, 2], []]
+    assert _fraction_argmax(goods, weights) == [1, 1, 1]
+    heavier = fd.weighted_welfare_allocation(goods, (Fraction(2, 3), Fraction(2, 3), 1))
+    assert [sorted(b) for b in heavier.bundles] == [[], [], [0, 1, 2]]
+
+
 def test_weighted_welfare_rejects_bad_weights():
     goods = fd.goods_instance([[1], [1]])
     with pytest.raises(ValueError):

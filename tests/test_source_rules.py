@@ -4,8 +4,8 @@ No module may use an ``assert`` statement (``python -O`` strips them, so an
 invariant must raise a FairdecError instead), no module may reach into
 another module's private, ``_``-prefixed names, the brute-force reference
 ``oracles.py`` imports no package module but ``model``, ``shares`` and
-``errors``, and the package may not grow past the line ceiling ROADMAP.md sets
-for it.
+``errors``, no module uses ``json.dumps`` (``io.to_json`` is the one emitter),
+and the package may not grow past the line ceiling ROADMAP.md sets for it.
 """
 
 import ast
@@ -85,6 +85,42 @@ def test_no_private_imports_across_modules(path):
 def test_the_reference_stands_alone():
     tree = ast.parse((PACKAGE / "oracles.py").read_text())
     assert _package_imports(tree) <= {"model", "shares", "errors"}
+
+
+def _json_dumps_uses(tree: ast.Module) -> list[int]:
+    """Lines that name ``json.dumps``, through any name ``json`` is bound to,
+    or import ``dumps`` from ``json``."""
+    json_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "json"
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "dumps"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in json_names
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "json"
+        and any(alias.name == "dumps" for alias in node.names)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_json_is_written_by_one_emitter(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _json_dumps_uses(tree) == [], f"{path.name}: json.dumps"
+
+
+def test_the_json_rule_sees_every_form():
+    source = "import json\nimport json as j\nfrom json import dumps\n"
+    source += "json.dumps(1)\nj.dumps\n"
+    assert sorted(_json_dumps_uses(ast.parse(source))) == [3, 4, 5]
+    assert _json_dumps_uses(ast.parse("import json\njson.loads('1')\n")) == []
 
 
 def test_the_package_stays_under_its_line_ceiling():
