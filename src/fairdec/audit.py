@@ -12,12 +12,12 @@ as the reference, minimized over opponents.
 
 Both audits read every player's shares from one ``share_profile`` call and
 build their per-player results in one place; a route supplies only the
-utilities, each player's Prop1 reach (``best_single_switch`` on public
-instances, bundle plus ``best_unowned_good`` on goods) and, for goods, the
-envy levels. Both reaches and the envy levels add and compare the
-instance's scaled integers: a switch gains at most the issue's ``maxima``
-entry, and the best unowned good is the first one of the player's
-``ranking`` outside her bundle.
+utilities, each player's Prop1 reach (on public instances her best single
+switch, read with her utility off one pass over her chosen values; bundle
+plus ``best_unowned_good`` on goods) and, for goods, the envy levels. Both
+reaches and the envy levels add and compare the instance's scaled integers:
+a switch gains at most the issue's ``maxima`` entry, and the best unowned
+good is the first one of the player's ``ranking`` outside her bundle.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .model import (
     allocation_to_outcome,
     allocation_utilities,
     outcome_to_allocation,
-    utility_vector,
 )
 from .errors import InstanceFormatError
 from .mechanisms import pareto_improvement
@@ -117,6 +116,17 @@ def _player_audits(
     )
 
 
+def _switch(
+    instance: DecisionInstance, outcome: Outcome, player: int
+) -> tuple[Fraction, Fraction]:
+    """The player's utility for the outcome and her best utility from changing
+    one issue of it, both from one read of her chosen values."""
+    values = [rows[player][c] for rows, c in zip(instance.scaled, outcome.choices)]
+    total, scale = sum(values), instance.scales[player]
+    gain = max(map(sub, instance.maxima[player], values))
+    return Fraction(total, scale), Fraction(total + gain, scale)
+
+
 def best_single_switch(
     instance: DecisionInstance, outcome: Outcome, player: int
 ) -> Fraction:
@@ -126,9 +136,7 @@ def best_single_switch(
     u^t_max(i) read from ``instance.maxima``; keeping the outcome as is is
     included (switching to the chosen alternative).
     """
-    values = [rows[player][c] for rows, c in zip(instance.scaled, outcome.choices)]
-    gain = max(map(sub, instance.maxima[player], values))
-    return Fraction(sum(values) + gain, instance.scales[player])
+    return _switch(instance, outcome, player)[1]
 
 
 def check_pareto_optimal(
@@ -165,8 +173,7 @@ def audit(
             raise InstanceFormatError(
                 f"choices[{t}]: alternative {choice} out of range 0..{k - 1}"
             )
-    utilities = utility_vector(instance, outcome)
-    reach = [best_single_switch(instance, outcome, i) for i in range(instance.n)]
+    utilities, reach = zip(*(_switch(instance, outcome, i) for i in range(instance.n)))
     players = _player_audits(instance, utilities, reach, with_mms, mms_cap)
     po = (
         check_pareto_optimal(instance, outcome, cap=po_cap)

@@ -255,27 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parse_opts(p):
-        p.add_argument(
-            "--allow-decimal",
-            action="store_true",
-            help="accept float literals and decimal strings, read exactly",
-        )
+    def add_input_opts(p):
+        p.add_argument("--input", required=True)
+        decimal = "accept float literals and decimal strings, read exactly"
+        p.add_argument("--allow-decimal", action="store_true", help=decimal)
 
     def add_audit_opts(p):
-        p.add_argument(
-            "--po-cap",
-            type=int,
-            default=None,
-            help="run the exhaustive Pareto check with this enumeration cap",
-        )
+        po = "run the exhaustive Pareto check with this enumeration cap"
+        p.add_argument("--po-cap", type=int, default=None, help=po)
         p.add_argument("--with-mms", action="store_true", help="include MMS levels")
-        p.add_argument(
-            "--mms-cap",
-            type=int,
-            default=DEFAULT_MMS_CAP,
-            help="refuse MMS when the issues have more partitions than this",
-        )
+        mms = "refuse MMS when the issues have more partitions than this"
+        p.add_argument("--mms-cap", type=int, default=DEFAULT_MMS_CAP, help=mms)
 
     solve = sub.add_parser("solve", help="run a mechanism on an instance file")
     solve.add_argument(
@@ -283,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=PUBLIC_MECHANISMS + GOODS_MECHANISMS,
     )
-    solve.add_argument("--input", required=True)
+    add_input_opts(solve)
     solve.add_argument(
         "--order",
         type=_order_arg,
@@ -295,15 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--with-audit", action="store_true", help="embed an audit of the result"
     )
     add_audit_opts(solve)
-    add_parse_opts(solve)
     solve.add_argument("--out", help="write output here instead of stdout")
     solve.set_defaults(handler=_cmd_solve)
 
     aud = sub.add_parser("audit", help="audit a result file against an instance")
-    aud.add_argument("--input", required=True)
+    add_input_opts(aud)
     aud.add_argument("--result", required=True)
     add_audit_opts(aud)
-    add_parse_opts(aud)
     aud.add_argument("--out", help="write output here instead of stdout")
     aud.add_argument("--format", choices=("json", "text"), default="json")
     aud.set_defaults(handler=_cmd_audit)
@@ -327,15 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument(
         "--objective", required=True, choices=("nash", "leximin", "utilitarian")
     )
-    orc.add_argument("--input", required=True)
+    add_input_opts(orc)
     orc.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
-    add_parse_opts(orc)
     orc.add_argument("--out", help="write output here instead of stdout")
     orc.set_defaults(handler=_cmd_oracle)
 
     red = sub.add_parser("reduce", help="embed a goods instance as a public one")
-    red.add_argument("--input", required=True)
-    add_parse_opts(red)
+    add_input_opts(red)
     red.add_argument("--out", help="write the public instance here")
     red.set_defaults(handler=_cmd_reduce)
 

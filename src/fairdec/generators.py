@@ -82,14 +82,9 @@ def example2() -> DecisionInstance:
 
 
 def compromise() -> DecisionInstance:
-    c = Fraction(2, 3)
-    return decision_instance(
-        [
-            [[1, c], [0, c]],
-            [[0, c], [1, c]],
-        ],
-        alternative_names=[("extreme", "compromise"), ("extreme", "compromise")],
-    )
+    c, labels = Fraction(2, 3), [("extreme", "compromise")] * 2
+    utilities = [[[1, c], [0, c]], [[0, c], [1, c]]]
+    return decision_instance(utilities, alternative_names=labels)
 
 
 # Slack on the binding lower bound for d: large enough that the two strict
@@ -119,17 +114,8 @@ def theorem5(n: int) -> DecisionInstance:
         raise GenerationError(
             f"calibration failed at n={n}: d={d} >= 1 breaks the unit share of player 1"
         )
-    issues = []
-    for t in range(n):
-        matrix = [[Fraction(0)] * 2 for _ in range(n)]
-        matrix[0][0] = Fraction(1)
-        matrix[0][1] = d
-        if t == 0:
-            for j in range(1, n):
-                matrix[j][1] = x
-        else:
-            matrix[t][1] = Fraction(1)
-        issues.append(matrix)
+    issues = [[[1, d]] + [[0, int(j == t)] for j in range(1, n)] for t in range(n)]
+    issues[0][1:] = [[0, x]] * (n - 1)
     return decision_instance(issues)
 
 
@@ -140,11 +126,8 @@ def lemma6_upper(n: int) -> tuple[GoodsInstance, Allocation]:
         raise ValueError("this family needs at least two players")
     m = n * n
     cheap = Fraction(1, n - 1)
-    bundles = [set() for _ in range(n)]
-    bundles[0] = set(range(n, 2 * n))
-    bundles[1] = {0, 1}
-    for i in range(2, n):
-        bundles[i] = {i} | set(range(i * n, (i + 1) * n))
+    bundles = [set(range(n, 2 * n)), {0, 1}]
+    bundles += [{i} | set(range(i * n, (i + 1) * n)) for i in range(2, n)]
     return _unit_valued([1] * n + [cheap] * (m - n), bundles)
 
 
@@ -162,13 +145,8 @@ def theorem6_upper(delta: Fraction = Fraction(1, 100)) -> GoodsInstance:
     delta = Fraction(delta)
     if not 0 < delta < Fraction(1, 2):
         raise ValueError("delta must lie strictly between 0 and 1/2")
-    one = Fraction(1)
-    return goods_instance(
-        [
-            [one - delta, one - delta, Fraction(1, 2), Fraction(1, 2)],
-            [one, one, Fraction(0), Fraction(0)],
-        ]
-    )
+    half = Fraction(1, 2)
+    return goods_instance([[1 - delta, 1 - delta, half, half], [1, 1, 0, 0]])
 
 
 def _appendixA_candidate(n: int, m: int, k: int) -> tuple[GoodsInstance, Allocation]:
@@ -292,12 +270,8 @@ def generate(
         return GeneratedInstance(family, instance, critical_ratio=ratio)
     if family == "random":
         need(n=n, m=m, k=k, seed=seed)
-        return GeneratedInstance(
-            family, random_public(n, m, k, seed, umin=umin, umax=umax)
-        )
+        return GeneratedInstance(family, random_public(n, m, k, seed, umin, umax))
     if family == "random-goods":
         need(n=n, m=m, seed=seed)
-        return GeneratedInstance(
-            family, random_goods(n, m, seed, umin=umin, umax=umax)
-        )
+        return GeneratedInstance(family, random_goods(n, m, seed, umin, umax))
     raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")

@@ -9,12 +9,15 @@ the binary float). A number with more digits than ``int`` converts is an
 InstanceFormatError with a message of its own, and so is a decimal whose
 exact value ``to_json`` could not write ("1e5000"). Digits are ASCII only.
 
-Decoding is this module's only job on input. A utility matrix whose values
-are all plain JSON integers, found by one type set over them, is kept as it
-is; any other is decoded row by row, a JSON integer staying an integer and a
-string or decimal becoming a Fraction. ``model.decision_instance`` or
-``model.goods_instance`` then builds and checks the instance. No error text
-or path naming a value is built unless the value is refused or warned about.
+Decoding is this module's only job on input, and it type-tests no utility.
+It checks a document's shape in whole-document passes, one type set each
+over the issues, their label lists and matrices, their names and labels, and
+the rows; only a document that fails one is read issue by issue, to name its
+first defect. ``model.decision_instance`` or ``model.goods_instance`` then
+builds and checks the instance, reading each value of a row that is not all
+plain ints by this module's reader: a JSON integer stays an integer and a
+string or decimal becomes a Fraction. No error text or path naming a value
+is built unless the value is refused or warned about.
 
 ``to_json`` writes canonical output in one walk over the document: keys
 sorted, two-space indents, strings escaped by ``json.encoder``'s
@@ -31,7 +34,8 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring as _string
 
 from .audit import AuditReport
@@ -67,7 +71,7 @@ def _at(path: str, index: tuple[int, ...]) -> str:
     return path + "".join(f"[{k}]" for k in index)
 
 
-def _decode_rational(value, allow_decimal: bool, path: str, *index: int):
+def _decode_rational(value, path: str, *index: int, allow_decimal: bool):
     """Read one rational: an int stays an int, any other value becomes a
     Fraction. Errors and warnings name it as ``path`` followed by ``[k]`` for
     each ``k`` in ``index``, a string built only for them."""
@@ -111,7 +115,7 @@ def read_value(text: str, path: str) -> Fraction:
     """Read one value given outside a document, such as an option, by the
     rules of a document read with ``allow_decimal``; errors and warnings name
     it as ``path``."""
-    return _decode_rational(text, True, path)
+    return _decode_rational(text, path, allow_decimal=True)
 
 
 def _loads(text: str | bytes, allow_decimal: bool):
@@ -143,24 +147,38 @@ def _string_list(value, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _matrix(rows, path: str, expected: str, allow_decimal: bool) -> list[list]:
-    """The utility matrix at ``path``, ``expected`` to be a list of lists: kept
-    when one type set finds only plain JSON ints in it (bool is not int
-    here), else with each row that is not all ints decoded value by value."""
+def _rows(rows, path: str, expected: str) -> None:
+    """Refuse the utility matrix at ``path`` unless it is a list of lists;
+    ``expected`` says what it should be."""
     if not isinstance(rows, list):
         raise InstanceFormatError(f"{path}: expected {expected}")
-    cells = chain.from_iterable(rows)  # read only when every row is a list
-    if {*map(type, rows)} <= {list} and {*map(type, cells)} <= {int}:
-        return rows
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise InstanceFormatError(f"{path}[{i}]: expected a list")
-        if not {*map(type, row)} <= {int}:
-            rows[i] = [
-                _decode_rational(v, allow_decimal, path, i, a)
-                for a, v in enumerate(row)
-            ]
-    return rows
+
+
+def _issue_fields(issues: list) -> list[list]:
+    """The names, label lists and utility matrices of a list of issues, found
+    well formed by one type set each over the issues, the label lists and
+    matrices, the names and labels, and the rows. Only when a set holds a
+    wrong type are the issues read one by one, to name the first defect."""
+    if {*map(type, issues)} <= {dict}:
+        keys = ("name", "alternatives", "utilities")
+        fields = [[*map(dict.get, issues, repeat(key))] for key in keys]
+        names, labels, matrices = fields
+        if (
+            {*map(type, chain(labels, matrices))} <= {list}
+            and {*map(type, chain(names, *labels))} <= {str}
+            and {*map(type, chain(*matrices))} <= {list}
+        ):
+            return fields
+    for t, issue in enumerate(issues):
+        if not isinstance(issue, dict):
+            raise InstanceFormatError(f"issues[{t}]: expected an object")
+        if not isinstance(issue.get("name"), str):
+            raise InstanceFormatError(f"issues[{t}].name: expected a string")
+        _string_list(issue.get("alternatives"), f"issues[{t}].alternatives")
+        _rows(issue.get("utilities"), f"issues[{t}].utilities", "a list")
 
 
 def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
@@ -173,26 +191,17 @@ def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
     if kind not in ("public", "goods"):
         raise InstanceFormatError('kind must be "public" or "goods"')
     players = _string_list(data.get("players"), "players")
+    read = partial(_decode_rational, allow_decimal=allow_decimal)
     if kind == "goods":
         goods = _string_list(data.get("goods"), "goods")
         rows = data.get("utilities")
-        matrix = _matrix(rows, "utilities", "a list of rows", allow_decimal)
-        return goods_instance(matrix, players, goods)
+        _rows(rows, "utilities", "a list of rows")
+        return goods_instance(rows, players, goods, read=read)
     issues = data.get("issues")
     if not isinstance(issues, list):
         raise InstanceFormatError("issues: expected a list")
-    utilities, names, alternatives = [], [], []
-    for t, issue in enumerate(issues):
-        if not isinstance(issue, dict):
-            raise InstanceFormatError(f"issues[{t}]: expected an object")
-        names.append(issue.get("name"))
-        if not isinstance(names[-1], str):
-            raise InstanceFormatError(f"issues[{t}].name: expected a string")
-        labels = issue.get("alternatives")
-        alternatives.append(_string_list(labels, f"issues[{t}].alternatives"))
-        rows, path = issue.get("utilities"), f"issues[{t}].utilities"
-        utilities.append(_matrix(rows, path, "a list", allow_decimal))
-    return decision_instance(utilities, players, names, alternatives)
+    names, labels, matrices = _issue_fields(issues)
+    return decision_instance(matrices, players, names, labels, read=read)
 
 
 @dataclass(frozen=True)

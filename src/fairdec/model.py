@@ -16,10 +16,12 @@ utilities on issue t times it; ``maxima[i][t]``, her best scaled utility on
 issue t; and ``ranking[i]``, her issues by those maxima, largest first, ties
 low. Readers add and compare these integers and divide by ``scales[i]`` once
 per result. The Fraction rows (``.utilities``) are built on first read, one
-Fraction per distinct value. The factories check a matrix of plain ints in
-whole-matrix passes, with no Python loop per row, and keep it as its own
-view at scale 1. Only a matrix that fails a pass is read into Fractions (its
-rows that are not all ints) and checked row by row, as a bare instance is.
+Fraction per distinct value. The factories check all matrices of an instance
+at once, with no Python loop per row or issue: row counts, one type set over
+every cell, row widths against the label counts, one least value. An
+instance that passes keeps its matrices as its own view at scale 1. Else the
+factory's reader (``as_fraction``, or ``io``'s document reader) reads each
+row that is not all ints, and the instance is checked as a bare one is.
 
 Allocating private goods is the special case with one issue per good and one
 alternative per player: the alternative that hands good g to player i gives
@@ -46,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InstanceFormatError
 
@@ -105,21 +107,32 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _fits(rows, n: int, width: int) -> bool:
-    """Whether a matrix is ``n`` >= 1 rows of ``width`` >= 1 plain ints (bool
-    is not int here), none negative, by whole-matrix passes."""
+def _fraction(value, path: str, *index: int) -> Fraction:
+    """The factories' default cell reader: ``as_fraction``, naming no place."""
+    return as_fraction(value)
+
+
+def _fits(matrices, n: int, widths: list[int]) -> bool:
+    """Whether ``matrices`` are one or more matrices of ``n`` >= 1 rows, those
+    of matrix t ``widths[t]`` >= 1 plain ints (bool is not int here), none
+    negative; found by row counts, one type set over all cells, row widths and
+    one least value, each a pass over every matrix at once."""
+    rows = [*chain.from_iterable(matrices)]
     return (
-        0 < n == len(rows) and 0 < width
+        0 < min(n, len(matrices), *widths) and {*map(len, matrices)} == {n}
         and {*map(type, chain.from_iterable(rows))} <= {int}
-        and not any(_row_violations("", rows, width))
+        and [*map(len, rows)] == [*chain.from_iterable(map(repeat, widths, repeat(n)))]
+        and min(chain.from_iterable(rows)) >= 0
     )
 
 
-def _read(rows) -> tuple:
-    """A matrix with each row that is not all plain ints read into Fractions."""
+def _read(rows, read, path: str) -> tuple:
+    """The matrix at ``path`` with each row that is not all plain ints read
+    cell by cell, the cell at [i][a] as ``read(value, path, i, a)``."""
     return tuple(
-        row if {*map(type, row)} <= {int} else tuple(map(as_fraction, row))
-        for row in rows
+        row if {*map(type, row)} <= {int}
+        else tuple(read(v, path, i, a) for a, v in enumerate(row))
+        for i, row in enumerate(rows)
     )
 
 
@@ -345,11 +358,14 @@ def decision_instance(
     players: Sequence[str] | None = None,
     issue_names: Sequence[str] | None = None,
     alternative_names: Sequence[Sequence[str]] | None = None,
+    read: Callable[..., RationalLike] = _fraction,
 ) -> DecisionInstance:
     """Build a DecisionInstance from per-issue utility matrices.
 
     ``utilities[t][i][a]`` is player i's utility for alternative a of issue t.
-    Labels default to p1.., issue1.., a1.. when omitted.
+    Labels default to p1.., issue1.., a1.. when omitted. A value in a row
+    that is not all plain ints is read by ``read(value, path, i, a)``, with
+    ``path`` "issues[t].utilities"; the default reads it by ``as_fraction``.
     """
     matrices = tuple(tuple(map(tuple, matrix)) for matrix in utilities)
     players = _labels(players, "p", len(matrices[0]) if matrices else 0)
@@ -359,11 +375,12 @@ def decision_instance(
         (names[t], _labels(given[t], "a", len(rows[0]) if rows else 0))
         for t, rows in enumerate(matrices)
     ]
-    fits = [_fits(rows, len(players), len(a)) for rows, (_, a) in zip(matrices, labels)]
-    if matrices and all(fits):
+    if _fits(matrices, len(players), [len(alts) for _, alts in labels]):
         return _public((1,) * len(players), matrices, players, labels)
-    matrices = [rows if fit else _read(rows) for rows, fit in zip(matrices, fits)]
-    issues = tuple(Issue(rows, *names) for rows, names in zip(matrices, labels))
+    issues = tuple(
+        Issue(_read(rows, read, f"issues[{t}].utilities"), name, alts)
+        for t, (rows, (name, alts)) in enumerate(zip(matrices, labels))
+    )
     bare = DecisionInstance(issues, players)  # checked and viewed bare
     return _public(bare.scales, bare.scaled, players, labels)
 
@@ -372,14 +389,17 @@ def goods_instance(
     utilities: Sequence[Sequence[RationalLike]],
     players: Sequence[str] | None = None,
     goods: Sequence[str] | None = None,
+    read: Callable[..., RationalLike] = _fraction,
 ) -> GoodsInstance:
-    """Build a GoodsInstance from an n-by-m utility matrix (rows = players)."""
+    """Build a GoodsInstance from an n-by-m utility matrix (rows = players); a
+    value in a row that is not all plain ints is read as ``decision_instance``
+    reads it, with ``path`` "utilities"."""
     rows = tuple(map(tuple, utilities))
     players = _labels(players, "p", len(rows))
     goods = _labels(goods, "g", len(rows[0]) if rows else 0)
     view = dict(scales=(1,) * len(players), maxima=rows)
-    if not _fits(rows, len(players), len(goods)):
-        bare = GoodsInstance(_read(rows), players, goods)  # checked and viewed bare
+    if not _fits([rows], len(players), [len(goods)]):
+        bare = GoodsInstance(_read(rows, read, "utilities"), players, goods)
         view = dict(scales=bare.scales, maxima=bare.maxima)
     view["_source"] = (view["maxima"], view["scales"], {})
     return _made(GoodsInstance, players=players, goods=goods, **view)

@@ -164,10 +164,13 @@ def share_profile(
     instance: Instance, with_mms: bool = False, mms_cap: int = DEFAULT_MMS_CAP
 ) -> ShareProfile:
     """Compute Prop/RRS/PPS (and optionally MMS) for every player from her
-    ranked maxima."""
+    ranked maxima, ranked once for all rules."""
+    n, scales = instance.n, instance.scales
+    rows = zip(instance.maxima, instance.ranking)
+    ranked = [[row[t] for t in order] for row, order in rows]
 
     def column(rule: Callable[..., int | Fraction], *args) -> tuple[Fraction, ...]:
-        return tuple(_share(instance, i, rule, *args) for i in range(instance.n))
+        return tuple(Fraction(rule(r, n, *args), s) for r, s in zip(ranked, scales))
 
     return ShareProfile(
         prop=column(_prop),

@@ -183,6 +183,47 @@ def test_malformed_json_and_wrong_kinds_are_format_errors():
         io.parse_instance('{"kind": "mystery"}')
 
 
+WELL_FORMED_ISSUE = {
+    "name": "t0", "alternatives": ["a", "b"], "utilities": [[1, 2], [3, 4]]
+}
+STRUCTURAL = {
+    "issue-not-an-object": ([1, 2], "issues[1]: expected an object"),
+    "name-not-a-string": (
+        {**WELL_FORMED_ISSUE, "name": 7},
+        "issues[1].name: expected a string",
+    ),
+    "non-string-label": (
+        {**WELL_FORMED_ISSUE, "alternatives": ["a", 3]},
+        "issues[1].alternatives: expected a list of strings",
+    ),
+    "utilities-not-a-list": (
+        {**WELL_FORMED_ISSUE, "utilities": {"0": 1}},
+        "issues[1].utilities: expected a list",
+    ),
+    "row-not-a-list": (
+        {**WELL_FORMED_ISSUE, "utilities": [[1, 2], 5]},
+        "issues[1].utilities[1]: expected a list",
+    ),
+    "goods-utilities-not-a-list": ("x", "utilities: expected a list of rows"),
+    "goods-row-not-a-list": ([[1], 2], "utilities[1]: expected a list"),
+}
+
+
+@pytest.mark.parametrize("defect, text", STRUCTURAL.values(), ids=STRUCTURAL.keys())
+def test_structural_defects_after_the_first_issue_are_named(defect, text):
+    """A structural defect past a well-formed first issue (or first goods
+    row) is reported at its own place, with the text pinned here."""
+    if text.startswith("issues"):
+        issues = [WELL_FORMED_ISSUE, defect, WELL_FORMED_ISSUE]
+        doc = {"kind": "public", "players": ["p", "q"], "issues": issues}
+    else:
+        doc = {"kind": "goods", "players": ["p", "q"], "goods": ["g"]}
+        doc["utilities"] = defect
+    with pytest.raises(fd.InstanceFormatError) as info:
+        io.parse_instance(json.dumps(doc))
+    assert str(info.value) == text
+
+
 def test_validation_failures_surface_with_paths():
     doc = {
         "kind": "goods",
@@ -831,12 +872,22 @@ def _unbuilt(instance) -> bool:
     return not any("utilities" in vars(issue) for issue in instance.issues)
 
 
-def test_the_timed_path_builds_no_fraction_rows():
+def test_the_timed_path_builds_no_fraction_rows(monkeypatch):
     """Parsing an all-int document, the audits, the mechanisms, the outcome
     space and every document written of them read the integer view only, so
-    the Fraction rows stay unbuilt until something reads them."""
+    the Fraction rows stay unbuilt until something reads them. The factories'
+    cell reader, io's own when parsing, sees no cell of an all-int document
+    and only the cells of rows that are not all ints otherwise, in document
+    order; a direct factory call still refuses a bool."""
     from fairdec.oracles import outcome_space_size
 
+    seen = []
+
+    def record(value, path, i, a, allow_decimal=False):
+        seen.append((value, f"{path}[{i}][{a}]"))
+        return fd.as_fraction(value)
+
+    monkeypatch.setattr(io, "_decode_rational", record)
     goods = fd.random_goods(4, 40, 11)
     for source in (fd.random_public(4, 40, 3, 11), goods, fd.goods_to_public(goods)):
         assert _unbuilt(source)
@@ -864,3 +915,32 @@ def test_the_timed_path_builds_no_fraction_rows():
     first = small.issues[0].utilities[0]  # read: now built, from the view
     assert first == tuple(map(Fraction, small.scaled[0][0]))
     assert not _unbuilt(small)
+    assert seen == []  # no parse above read a cell
+    fd.decision_instance([[[1, 2], [3, 4]]], read=record)
+    fd.goods_instance([[1, 2], [0, 5]], read=record)
+    assert seen == []
+    public = {"kind": "public", "players": ["p", "q"], "issues": [
+        {"name": "x", "alternatives": ["a", "b"], "utilities": [[1, "1/2"], [3, 4]]},
+        {"name": "y", "alternatives": ["a"], "utilities": [[5], [6]]},
+        {"name": "z", "alternatives": ["a", "b"], "utilities": [[0, 1], [2, "1/3"]]},
+    ]}
+    two_goods = {"kind": "goods", "players": ["p", "q"], "goods": ["g", "h"]}
+    io.parse_instance(json.dumps(public))
+    io.parse_instance(json.dumps({**two_goods, "utilities": [[7, 8], ["2/3", 0]]}))
+    fd.goods_instance([[1, 2], [3, Fraction(9, 2)]], read=record)
+    assert seen == [
+        (1, "issues[0].utilities[0][0]"),
+        ("1/2", "issues[0].utilities[0][1]"),
+        (2, "issues[2].utilities[1][0]"),
+        ("1/3", "issues[2].utilities[1][1]"),
+        ("2/3", "utilities[1][0]"),
+        (0, "utilities[1][1]"),
+        (3, "utilities[1][0]"),
+        (Fraction(9, 2), "utilities[1][1]"),
+    ]
+    for build in (
+        lambda: fd.goods_instance([[1, True]]),
+        lambda: fd.decision_instance([[[1, 2]], [[True, 0]]]),
+    ):
+        with pytest.raises(TypeError, match="booleans are not utilities"):
+            build()

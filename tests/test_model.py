@@ -60,6 +60,17 @@ def test_as_fraction_rejects_bools_and_floats():
         fd.as_fraction(0.5)
 
 
+def test_a_missing_row_is_not_made_up_by_an_extra_one():
+    """One issue a row short and another a row over hold as many rows, of the
+    same widths, as a well-formed instance; each row count is still refused."""
+    with pytest.raises(fd.InstanceFormatError) as info:
+        fd.decision_instance([[[1, 2]], [[1, 2], [3, 4], [5, 6]]], players=["p", "q"])
+    assert [(v.path, v.message) for v in info.value.violations] == [
+        ("issues[0].utilities", "expected 2 rows (one per player), got 1"),
+        ("issues[1].utilities", "expected 2 rows (one per player), got 3"),
+    ]
+
+
 def test_the_factories_type_test_every_matrix():
     """A bool is refused and a Fraction or string is read at its value, in
     any matrix; only a matrix that is not all plain ints is read by row, and
