@@ -38,9 +38,8 @@ from .model import (
     allocation_utilities,
     outcome_to_allocation,
 )
-from .errors import InstanceFormatError
+from .errors import DEFAULT_ENUM_CAP, InstanceFormatError
 from .mechanisms import pareto_improvement
-from .oracles import DEFAULT_ENUM_CAP
 from .shares import DEFAULT_MMS_CAP, share_profile
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``DEFAULT_ENUM_CAP``, the
+limit on an enumeration past which ``CapExceeded`` is raised."""
 
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ if TYPE_CHECKING:
 
 class FairdecError(Exception):
     """Base class for all package-specific errors."""
+
+
+DEFAULT_ENUM_CAP = 10**7
 
 
 class CapExceeded(FairdecError):

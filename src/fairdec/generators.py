@@ -20,8 +20,8 @@ Family overview:
 - theorem6_upper: two players, four goods; the Nash-welfare allocation pays
   player 1 a 2/(3-2*delta) fraction of her round robin share.
 - appendixA: goods instance plus a witness allocation that satisfies RRS but
-  fails proportionality-up-to-one-good (possible once m > 4n - 2); certified
-  by the audit before it is returned.
+  fails proportionality-up-to-one-good, built in closed form; it exists
+  exactly when m > 4n - 2.
 - weighted_welfare_gap: two players, four goods where no weighted-welfare
   allocation at any weights gives both players their (equal) RRS of 5; the
   critical weight ratio 3/4 is returned with it.
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .audit import audit_goods
 from .errors import GenerationError
 from .model import (
     Allocation,
@@ -149,45 +148,31 @@ def theorem6_upper(delta: Fraction = Fraction(1, 100)) -> GoodsInstance:
     return goods_instance([[1 - delta, 1 - delta, half, half], [1, 1, 0, 0]])
 
 
-def _appendixA_candidate(n: int, m: int, k: int) -> tuple[GoodsInstance, Allocation]:
-    # the callers keep k * n - 1 <= m, so every run of values is there
-    row0 = [(k - 1) * n + 1] + [n] * (k * n - 2) + [1] * (m - k * n + 1)
-    bundles = [set() for _ in range(n)]
-    bundles[0] = {0}
-    for g in range(1, m):
-        bundles[1 + (g - 1) % (n - 1)].add(g)
-    return _unit_valued(row0, bundles)
-
-
 def appendixA(n: int, m: int) -> tuple[GoodsInstance, Allocation]:
     """A goods instance with a witness allocation satisfying every player's
     RRS while failing proportionality-up-to-one-good for player 1.
 
-    Player 1's values step down from (k-1)n + 1 through n to 1; holding only
-    her top good meets RRS exactly but stays a full step short of Prop even
-    after adding her best outside good. Every other player unit-values
-    exactly the goods handed to her. The step count k is tuned (quotient
-    first, then a small sweep) until the audit certifies the instance;
-    certification is impossible unless m > 4n - 2.
+    With k = m // n steps, player 1 values good 0 at (k-1)n + 1, the next
+    kn - 2 goods at n and the last m - kn + 1 at 1, and holds only good 0;
+    every other player unit-values exactly the goods handed to her. Player
+    1's RRS, her ranked values at positions n, 2n, ..., kn, is (k-1)n + 1,
+    exactly her utility. Her row sums to kn^2 - 3n + m + 2, and n times her
+    utility plus her best unheld good (worth n) is kn^2 + n, which falls
+    short of it exactly when m > 4n - 2, whatever k.
     """
     if n < 2:
         raise ValueError("this family needs at least two players")
     if m < n:
         raise ValueError("this family needs at least as many goods as players")
-    candidates = [m // n] + [k for k in range(2, m // n + 2) if k != m // n]
-    for k in candidates:
-        if k < 2 or k * n - 1 > m:
-            continue
-        goods, witness = _appendixA_candidate(n, m, k)
-        report = audit_goods(goods, witness)
-        rrs_all = all(player.rrs.satisfied for player in report.players)
-        prop1_broken = any(not player.prop1.satisfied for player in report.players)
-        if rrs_all and prop1_broken:
-            return goods, witness
-    raise GenerationError(
-        f"no step count yields an RRS-but-not-Prop1 witness at n={n}, m={m} "
-        f"(impossible unless m > 4n - 2 = {4 * n - 2})"
-    )
+    if m <= 4 * n - 2:
+        raise GenerationError(
+            f"no step count yields an RRS-but-not-Prop1 witness at n={n}, m={m} "
+            f"(impossible unless m > 4n - 2 = {4 * n - 2})"
+        )
+    k = m // n
+    row0 = [(k - 1) * n + 1] + [n] * (k * n - 2) + [1] * (m - k * n + 1)
+    bundles = [{0}] + [set(range(i, m, n - 1)) for i in range(1, n)]
+    return _unit_valued(row0, bundles)
 
 
 def weighted_welfare_gap() -> tuple[GoodsInstance, Fraction]:

@@ -33,9 +33,9 @@ from math import lcm, prod
 from operator import add, ge
 from typing import Any, Callable, Iterable, Sequence
 
+from .errors import DEFAULT_ENUM_CAP, CapExceeded
 from .model import Instance, MechanismResult, Outcome, Pick, utility_vector
-from .oracles import DEFAULT_ENUM_CAP, leximin_normalization
-from .errors import CapExceeded
+from .shares import leximin_normalization
 
 
 def _check_order(n: int, order: Sequence[int] | None) -> tuple[int, ...]:

@@ -23,20 +23,17 @@ from fractions import Fraction
 from math import prod
 from typing import Any, Callable, Iterator, Sequence
 
-from .errors import CapExceeded
+from .errors import DEFAULT_ENUM_CAP, CapExceeded
 from .model import (
     Allocation,
     DecisionInstance,
     GoodsInstance,
-    Instance,
     MechanismResult,
     Outcome,
     outcome_to_allocation,
     utility_vector,
 )
-from .shares import share_profile
-
-DEFAULT_ENUM_CAP = 10**7
+from .shares import leximin_normalization
 
 Objective = str  # "nash" | "leximin" | "utilitarian"
 
@@ -70,15 +67,6 @@ def enumerate_allocations(
         raise CapExceeded(size, cap, what="allocation enumeration")
     for owners in itertools.product(range(goods.n), repeat=goods.m):
         yield outcome_to_allocation(goods, Outcome(choices=owners))
-
-
-def leximin_normalization(instance: Instance) -> tuple[Fraction | None, ...]:
-    """Per-player leximin divisor: RRS when positive, else Prop, else excluded."""
-    shares = share_profile(instance)
-    return tuple(
-        rrs if rrs > 0 else prop if prop > 0 else None
-        for rrs, prop in zip(shares.rrs, shares.prop)
-    )
 
 
 def _support(utilities: Sequence[Fraction]) -> tuple[int, ...]:

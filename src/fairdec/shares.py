@@ -178,3 +178,12 @@ def share_profile(
         pps=column(_pps),
         mms=column(_mms, mms_cap) if with_mms else None,
     )
+
+
+def leximin_normalization(instance: Instance) -> tuple[Fraction | None, ...]:
+    """Per-player leximin divisor: RRS when positive, else Prop, else excluded."""
+    shares = share_profile(instance)
+    return tuple(
+        rrs if rrs > 0 else prop if prop > 0 else None
+        for rrs, prop in zip(shares.rrs, shares.prop)
+    )

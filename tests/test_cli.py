@@ -394,6 +394,40 @@ def test_audit_rejects_mismatched_results(capsys, tmp_path, contested_file, good
     assert code == 2 and "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "source, result, extra, message",
+    [
+        ("public", None, ["--order", "a,b"], "order must be comma-separated integers"),
+        ("goods", '{"choices": [0, 0, 0, 0]}', [], "a goods instance needs a bundles result"),
+        ("public", "[0, 0]", [], "top level must be an object"),
+        ("goods", '{"bundles": {"0": [0]}}', [], "bundles: expected a list of lists"),
+        ("goods", '{"bundles": [["1"], [0, 1, 2, 3]]}', [], "bundles[0]: expected a list of integers"),
+        ("issues-object", None, [], "issues: expected a list"),
+    ],
+    ids=["order", "choices-for-goods", "result-list", "bundles-object", "string-good", "issues-object"],
+)
+def test_malformed_options_and_documents_exit_two(
+    capsys, tmp_path, contested_file, goods_file, source, result, extra, message
+):
+    path = goods_file if source == "goods" else contested_file
+    if source == "issues-object":
+        doc = json.loads(Path(path).read_text())
+        doc["issues"] = {}
+        path = tmp_path / "issues.json"
+        path.write_text(json.dumps(doc))
+    argv = ["solve", "--mechanism", "round-robin", "--input", str(path), *extra]
+    if result is not None:
+        (tmp_path / "result.json").write_text(result)
+        argv = ["audit", "--input", str(path), "--result", str(tmp_path / "result.json")]
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # argparse rejects the option itself
+        code = stop.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 def test_gen_writes_instances_and_extras(capsys, tmp_path):
     out = tmp_path / "inst.json"
     witness = tmp_path / "witness.json"

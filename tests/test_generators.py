@@ -156,14 +156,18 @@ def test_envy_free_family_certifies_at_any_size(n, seed):
     assert report.players[0].rrs.alpha == Fraction(n, 2 * n - 2)
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(4 * n - 1, 6 * n))))
-def test_share_gap_family_certifies_when_large_enough(pair):
-    n, m = pair
-    generated = fd.generate("appendixA", n=n, m=m)
-    report = fd.audit_goods(generated.instance, generated.witness)
-    assert all(p.rrs.satisfied for p in report.players)
-    assert any(not p.prop1.satisfied for p in report.players)
+def test_share_gap_family_certifies_when_large_enough():
+    # the closed form separates the two axioms exactly when m > 4n - 2
+    for n in range(2, 6):
+        for m in range(n, 8 * n + 1):
+            if m <= 4 * n - 2:
+                with pytest.raises(fd.GenerationError, match="m > 4n - 2"):
+                    fd.generate("appendixA", n=n, m=m)
+                continue
+            generated = fd.generate("appendixA", n=n, m=m)
+            report = fd.audit_goods(generated.instance, generated.witness)
+            assert all(p.rrs.satisfied for p in report.players), (n, m)
+            assert not report.players[0].prop1.satisfied, (n, m)
 
 
 @settings(deadline=None, max_examples=50)
