@@ -10,21 +10,20 @@ When s_i = 0 the axiom is vacuous: ``alpha`` is None and counts as satisfied
 Envy-freeness levels follow the same pattern with the opponent's bundle value
 as the reference, minimized over opponents.
 
-Both audits read every player's shares from one ``share_profile`` call and
-build their per-player results in one place; a route supplies only the
-utilities, each player's Prop1 reach (on public instances her best single
-switch, read with her utility off one pass over her chosen values; bundle
-plus ``best_unowned_good`` on goods) and, for goods, the envy levels. Both
-reaches and the envy levels add and compare the instance's scaled integers:
-a switch gains at most the issue's ``maxima`` entry, and the best unowned
-good is the first one of the player's ``ranking`` outside her bundle.
+Both audits take every share from one ``share_sums`` call and build their
+per-player results in one place. A route supplies each player's utility and
+Prop1 reach as sums of her scaled integers (her best single switch on public
+instances, which gains at most the issue's ``maxima`` entry; her bundle plus
+``best_unowned_good``, the first good of her ``ranking`` outside it, on
+goods) and, for goods, the envy levels. Each level is one ``Fraction`` of two
+integers, such as n U / T for Prop on a utility sum U and row sum T.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import sub
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from dataclasses import dataclass
 
@@ -35,12 +34,11 @@ from .model import (
     Instance,
     Outcome,
     allocation_to_outcome,
-    allocation_utilities,
     outcome_to_allocation,
 )
 from .errors import DEFAULT_ENUM_CAP, InstanceFormatError
 from .mechanisms import pareto_improvement
-from .shares import DEFAULT_MMS_CAP, share_profile
+from .shares import DEFAULT_MMS_CAP, share_sums
 
 
 @dataclass(frozen=True)
@@ -82,48 +80,48 @@ class AuditReport:
     po: ParetoCheck | None = None
 
 
-def _level(value: Fraction, reference: Fraction | int) -> AxiomCheck:
+def _level(value: int, reference: int) -> AxiomCheck:
     """The ratio value/reference; a zero reference leaves the level unbounded
     (None), and the axiom holds vacuously."""
-    alpha = value / reference if reference else None
+    alpha = Fraction(value, reference) if reference else None
     return AxiomCheck(satisfied=alpha is None or alpha >= 1, alpha=alpha)
 
 
 def _player_audits(
     instance: Instance,
-    utilities: tuple[Fraction, ...],
-    reach: Iterable[Fraction],
+    values: Sequence[int],
+    reach: Iterable[int],
     with_mms: bool,
     mms_cap: int,
     envy: Iterable[tuple[AxiomCheck | None, AxiomCheck | None]] | None = None,
-) -> tuple[PlayerAudit, ...]:
-    """Per-player share levels; ``reach`` is what Prop1 credits each player
-    with, ``envy`` her (EF, EF1) levels on the goods route."""
-    shares = share_profile(instance, with_mms=with_mms, mms_cap=mms_cap)
-    envy = envy if envy is not None else [(None, None)] * instance.n
-    return tuple(
+) -> tuple[tuple[Fraction, ...], tuple[PlayerAudit, ...]]:
+    """Utilities and share levels from each player's scaled utility and Prop1
+    reach; ``envy`` holds her (EF, EF1) levels on the goods route."""
+    n, sums = instance.n, share_sums(instance, with_mms, mms_cap)
+    envy = envy if envy is not None else [(None, None)] * n
+    players = tuple(
         PlayerAudit(
-            prop=_level(value, shares.prop[i]),
-            prop1=_level(credit, shares.prop[i]),
-            rrs=_level(value, shares.rrs[i]),
-            pps=_level(value, shares.pps[i]),
-            mms=None if shares.mms is None else _level(value, shares.mms[i]),
+            prop=_level(n * value, total),
+            prop1=_level(n * credit, total),
+            rrs=_level(value, rrs),
+            pps=_level(value, pps),
+            mms=None if mms is None else _level(value, mms),
             ef=ef,
             ef1=ef1,
         )
-        for i, (value, credit, (ef, ef1)) in enumerate(zip(utilities, reach, envy))
+        for value, credit, (total, rrs, pps, mms), (ef, ef1) in zip(
+            values, reach, sums, envy
+        )
     )
+    return tuple(map(Fraction, values, instance.scales)), players
 
 
-def _switch(
-    instance: DecisionInstance, outcome: Outcome, player: int
-) -> tuple[Fraction, Fraction]:
-    """The player's utility for the outcome and her best utility from changing
-    one issue of it, both from one read of her chosen values."""
+def _switch(instance: DecisionInstance, outcome: Outcome, player: int) -> tuple:
+    """The player's scaled utility for the outcome and her best one from
+    changing one issue of it, both from one read of her chosen values."""
     values = [rows[player][c] for rows, c in zip(instance.scaled, outcome.choices)]
-    total, scale = sum(values), instance.scales[player]
-    gain = max(map(sub, instance.maxima[player], values))
-    return Fraction(total, scale), Fraction(total + gain, scale)
+    total = sum(values)
+    return total, total + max(map(sub, instance.maxima[player], values))
 
 
 def best_single_switch(
@@ -135,7 +133,7 @@ def best_single_switch(
     u^t_max(i) read from ``instance.maxima``; keeping the outcome as is is
     included (switching to the chosen alternative).
     """
-    return _switch(instance, outcome, player)[1]
+    return Fraction(_switch(instance, outcome, player)[1], instance.scales[player])
 
 
 def check_pareto_optimal(
@@ -172,14 +170,15 @@ def audit(
             raise InstanceFormatError(
                 f"choices[{t}]: alternative {choice} out of range 0..{k - 1}"
             )
-    utilities, reach = zip(*(_switch(instance, outcome, i) for i in range(instance.n)))
-    players = _player_audits(instance, utilities, reach, with_mms, mms_cap)
-    po = (
-        check_pareto_optimal(instance, outcome, cap=po_cap)
-        if po_cap is not None
-        else None
-    )
+    values, reach = zip(*(_switch(instance, outcome, i) for i in range(instance.n)))
+    utilities, players = _player_audits(instance, values, reach, with_mms, mms_cap)
+    po = None if po_cap is None else check_pareto_optimal(instance, outcome, po_cap)
     return AuditReport(utilities=utilities, players=players, po=po)
+
+
+def _unowned(goods: GoodsInstance, player: int, bundle) -> int:
+    row = goods.maxima[player]
+    return next((row[g] for g in goods.ranking[player] if g not in bundle), 0)
 
 
 def best_unowned_good(
@@ -187,9 +186,7 @@ def best_unowned_good(
 ) -> Fraction:
     """The most valuable good outside the player's bundle (0 when she holds
     all): the first good of her ranking that she does not hold."""
-    row = goods.maxima[player]
-    best = next((row[g] for g in goods.ranking[player] if g not in bundle), 0)
-    return Fraction(best, goods.scales[player])
+    return Fraction(_unowned(goods, player, bundle), goods.scales[player])
 
 
 def audit_goods(
@@ -222,23 +219,17 @@ def audit_goods(
             f"bundles must hand out every good exactly once; "
             f"missing {missing}, handed out {handed}"
         )
-    utilities = allocation_utilities(goods, alloc)
-    reach = [
-        utilities[i] + best_unowned_good(goods, i, alloc.bundles[i])
-        for i in range(goods.n)
-    ]
-    envy = []
-    for i, value in enumerate(utilities):
-        # levels are ratios, so her value is scaled like the integer rivals
-        value *= goods.scales[i]
-        row = goods.maxima[i]
-        rivals = [bundle for j, bundle in enumerate(alloc.bundles) if j != i]
+    values, reach, envy = [], [], []
+    for i, (row, own) in enumerate(zip(goods.maxima, alloc.bundles)):
+        rivals = alloc.bundles[:i] + alloc.bundles[i + 1 :]
         worth = [sum(map(row.__getitem__, bundle)) for bundle in rivals]
         top = [max(map(row.__getitem__, bundle), default=0) for bundle in rivals]
+        values.append(sum(map(row.__getitem__, own)))
+        reach.append(values[i] + _unowned(goods, i, own))
         # no value is negative, so the worst ratio is over the largest reference
         ef, ef1 = max(worth, default=0), max(map(sub, worth, top), default=0)
-        envy.append((_level(value, ef), _level(value, ef1)))
-    players = _player_audits(goods, utilities, reach, with_mms, mms_cap, envy)
+        envy.append((_level(values[i], ef), _level(values[i], ef1)))
+    utilities, players = _player_audits(goods, values, reach, with_mms, mms_cap, envy)
     po = None
     if po_cap is not None:
         check = check_pareto_optimal(goods, allocation_to_outcome(goods, alloc), po_cap)

@@ -58,7 +58,7 @@ def _order_arg(text: str) -> tuple[int, ...]:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}")
 
@@ -68,7 +68,7 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise FairdecError(f"cannot write {out}: {exc}")
 

@@ -17,39 +17,36 @@ deficit, the group absorbs at most n players per round, and a round moves at
 most n goods, giving O(n^2 m^2) arithmetic operations overall.
 
 ``prop1_po_search`` runs the same round as a heuristic for proportionality
-up to one good: it seeds the group with players already at their
-proportional share (never empty: under weighted-welfare maximality the
-owner-maxima sum beats the weighted average, so someone is at quota), grows
-it until a player violating the one-good relaxation joins, and routes a good
-to her. Violators can reappear, so the search stops after ``SEARCH_ROUNDS``
-rounds and reports whether the final allocation is certified. It tests Prop1
-by the audit's rule, on scaled integers: n times the bundle plus the first
-good of the player's ranking outside it reaches her row sum.
+up to one good: it seeds the group with players at their proportional share
+(someone is: under weighted-welfare maximality the owner-maxima sum beats the
+weighted average), grows it until a Prop1 violator joins, and routes a good
+to her. Violators can reappear, so it stops after ``SEARCH_ROUNDS`` rounds
+and reports whether the result is certified by the audit's rule, on scaled
+integers: n times the bundle plus the first good of the player's ranking
+outside it reaches her row sum.
 
-Both share one round, ``_transfer_round``: grow the group from its seeds by
-tie creation until a needy player joins, then replay the ties.
-
-Ratio conventions (a candidate tie is a group member i, an outside player j
-and a good g of i): a zero for j beside a positive value for i is an
-infinite ratio, never chosen; a good worthless to both is the degenerate
-ratio 1, flagged on the trace event; ties go to the lowest i, then j, then
-g. Ratios are integer pairs over ``maxima``, compared by cross-multiplying.
+Both run rounds of ``_transfer_round``. A candidate tie there is a group
+member i, an outside player j and a good g of i: a zero for j beside a
+positive value for i is an infinite ratio, never chosen; a good worthless to
+both is the degenerate ratio 1, flagged on the trace event; ties go to the
+lowest i, then j, then g. Weights are kept over the scales as reduced integer
+pairs, and ratios of ``maxima`` entries are compared by cross-multiplying.
 The weights scale all of i's ratios toward j alike, so ``_cheapest`` keeps
-only the two goods of i that can win for j, in a table per run that drops
-i's entries when her bundle changes.
+only the two goods of i that can win for j, in a table that each transfer
+patches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
 
 from .errors import DegenerateInstance, InvariantError
 from .model import Allocation, GoodsInstance, Outcome, allocation, outcome_to_allocation
-from .shares import share_profile
+from .shares import share_sums
 
 SEARCH_ROUNDS = 100
 
@@ -110,22 +107,34 @@ def weighted_welfare_allocation(
 
 
 class _Run:
-    """One allocator run: the weights, their welfare argmax ``initial``, the
-    bundles, and the tie table ``ties[i][j]``, emptied for i when she trades."""
+    """One allocator run: each w_i / scales[i] as a reduced pair [num, den],
+    the welfare argmax ``initial``, the bundles and the tie table."""
 
     def __init__(self, goods: GoodsInstance):
         self.goods = goods
-        self.weights: list[Fraction] = [Fraction(1, goods.n)] * goods.n
-        self.initial = weighted_welfare_allocation(goods, self.weights)
+        self.e = [[1, goods.n * s] for s in goods.scales]
+        self.initial = weighted_welfare_allocation(goods, self.weights())
         self.bundles = [set(b) for b in self.initial.bundles]
         self.ties: list[dict[int, list]] = [{} for _ in range(goods.n)]
 
+    def weights(self) -> WeightVector:
+        return tuple(Fraction(a * s, b) for (a, b), s in zip(self.e, self.goods.scales))
 
-def _cheapest(goods: GoodsInstance, i: int, j: int, bundle: set[int]) -> list:
-    """ties[i][j]: the goods g of i's bundle that can be her cheapest tie
+    def move(self, i: int, j: int, g: int) -> None:
+        """Give g from i to j: drop i's ties that hold g, fold g into j's."""
+        self.bundles[i].remove(g)
+        self.bundles[j].add(g)
+        lose, gain = self.ties[i], self.ties[j]
+        self.ties[i] = {k: v for k, v in lose.items() if all(e[2] != g for e in v)}
+        for k, v in gain.items():
+            gain[k] = _cheapest(self.goods, j, k, [g, *map(itemgetter(2), v)])
+
+
+def _cheapest(goods: GoodsInstance, i: int, j: int, bundle) -> list:
+    """ties[i][j]: the goods g of ``bundle`` that can be i's cheapest tie
     toward j at any weights, as (maxima[i][g], maxima[j][g], g), lowest g
-    first: the lowest good with the least such ratio among those j values,
-    and the lowest good worthless to both."""
+    first: the lowest good of least such ratio among those j values, and the
+    lowest good worthless to both."""
     row_i, row_j = goods.maxima[i], goods.maxima[j]
     least = zero = None
     for g in sorted(bundle):
@@ -143,19 +152,19 @@ def _cheapest(goods: GoodsInstance, i: int, j: int, bundle: set[int]) -> list:
 def _min_ratio_candidate(run: _Run, dec: set[int]) -> WeightReduction | None:
     """Cheapest tie to create: argmin of (w_i u_i(g)) / (w_j u_j(g)) over
     group members i, outside players j and goods g in ``ties[i][j]``, built
-    when missing, or None if all are infinite. With e_k = w_k / scales[k] as
-    (num_k, den_k), it is (num_i den_j maxima[i][g], den_i num_j maxima[j][g])."""
-    goods, ties = run.goods, run.ties
-    e = [(w.numerator, w.denominator * s) for w, s in zip(run.weights, goods.scales)]
+    when missing, or None if all are infinite. With e_k = (num_k, den_k), it
+    is (num_i den_j maxima[i][g], den_i num_j maxima[j][g])."""
+    goods, e = run.goods, run.e
+    outside = [j for j in range(goods.n) if j not in dec]
     best = None
     for i in sorted(dec):
-        for j in range(goods.n):
-            if j in dec:
-                continue
-            if j not in ties[i]:
-                ties[i][j] = _cheapest(goods, i, j, run.bundles[i])
-            left, right = e[i][0] * e[j][1], e[i][1] * e[j][0]
-            for a, b, g in ties[i][j]:
+        ties, (num, den) = run.ties[i], e[i]
+        for j in outside:
+            entries = ties.get(j)
+            if entries is None:
+                entries = ties[j] = _cheapest(goods, i, j, run.bundles[i])
+            left, right = num * e[j][1], den * e[j][0]
+            for a, b, g in entries:
                 # a good worthless to both, (0, 0, g), is the degenerate ratio 1
                 top, bottom = left * a or 1, right * b or 1
                 if best is None or top * best[1] < best[0] * bottom:
@@ -175,11 +184,8 @@ def _min_ratio_candidate(run: _Run, dec: set[int]) -> WeightReduction | None:
 def _transfer_round(run: _Run, seeds: set[int], needy: set[int]) -> Round | None:
     """One round: grow DEC from ``seeds`` by tie creation until a player in
     ``needy`` joins, then replay the recorded ties back to a seed, moving one
-    good per link along a tie, which preserves welfare-maximality.
-
-    Returns None, with the weights already cut, when every remaining
-    candidate ratio is infinite (or nobody is left to absorb).
-    """
+    good per link along a tie, which preserves welfare-maximality. None, with
+    the weights already cut, when every remaining ratio is infinite."""
     dec = set(seeds)
     snapshots = [tuple(sorted(dec))]
     reductions: list[WeightReduction] = []
@@ -187,9 +193,12 @@ def _transfer_round(run: _Run, seeds: set[int], needy: set[int]) -> Round | None
         reduction = _min_ratio_candidate(run, dec)
         if reduction is None:
             return None
-        if reduction.factor != 1:
-            for member in dec:
-                run.weights[member] /= reduction.factor
+        up, down = reduction.factor.denominator, reduction.factor.numerator
+        if up != down:
+            for pair in map(run.e.__getitem__, dec):
+                num, den = pair[0] * up, pair[1] * down
+                d = gcd(num, den)
+                pair[:] = num // d, den // d
         j = reduction.recipient
         dec.add(j)
         snapshots.append(tuple(sorted(dec)))
@@ -200,9 +209,7 @@ def _transfer_round(run: _Run, seeds: set[int], needy: set[int]) -> Round | None
     transfers = []
     while j not in seeds:
         i, g = links[j].donor, links[j].good
-        run.bundles[i].remove(g)
-        run.bundles[j].add(g)
-        run.ties[i], run.ties[j] = {}, {}
+        run.move(i, j, g)
         transfers.append(Transfer(donor=i, recipient=j, good=g))
         j = i
     return Round(tuple(snapshots), tuple(reductions), tuple(transfers))
@@ -222,10 +229,8 @@ def pps_po_allocate(
     Raises DegenerateInstance if a player below quota can never be reached by
     tie creation (every candidate ratio infinite).
     """
-    n = goods.n
-    p = goods.m // n
-    run = _Run(goods)
-    quota_bound = [share > 0 for share in share_profile(goods).pps]
+    n, p, run = goods.n, goods.m // goods.n, _Run(goods)
+    quota_bound = [pps > 0 for _, _, pps, _ in share_sums(goods)]
     rounds: list[Round] = []
 
     while True:
@@ -244,7 +249,7 @@ def pps_po_allocate(
         rounds.append(round_)
 
     trace = TransferTrace(initial=run.initial, rounds=tuple(rounds))
-    return allocation(run.bundles), tuple(run.weights), trace
+    return allocation(run.bundles), run.weights(), trace
 
 
 @dataclass(frozen=True)
@@ -267,8 +272,7 @@ class Prop1SearchResult:
 def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
     """Search for a Pareto-optimal allocation satisfying proportionality up to
     one good, by routing goods toward violating players along welfare ties."""
-    n, rows = goods.n, goods.maxima
-    run = _Run(goods)
+    n, rows, run = goods.n, goods.maxima, _Run(goods)
     bundles = run.bundles
     totals = [sum(row) for row in rows]
     held = [n * sum(map(row.__getitem__, b)) for row, b in zip(rows, bundles)]
@@ -286,20 +290,22 @@ def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
             break
         seeds = {i for i in range(n) if held[i] >= totals[i]}
         if not seeds:
-            raise InvariantError(
-                "weighted-welfare maximality puts someone at her share"
-            )
+            raise InvariantError("weighted-welfare maximality puts someone at her share")
         round_ = _transfer_round(run, seeds, needy=violators)
         if round_ is None:
             break  # stuck: no tie can reach any violating player
         rounds.append(round_)
-        held = [n * sum(map(row.__getitem__, b)) for row, b in zip(rows, bundles)]
-        ok = [prop1_ok(i) for i in range(n)]
-        losses += [(round_index, i) for i in range(n) if not (ok[i] or i in violators)]
+        for t in round_.transfers:
+            held[t.donor] -= n * rows[t.donor][t.good]
+            held[t.recipient] += n * rows[t.recipient][t.good]
+        for i in sorted({p for t in round_.transfers for p in (t.donor, t.recipient)}):
+            ok[i] = prop1_ok(i)
+            if not (ok[i] or i in violators):
+                losses.append((round_index, i))
 
     return Prop1SearchResult(
         allocation=allocation(bundles),
-        weights=tuple(run.weights),
+        weights=run.weights(),
         certified_prop1=all(ok),
         trace=TransferTrace(initial=run.initial, rounds=tuple(rounds)),
         prop1_losses=tuple(losses),

@@ -18,9 +18,9 @@ p = floor(m / n):
 
 The chain Prop >= MMS >= RRS >= PPS holds for every player. Every share
 sums the player's scaled maxima (``model``'s integer view) in the order of
-her ranking and divides by her scale once; ``share_profile`` returns all of
-them for every player, and the per-player functions read the same helpers.
-All of them take either kind of instance (``model.Instance``): a goods
+her ranking; ``share_sums`` returns those integers, ``share_profile`` divides
+them by her scale (and Prop's by n), and the per-player functions read the
+same helpers. All take either kind of instance (``model.Instance``): a goods
 instance's maxima are its per-good values, exactly the per-issue maxima of
 its public embedding, so both give the same numbers.
 """
@@ -37,17 +37,11 @@ from .model import Instance
 DEFAULT_MMS_CAP = 10**6
 
 
-def _share(
-    instance: Instance, player: int, rule: Callable[..., int | Fraction], *args
-) -> Fraction:
+def _share(instance: Instance, player: int, rule: Callable, *args) -> Fraction:
     """``rule`` on the player's ranked scaled maxima, divided by her scale."""
     row = instance.maxima[player]
     ranked = [row[t] for t in instance.ranking[player]]
     return Fraction(rule(ranked, instance.n, *args), instance.scales[player])
-
-
-def _prop(ranked: list[int], n: int) -> Fraction:
-    return Fraction(sum(ranked), n)
 
 
 def _rrs(ranked: list[int], n: int) -> int:
@@ -60,7 +54,7 @@ def _pps(ranked: list[int], n: int) -> int:
 
 
 def proportional_share(instance: Instance, player: int) -> Fraction:
-    return _share(instance, player, _prop)
+    return Fraction(sum(instance.maxima[player]), instance.n * instance.scales[player])
 
 
 def round_robin_share(instance: Instance, player: int) -> Fraction:
@@ -150,6 +144,20 @@ def _mms(values: list[int], n: int, cap: int) -> int:
     return best
 
 
+def share_sums(
+    instance: Instance, with_mms: bool = False, mms_cap: int = DEFAULT_MMS_CAP
+) -> list[tuple[int, int, int, int | None]]:
+    """Each player's row sum, RRS, PPS and (optionally) MMS on her scaled
+    maxima, ranked once for all rules: her Prop times n and her scale, and
+    the other shares times her scale."""
+    n, sums = instance.n, []
+    for row, order in zip(instance.maxima, instance.ranking):
+        ranked = [row[t] for t in order]
+        mms = _mms(ranked, n, mms_cap) if with_mms else None
+        sums.append((sum(row), _rrs(ranked, n), _pps(ranked, n), mms))
+    return sums
+
+
 @dataclass(frozen=True)
 class ShareProfile:
     """All share thresholds for every player of one instance."""
@@ -163,20 +171,15 @@ class ShareProfile:
 def share_profile(
     instance: Instance, with_mms: bool = False, mms_cap: int = DEFAULT_MMS_CAP
 ) -> ShareProfile:
-    """Compute Prop/RRS/PPS (and optionally MMS) for every player from her
-    ranked maxima, ranked once for all rules."""
-    n, scales = instance.n, instance.scales
-    rows = zip(instance.maxima, instance.ranking)
-    ranked = [[row[t] for t in order] for row, order in rows]
-
-    def column(rule: Callable[..., int | Fraction], *args) -> tuple[Fraction, ...]:
-        return tuple(Fraction(rule(r, n, *args), s) for r, s in zip(ranked, scales))
-
+    """Prop/RRS/PPS (and optionally MMS) for every player: her
+    ``share_sums`` over her scale, and over n as well for Prop."""
+    scales = instance.scales
+    total, rrs, pps, mms = zip(*share_sums(instance, with_mms, mms_cap))
     return ShareProfile(
-        prop=column(_prop),
-        rrs=column(_rrs),
-        pps=column(_pps),
-        mms=column(_mms, mms_cap) if with_mms else None,
+        prop=tuple(Fraction(t, instance.n * s) for t, s in zip(total, scales)),
+        rrs=tuple(map(Fraction, rrs, scales)),
+        pps=tuple(map(Fraction, pps, scales)),
+        mms=tuple(map(Fraction, mms, scales)) if with_mms else None,
     )
 
 

@@ -237,7 +237,8 @@ def test_audit_rejects_malformed_outcomes():
 @settings(deadline=None)
 @given(public_instances_(), st.data())
 def test_alpha_levels_certify_the_axioms(inst, data):
-    """alpha >= 1 (or unbounded) if and only if the axiom is satisfied."""
+    """alpha >= 1 (or unbounded) if and only if the axiom is satisfied, and a
+    bounded alpha is the utility over the share in Fractions."""
     outcome = fd.Outcome(
         choices=tuple(
             data.draw(st.integers(0, issue.k - 1)) for issue in inst.issues
@@ -256,7 +257,7 @@ def test_alpha_levels_certify_the_axioms(inst, data):
             if share == 0:
                 assert check.satisfied and check.alpha is None
             else:
-                assert check.alpha is not None
+                assert check.alpha == utils[i] / share
                 assert check.satisfied == (check.alpha >= 1)
         if profile.prop[i] > 0:
             # every single-issue switch, keeping the outcome included
@@ -268,6 +269,36 @@ def test_alpha_levels_certify_the_axioms(inst, data):
                     reach = max(reach, switched[i])
             assert reach >= utils[i]
             assert player.prop1.alpha == reach / profile.prop[i]
+
+
+@settings(deadline=None)
+@given(fraction_goods_with_allocation_())
+def test_goods_alpha_levels_certify_the_axioms(pair):
+    """The goods twin of the test above: a bounded alpha is the utility, or
+    for Prop1 the utility plus the best unowned good, over the share in
+    Fractions, and alpha >= 1 (or unbounded) iff the axiom is satisfied."""
+    goods, alloc = pair
+    report = fd.audit_goods(goods, alloc, with_mms=True)
+    profile = fd.share_profile(goods, with_mms=True)
+    utils = fd.allocation_utilities(goods, alloc)
+    assert report.utilities == utils
+    for i, player in enumerate(report.players):
+        unowned = [
+            goods.utility(i, g) for g in range(goods.m) if g not in alloc.bundles[i]
+        ]
+        reach = utils[i] + max(unowned, default=0)
+        for check, value, share in (
+            (player.prop, utils[i], profile.prop[i]),
+            (player.prop1, reach, profile.prop[i]),
+            (player.rrs, utils[i], profile.rrs[i]),
+            (player.pps, utils[i], profile.pps[i]),
+            (player.mms, utils[i], profile.mms[i]),
+        ):
+            if share == 0:
+                assert check.satisfied and check.alpha is None
+            else:
+                assert check.alpha == value / share
+                assert check.satisfied == (check.alpha >= 1)
 
 
 def _first_improvement(inst, outcome):

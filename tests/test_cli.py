@@ -40,11 +40,13 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(argv, *python_flags):
-    """The same command in a new ``python -m fairdec.cli`` process."""
+def run_fresh(argv, *python_flags, **environ):
+    """The same command in a new ``python -m fairdec.cli`` process, with
+    ``environ`` added to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+    path = os.pathsep.join(filter(None, [src, inherited]))
+    env = dict(os.environ, PYTHONPATH=path, **environ)
     done = subprocess.run(
         [sys.executable, *python_flags, "-m", "fairdec.cli", *argv],
         capture_output=True,
@@ -352,6 +354,43 @@ def test_audit_text_output(capsys, tmp_path, contested_file):
     assert "p2: utility 0" in out
     assert "Prop1: VIOLATED (α = 1/2)" in out
     assert "PO: satisfied" in out
+
+
+# an ASCII locale, with neither UTF-8 mode nor locale coercion to override it
+ASCII_LOCALE = dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Input files are read, and --out files written, as UTF-8 under an ASCII
+    locale too: a player named "Zoë" and the text audit's "α" come out as the
+    same bytes as under the default locale."""
+    goods = tmp_path / "goods.json"
+    goods.write_text(
+        '{"kind": "goods", "players": ["Zoë", "Ana"], "goods": ["x", "y", "z"], '
+        '"utilities": [[3, 1, 1], [1, 2, 2]]}\n',
+        encoding="utf-8",
+    )
+    result = tmp_path / "result.json"
+    result.write_text('{"bundles": [[0], [1, 2]]}\n')
+    commands = {
+        "reduced.json": ["reduce", "--input", str(goods)],
+        "solved.json": ["solve", "--mechanism", "pps-po", "--input", str(goods)],
+        "audit.txt": [
+            *("audit", "--input", str(goods), "--result", str(result)),
+            *("--format", "text"),
+        ],
+    }
+    written = {}
+    for name, argv in commands.items():
+        for locale, environ in enumerate(({}, ASCII_LOCALE)):
+            out = tmp_path / f"{locale}-{name}"
+            code, stdout, stderr = run_fresh([*argv, "--out", str(out)], **environ)
+            assert (code, stdout, stderr) == (0, "", "")
+            written.setdefault(name, out.read_bytes())
+            assert out.read_bytes() == written[name]
+    assert "Zoë".encode() in written["reduced.json"]
+    assert "Zoë".encode() in written["audit.txt"]
+    assert "α".encode() in written["audit.txt"]
 
 
 def test_audit_json_output_with_mms(capsys, tmp_path, contested_file):

@@ -398,3 +398,51 @@ def test_skewed_16x400_runs_are_pinned():
     result = fd.prop1_po_search(goods)
     assert len(result.trace.rounds) == 100
     assert not result.certified_prop1
+
+
+# goods instances read from documents whose fractional values are "p/q"
+# strings, so most players have scales above 1
+P_Q_GOODS = goods_instances_(max_n=5, max_m=10).map(
+    lambda goods: io.parse_instance(io.to_json(io.instance_document(goods)))
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(goods_instances_(max_n=5, max_m=10, values=TIE_HEAVY) | P_Q_GOODS)
+def test_prop1_bookkeeping_matches_the_audit_round_by_round(goods):
+    """Replaying a Prop1 search trace and auditing the bundles from scratch
+    after every round gives its recorded losses and its certificate: each
+    round starts from the players at Prop and ends at a Prop1 violator, and
+    a loss is a player the round took from Prop1 to a violation."""
+    result = fd.prop1_po_search(goods)
+    bundles = [set(b) for b in result.trace.initial.bundles]
+
+    def audited():
+        players = fd.audit_goods(goods, fd.allocation(bundles)).players
+        return [p.prop.satisfied for p in players], [p.prop1.satisfied for p in players]
+
+    at_prop, prop1 = audited()
+    losses = []
+    for index, round_ in enumerate(result.trace.rounds):
+        seeds = {i for i in range(goods.n) if at_prop[i]}
+        assert set(round_.dec_snapshots[0]) == seeds
+        assert not prop1[round_.reductions[-1].recipient]
+        for t in round_.transfers:
+            bundles[t.donor].remove(t.good)
+            bundles[t.recipient].add(t.good)
+        before = prop1
+        at_prop, prop1 = audited()
+        losses += [(index, i) for i in range(goods.n) if before[i] and not prop1[i]]
+    assert [frozenset(b) for b in bundles] == list(result.allocation.bundles)
+    assert result.prop1_losses == tuple(losses)
+    assert result.certified_prop1 == all(prop1)
+
+
+@pytest.mark.parametrize("n, m", [(6, 60), (8, 80)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_prop1_bookkeeping_on_multi_round_runs(seed, n, m):
+    """The round-by-round audit above on the skewed runs of
+    ``test_multi_round_runs_replay_tie_by_tie``."""
+    goods = skewed_goods(n, m, seed)
+    assert len(fd.prop1_po_search(goods).trace.rounds) > 10
+    test_prop1_bookkeeping_matches_the_audit_round_by_round.hypothesis.inner_test(goods)

@@ -6,8 +6,9 @@ another module's private, ``_``-prefixed names, the brute-force reference
 ``oracles.py`` imports no package module but ``model``, ``shares`` and
 ``errors``, only ``cli`` and the package import ``oracles`` and only they and
 ``io`` import ``audit``, no module uses ``json.dumps`` (``io.to_json`` is the
-one emitter), and the package may not grow past the line ceiling ROADMAP.md
-sets for it.
+one emitter), every ``open``, ``read_text`` and ``write_text`` call names its
+``encoding`` (files are UTF-8 whatever the locale), and the package may not
+grow past the line ceiling ROADMAP.md sets for it.
 """
 
 import ast
@@ -133,6 +134,40 @@ def test_the_json_rule_sees_every_form():
     source += "json.dumps(1)\nj.dumps\n"
     assert sorted(_json_dumps_uses(ast.parse(source))) == [3, 4, 5]
     assert _json_dumps_uses(ast.parse("import json\njson.loads('1')\n")) == []
+
+
+FILE_CALLS = {"open", "read_text", "write_text"}
+
+
+def _calls_without_encoding(tree: ast.Module) -> list[int]:
+    """Lines that call ``open`` (by name or as a method), ``read_text`` or
+    ``write_text`` without an ``encoding=`` keyword."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in FILE_CALLS
+        )
+        and not any(keyword.arg == "encoding" for keyword in node.keywords)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_files_are_opened_with_an_encoding(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _calls_without_encoding(tree) == [], f"{path.name}: no encoding="
+
+
+def test_the_encoding_rule_sees_every_form():
+    source = "open('f')\nPath('f').read_text()\np.write_text('x')\np.open('r')\n"
+    source += "open('f', encoding='utf-8')\np.read_text(encoding='utf-8')\n"
+    source += "p.write_text('x', encoding='utf-8')\nio.open('f', encoding='ascii')\n"
+    source += "p.read_bytes()\nopened('f')\n"
+    assert sorted(_calls_without_encoding(ast.parse(source))) == [1, 2, 3, 4]
 
 
 def test_the_package_stays_under_its_line_ceiling():
