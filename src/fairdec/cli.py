@@ -64,8 +64,14 @@ def _read(path: str) -> str:
 
 
 def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to ``out``, or to stdout without it, as UTF-8 bytes
+    whatever the locale."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.write(text.encode("utf-8"))
+        else:  # a text-only stream, such as a StringIO
+            sys.stdout.write(text)
         return
     try:
         Path(out).write_text(text, encoding="utf-8")
@@ -187,7 +193,7 @@ def _cmd_gen(args) -> int:
             extras["critical_ratio"] = io.encode_rational(generated.critical_ratio)
         if generated.witness is not None:
             extras["witness_bundles"] = io.bundles_document(generated.witness)
-        sys.stdout.write(io.to_json(extras))
+        _write(io.to_json(extras), None)
     return 0
 
 
@@ -259,6 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True)
         decimal = "accept float literals and decimal strings, read exactly"
         p.add_argument("--allow-decimal", action="store_true", help=decimal)
+        p.add_argument("--out", help="write output here instead of stdout")
+
+    def add_ints(p, **defaults):
+        for name, default in defaults.items():
+            p.add_argument(f"--{name}", type=int, default=default)
 
     def add_audit_opts(p):
         po = "run the exhaustive Pareto check with this enumeration cap"
@@ -268,43 +279,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mms-cap", type=int, default=DEFAULT_MMS_CAP, help=mms)
 
     solve = sub.add_parser("solve", help="run a mechanism on an instance file")
-    solve.add_argument(
-        "--mechanism",
-        required=True,
-        choices=PUBLIC_MECHANISMS + GOODS_MECHANISMS,
-    )
+    mechanisms = PUBLIC_MECHANISMS + GOODS_MECHANISMS
+    solve.add_argument("--mechanism", required=True, choices=mechanisms)
     add_input_opts(solve)
-    solve.add_argument(
-        "--order",
-        type=_order_arg,
-        default=None,
-        help="round robin player order, e.g. 0,2,1 (default: index order)",
-    )
+    order = "round robin player order, e.g. 0,2,1 (default: index order)"
+    solve.add_argument("--order", type=_order_arg, help=order)
     solve.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     solve.add_argument(
         "--with-audit", action="store_true", help="embed an audit of the result"
     )
     add_audit_opts(solve)
-    solve.add_argument("--out", help="write output here instead of stdout")
     solve.set_defaults(handler=_cmd_solve)
 
     aud = sub.add_parser("audit", help="audit a result file against an instance")
     add_input_opts(aud)
     aud.add_argument("--result", required=True)
     add_audit_opts(aud)
-    aud.add_argument("--out", help="write output here instead of stdout")
     aud.add_argument("--format", choices=("json", "text"), default="json")
     aud.set_defaults(handler=_cmd_audit)
 
     gen = sub.add_parser("gen", help="generate a named instance family")
     gen.add_argument("--family", required=True, choices=FAMILIES)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--k", type=int)
+    add_ints(gen, n=None, m=None, k=None)
     gen.add_argument("--delta")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--umin", type=int, default=0)
-    gen.add_argument("--umax", type=int, default=5)
+    add_ints(gen, seed=None, umin=0, umax=5)
     gen.add_argument(
         "--witness-out", help="write the family's witness allocation here"
     )
@@ -317,12 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_input_opts(orc)
     orc.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
-    orc.add_argument("--out", help="write output here instead of stdout")
     orc.set_defaults(handler=_cmd_oracle)
 
     red = sub.add_parser("reduce", help="embed a goods instance as a public one")
     add_input_opts(red)
-    red.add_argument("--out", help="write the public instance here")
     red.set_defaults(handler=_cmd_reduce)
 
     bench = sub.add_parser(
@@ -330,11 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--trials", type=int, required=True)
     bench.add_argument("--seed", type=int, required=True)
-    bench.add_argument("--n", type=int, default=3)
-    bench.add_argument("--m", type=int, default=5)
-    bench.add_argument("--k", type=int, default=2)
-    bench.add_argument("--umin", type=int, default=0)
-    bench.add_argument("--umax", type=int, default=5)
+    add_ints(bench, n=3, m=5, k=2, umin=0, umax=5)
     bench.add_argument("--out")
     bench.set_defaults(handler=_cmd_bench)
 

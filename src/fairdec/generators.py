@@ -34,7 +34,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .errors import GenerationError
 from .model import (
@@ -193,24 +194,33 @@ def random_public(
     """Uniform integer utilities in [umin, umax]; k alternatives per issue
     (a sequence gives per-issue counts). Draw order: issues, then players,
     then alternatives."""
-    rng = random.Random(seed)
     counts = list(k) if not isinstance(k, int) else [k] * m
     if len(counts) != m:
         raise ValueError("need one alternative count per issue")
-    draw = rng.randint
-    return decision_instance(
-        [[[draw(umin, umax) for _ in range(c)] for _ in range(n)] for c in counts]
-    )
+    draws = _draws(seed, umin, umax)
+    return decision_instance([[[*islice(draws, c)] for _ in range(n)] for c in counts])
 
 
 def random_goods(
     n: int, m: int, seed: int, umin: int = 0, umax: int = 5
 ) -> GoodsInstance:
     """Uniform integer per-good utilities in [umin, umax]; players then goods."""
-    rng = random.Random(seed)
-    return goods_instance(
-        [[rng.randint(umin, umax) for _ in range(m)] for _ in range(n)]
-    )
+    draws = _draws(seed, umin, umax)
+    return goods_instance([[*islice(draws, m)] for _ in range(n)])
+
+
+def _draws(seed: int, umin: int, umax: int) -> Iterator[int]:
+    """What ``random.Random(seed).randint(umin, umax)`` returns call after
+    call, drawn as it draws: ``getrandbits`` of the range's bit length, redrawn
+    until it falls in the range. The range is checked at the first draw."""
+    width = umax - umin + 1
+    if width < 1:
+        raise ValueError(f"empty utility range: umin {umin} exceeds umax {umax}")
+    bits, getrandbits = width.bit_length(), random.Random(seed).getrandbits
+    while True:
+        r = getrandbits(bits)
+        if r < width:
+            yield umin + r
 
 
 def generate(

@@ -21,7 +21,8 @@ is built unless the value is refused or warned about.
 
 ``to_json`` writes canonical output in one walk over the document: keys
 sorted, two-space indents, strings escaped by ``json.encoder``'s
-``encode_basestring``, and each list of ints joined at once. Its text equals
+``encode_basestring``. A list of ints is joined at once, and a list of
+non-empty int rows one row per join, with no call per row. Its text equals
 json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) plus a newline;
 any value but a str, int, bool, None, dict, list or tuple is a TypeError. So
 emit-parse-emit is byte stable and parse(emit(x)) == x for every model value.
@@ -283,10 +284,7 @@ def instance_document(instance: Instance) -> dict:
 def mechanism_trace(result: MechanismResult) -> dict | None:
     trace: dict = {}
     if result.picks is not None:
-        trace["picks"] = [
-            {"player": p.player, "issue": p.issue, "alternative": p.alternative}
-            for p in result.picks
-        ]
+        trace["picks"] = [{**vars(p)} for p in result.picks]
     if result.support is not None:
         trace["support"] = list(result.support)
     if result.normalization is not None:
@@ -314,29 +312,18 @@ def bundles_document(alloc: Allocation) -> list[list[int]]:
 
 
 def transfer_trace_document(trace: TransferTrace) -> dict:
-    return {
-        "initial_bundles": bundles_document(trace.initial),
-        "rounds": [
-            {
-                "dec": [list(snapshot) for snapshot in r.dec_snapshots],
-                "reductions": [
-                    {
-                        "donor": red.donor,
-                        "recipient": red.recipient,
-                        "good": red.good,
-                        "factor": encode_rational(red.factor),
-                        "degenerate": red.degenerate,
-                    }
-                    for red in r.reductions
-                ],
-                "transfers": [
-                    {"donor": t.donor, "recipient": t.recipient, "good": t.good}
-                    for t in r.transfers
-                ],
-            }
-            for r in trace.rounds
-        ],
-    }
+    rounds = [
+        {
+            "dec": [list(snapshot) for snapshot in r.dec_snapshots],
+            "reductions": [
+                {**vars(red), "factor": encode_rational(red.factor)}
+                for red in r.reductions
+            ],
+            "transfers": [{**vars(t)} for t in r.transfers],
+        }
+        for r in trace.rounds
+    ]
+    return {"initial_bundles": bundles_document(trace.initial), "rounds": rounds}
 
 
 def goods_result_document(
@@ -423,8 +410,13 @@ def _emit(value, parts: list[str], newline: str) -> None:
         parts.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "[" + newline + "  "
-        if value and {*map(type, value)} == {int}:
+        types = {*map(type, value)}
+        if types == {int}:
             parts.append(sep + ("," + inner).join(map(int.__repr__, value)))
+        elif types == {list} and all(value) and {*map(type, chain(*value))} == {int}:
+            cell, row = "," + inner + "  ", inner + "]," + inner + "[" + inner + "  "
+            rows = [cell.join(map(int.__repr__, r)) for r in value]
+            parts.append(sep + "[" + inner + "  " + row.join(rows) + inner + "]")
         else:
             for item in value:
                 parts.append(sep)

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, documents, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -7,7 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 
 import pytest
@@ -360,10 +361,8 @@ def test_audit_text_output(capsys, tmp_path, contested_file):
 ASCII_LOCALE = dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
 
 
-def test_files_are_utf8_whatever_the_locale(tmp_path):
-    """Input files are read, and --out files written, as UTF-8 under an ASCII
-    locale too: a player named "Zoë" and the text audit's "α" come out as the
-    same bytes as under the default locale."""
+def _zoe_files(tmp_path) -> tuple[Path, Path]:
+    """A goods file naming player "Zoë", and a result file for it."""
     goods = tmp_path / "goods.json"
     goods.write_text(
         '{"kind": "goods", "players": ["Zoë", "Ana"], "goods": ["x", "y", "z"], '
@@ -372,6 +371,14 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     )
     result = tmp_path / "result.json"
     result.write_text('{"bundles": [[0], [1, 2]]}\n')
+    return goods, result
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Input files are read, and --out files written, as UTF-8 under an ASCII
+    locale too: a player named "Zoë" and the text audit's "α" come out as the
+    same bytes as under the default locale."""
+    goods, result = _zoe_files(tmp_path)
     commands = {
         "reduced.json": ["reduce", "--input", str(goods)],
         "solved.json": ["solve", "--mechanism", "pps-po", "--input", str(goods)],
@@ -391,6 +398,21 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     assert "Zoë".encode() in written["reduced.json"]
     assert "Zoë".encode() in written["audit.txt"]
     assert "α".encode() in written["audit.txt"]
+
+
+def test_stdout_carries_the_bytes_out_writes_whatever_its_encoding(
+    monkeypatch, tmp_path
+):
+    goods, result = _zoe_files(tmp_path)
+    audit_text = ["audit", "--input", str(goods), "--result", str(result)]
+    for argv in (["reduce", "--input", str(goods)], audit_text + ["--format", "text"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        stdout = TextIOWrapper(BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert stdout.buffer.getvalue() == out.read_bytes()
+        assert "Zoë".encode() in out.read_bytes()
 
 
 def test_audit_json_output_with_mms(capsys, tmp_path, contested_file):
@@ -544,6 +566,42 @@ def test_gen_refuses_instances_solve_would_reject(capsys, tmp_path, params, defe
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and defect in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params, digest",
+    [
+        (
+            "random --n 5 --m 40 --k 3 --seed 11",
+            "1d2f6830c7d0747cfe690a88bde4bdbeaf94f77f181cfb63eb784234b2e12de7",
+        ),
+        (
+            "random-goods --n 6 --m 50 --seed 11",
+            "f7877d8e0505c4e56b853945015c7227a71164f124ff0032356a0f25ff29cd33",
+        ),
+        (
+            "random-goods --n 4 --m 30 --seed 3 --umin 2 --umax 9",
+            "d45c6e14236230bb7dd8af1495ae8aa46ceeed0f0bedba06ceaccad80d74d4e6",
+        ),
+    ],
+)
+def test_gen_random_families_write_pinned_bytes(capsys, tmp_path, params, digest):
+    out = tmp_path / "f.json"
+    code, _, err = run(capsys, ["gen", "--family", *params.split(), "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "random", *"--n 2 --m 2 --k 2 --seed 1".split()],
+        ["bench", "--trials", "1", "--seed", "1"],
+    ],
+)
+def test_an_empty_utility_range_is_exit_two_naming_both_bounds(capsys, argv):
+    expected = "error: empty utility range: umin 5 exceeds umax 4\n"
+    assert run(capsys, argv + ["--umin", "5", "--umax", "4"]) == (2, "", expected)
 
 
 @pytest.mark.parametrize("delta", ["٣/١٠٠", "1e99999999999", "1/0", " 1/0", "x"])

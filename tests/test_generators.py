@@ -1,6 +1,7 @@
 """Named instance families and the seeded random generators."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,30 @@ def test_random_families_are_seeded_and_bounded():
     h = fd.generate("random-goods", n=2, m=6, seed=7, umin=1, umax=9).instance
     assert g == h
     assert all(1 <= v <= 9 for row in g.utilities for v in row)
+
+
+@pytest.mark.parametrize(
+    "umin, umax", [(0, 5), (0, 0), (3, 3), (2, 9), (1, 2**32), (0, 2**40 + 3)]
+)
+@pytest.mark.parametrize("seed", [0, 7, 11, 2**40])
+def test_random_families_draw_what_randint_draws(seed, umin, umax):
+    """Each random family equals the instance built from
+    random.Random(seed).randint in its documented order."""
+    draw, counts = random.Random(seed).randint, (3, 1, 2, 3)
+    cells = [[[draw(umin, umax) for _ in range(c)] for _ in range(4)] for c in counts]
+    public = fd.random_public(4, 4, counts, seed, umin, umax)
+    assert public == fd.decision_instance(cells)
+    draw = random.Random(seed).randint
+    rows = [[draw(umin, umax) for _ in range(9)] for _ in range(3)]
+    assert fd.random_goods(3, 9, seed, umin, umax) == fd.goods_instance(rows)
+
+
+def test_an_empty_utility_range_names_both_bounds():
+    message = "^empty utility range: umin 5 exceeds umax 4$"
+    with pytest.raises(ValueError, match=message):
+        fd.random_goods(2, 3, 1, umin=5, umax=4)
+    with pytest.raises(ValueError, match=message):
+        fd.random_public(2, 3, 2, 1, umin=5, umax=4)
 
 
 def test_random_family_takes_per_issue_widths():

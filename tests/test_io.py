@@ -642,6 +642,7 @@ json_documents = st.recursive(
         st.lists(inner),
         st.lists(inner).map(tuple),
         st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(st.lists(st.integers(), min_size=1), min_size=1),
         st.dictionaries(st.text(), inner),
     ),
     max_leaves=40,
@@ -665,6 +666,12 @@ def test_to_json_writes_what_json_dumps_writes(doc):
         [1, True, 0, False, None],
         (-(10**40), 10**30, 0),
         {"é": "\x00\"\\", "A": ["\u2028", "漢"]},
+        [[1], []],
+        [[True, 1]],
+        [[10**40, -1]],
+        {"a": [[0]]},
+        ([[1, 2], [3]], [[4]]),
+        [[1], (2,)],
     ],
 )
 def test_to_json_writes_empty_and_mixed_containers_as_json_dumps(doc):
@@ -675,7 +682,8 @@ def test_to_json_writes_empty_and_mixed_containers_as_json_dumps(doc):
     "value", [1.0, 0.5, Fraction(1), Fraction(1, 2), {1, 2}, frozenset(), b"x"]
 )
 def test_to_json_refuses_what_is_not_a_json_value(value):
-    for doc in (value, [value], {"key": value}, [1, [value]], (value,)):
+    matrices = ([[1, value]], [[1], [value]])
+    for doc in (value, [value], {"key": value}, [1, [value]], (value,), *matrices):
         with pytest.raises(TypeError):
             io.to_json(doc)
 
