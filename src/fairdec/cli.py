@@ -285,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     order = "round robin player order, e.g. 0,2,1 (default: index order)"
     solve.add_argument("--order", type=_order_arg, help=order)
     solve.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
-    solve.add_argument(
-        "--with-audit", action="store_true", help="embed an audit of the result"
-    )
+    embed = "embed an audit of the result"
+    solve.add_argument("--with-audit", action="store_true", help=embed)
     add_audit_opts(solve)
     solve.set_defaults(handler=_cmd_solve)
 
@@ -303,9 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_ints(gen, n=None, m=None, k=None)
     gen.add_argument("--delta")
     add_ints(gen, seed=None, umin=0, umax=5)
-    gen.add_argument(
-        "--witness-out", help="write the family's witness allocation here"
-    )
+    witness = "write the family's witness allocation here"
+    gen.add_argument("--witness-out", help=witness)
     gen.add_argument("--out", help="write the instance here instead of stdout")
     gen.set_defaults(handler=_cmd_gen)
 

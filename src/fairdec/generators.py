@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import index
 from typing import Iterator, Sequence
 
 from .errors import GenerationError
@@ -212,7 +213,8 @@ def random_goods(
 def _draws(seed: int, umin: int, umax: int) -> Iterator[int]:
     """What ``random.Random(seed).randint(umin, umax)`` returns call after
     call, drawn as it draws: ``getrandbits`` of the range's bit length, redrawn
-    until it falls in the range. The range is checked at the first draw."""
+    until it falls in the range. The bounds are checked at the first draw."""
+    umin, umax = index(umin), index(umax)  # a TypeError unless both are integers
     width = umax - umin + 1
     if width < 1:
         raise ValueError(f"empty utility range: umin {umin} exceeds umax {umax}")

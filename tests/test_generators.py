@@ -166,6 +166,12 @@ def test_an_empty_utility_range_names_both_bounds():
         fd.random_public(2, 3, 2, 1, umin=5, umax=4)
 
 
+@pytest.mark.parametrize("bounds", [(0.5, 5), (0, 5.0), (Fraction(0), 5)])
+def test_random_bounds_must_be_integers(bounds):
+    with pytest.raises(TypeError):
+        fd.random_goods(2, 3, 1, *bounds)
+
+
 def test_random_family_takes_per_issue_widths():
     inst = fd.random_public(2, 3, (1, 2, 3), seed=0)
     assert [issue.k for issue in inst.issues] == [1, 2, 3]
