@@ -143,10 +143,9 @@ def _cmd_solve(args) -> int:
 
     if mechanism == "round-robin":
         result = round_robin(instance, order=args.order)
-    elif mechanism == "leximin":
-        result = leximin(instance, cap=args.cap)
     else:
-        result = max_nash_welfare(instance, cap=args.cap)
+        search = leximin if mechanism == "leximin" else max_nash_welfare
+        result = search(instance, cap=args.cap)
     _write(io.to_json(_public_result_doc(args, instance, result)), args.out)
     return 0
 
@@ -199,9 +198,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = _load_instance(args)
-    public = (
-        goods_to_public(instance) if isinstance(instance, GoodsInstance) else instance
-    )
+    goods = isinstance(instance, GoodsInstance)
+    public = goods_to_public(instance) if goods else instance
     result = exact_optimum(public, args.objective, cap=args.cap)
     _write(io.to_json(_public_result_doc(args, instance, result)), args.out)
     return 0
@@ -220,12 +218,8 @@ def _bench_trial(args, trial_seed: int) -> dict[str, tuple[bool, bool, bool, boo
         args.n, args.m, args.k, trial_seed, umin=args.umin, umax=args.umax
     )
     flags = {}
-    for name, run in (
-        ("round-robin", lambda: round_robin(instance)),
-        ("leximin", lambda: leximin(instance)),
-        ("mnw", lambda: max_nash_welfare(instance)),
-    ):
-        result = run()
+    for name, run in zip(PUBLIC_MECHANISMS, (round_robin, leximin, max_nash_welfare)):
+        result = run(instance)
         report = audit(instance, result.outcome, po_cap=DEFAULT_ENUM_CAP)
         flags[name] = (
             report.po.satisfied,

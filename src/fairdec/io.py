@@ -22,10 +22,11 @@ is built unless the value is refused or warned about.
 ``to_json`` writes canonical output in one walk over the document: keys
 sorted, two-space indents, strings escaped by ``json.encoder``'s
 ``encode_basestring``. A list of ints is joined at once, and a list of
-non-empty int rows one row per join, with no call per row. Its text equals
-json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) plus a newline;
-any value but a str, int, bool, None, dict, list or tuple is a TypeError. So
-emit-parse-emit is byte stable and parse(emit(x)) == x for every model value.
+non-empty int rows (lists or tuples) one row per join, with no call per row.
+Its text equals json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+plus a newline; any value but a str, int, bool, None, dict, list or tuple is
+a TypeError. So emit-parse-emit is byte stable and parse(emit(x)) == x for
+every model value.
 """
 
 from __future__ import annotations
@@ -250,10 +251,11 @@ def parse_result(text: str | bytes) -> ParsedResult:
     raise InstanceFormatError('result needs "choices" or "bundles"')
 
 
-def _rows_document(rows, scales) -> list[list]:
-    """Integer rows, each over its player's scale, as a document writes them."""
+def _rows_document(rows, scales) -> list:
+    """Integer rows, each over its player's scale, as a document writes them;
+    a row at scale 1 is the view's own tuple, not a copy."""
     return [
-        list(row) if scale == 1 else [encode_rational(Fraction(v, scale)) for v in row]
+        row if scale == 1 else [encode_rational(Fraction(v, scale)) for v in row]
         for row, scale in zip(rows, scales)
     ]
 
@@ -413,7 +415,9 @@ def _emit(value, parts: list[str], newline: str) -> None:
         types = {*map(type, value)}
         if types == {int}:
             parts.append(sep + ("," + inner).join(map(int.__repr__, value)))
-        elif types == {list} and all(value) and {*map(type, chain(*value))} == {int}:
+        elif types <= {list, tuple} and all(value) and (
+            {*map(type, chain(*value))} == {int}
+        ):
             cell, row = "," + inner + "  ", inner + "]," + inner + "[" + inner + "  "
             rows = [cell.join(map(int.__repr__, r)) for r in value]
             parts.append(sep + "[" + inner + "  " + row.join(rows) + inner + "]")

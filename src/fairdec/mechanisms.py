@@ -25,16 +25,25 @@ so a bound that loses to the incumbent, or ties it (later outcomes lose the
 tie-break), rules out the subtree; once an outcome covers every player, the
 support phase prunes everything left. The Pareto check prunes each subtree
 where some player can no longer reach her audited utility.
+
+The descent runs over the instance's ``search_view``, built once and shared
+by every search on the instance: each issue's alternatives less those
+pointwise at most an earlier one. Swapping in the earlier one raises no key,
+keeps a Pareto improvement one and comes first in lexicographic order, so
+ties and the first witness are unchanged. Positive factors keep dominance; a
+search on part of the players drops again on its part.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import lcm, prod
-from operator import add, ge
+from operator import add, ge, getitem, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import DEFAULT_ENUM_CAP, CapExceeded
-from .model import Instance, MechanismResult, Outcome, Pick, utility_vector
+from .model import Instance, MechanismResult, Outcome, Pick
+from .model import drop_dominated, utility_vector
 from .shares import leximin_normalization
 
 
@@ -93,27 +102,27 @@ def _search(
     instance: Instance,
     factors: dict[int, int],
     prune: Callable[[Vector, Vector], bool],
-    leaf: Callable[[Vector, list[int]], bool | None],
+    leaf: Callable[[Vector, tuple[int, ...]], bool | None],
 ) -> tuple[int, ...] | None:
     """Search the outcome tree depth first in lexicographic choice order, on
-    the scaled utilities of the players in ``factors``, each times her factor.
+    the scaled utilities of the players in ``factors`` (keyed in index order),
+    each times her factor, over the undominated alternatives of each issue.
 
     ``prune(vector, suffix)`` sees each node below the root with its partial
     utility vector and the most each player can still add; True skips the
-    subtree. ``leaf(vector, choices)`` sees each complete outcome not pruned
-    (copy ``choices`` to keep it); True ends the search and returns choices.
+    subtree. ``leaf(vector, choices)`` sees each complete outcome not pruned,
+    as its tuple of alternatives; True ends the search and returns choices.
     """
-    tree = []  # tree[t][a]: the weighted utilities of alternative a of issue t
-    for scaled in instance.scaled:
-        rows = [[v * f for v in scaled[i]] for i, f in factors.items()]
-        # k from the view itself: with no player in factors, rows is empty
-        tree.append([tuple(row[a] for row in rows) for a in range(len(scaled[0]))])
-    m = len(tree)
-    suffix = [(0,) * len(factors)] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffix[t] = tuple(map(add, suffix[t + 1], map(max, zip(*tree[t]))))
+    kept, tree, suffix = instance.search_view
+    if factors != dict.fromkeys(range(instance.n), 1):
+        items = factors.items()
+        tree = [[tuple(v[i] * f for i, f in items) for v in at] for at in tree]
+        if len(factors) < instance.n:  # positive factors on all keep every drop
+            kept, tree = zip(*map(drop_dominated, map(zip, kept, tree)))
+        suffix = [tuple(s[i] * f for i, f in items) for s in suffix]
+    m = len(tree)  # tree[t][a]: the utilities of alternative kept[t][a] of issue t
     vectors = [suffix[m]] * m  # vectors[t]: the utilities of choices[:t]
-    choices = [-1] * m
+    choices = [-1] * m  # positions in tree, read as alternatives at a leaf
     t = 0
     while t >= 0:
         a = choices[t] + 1
@@ -126,8 +135,9 @@ def _search(
         if prune(vector, suffix[t + 1]):
             continue
         if t + 1 == m:
-            if leaf(vector, choices):
-                return tuple(choices)
+            picked = tuple(map(getitem, kept, choices))
+            if leaf(vector, picked):
+                return picked
         else:
             t += 1
             vectors[t] = vector
@@ -147,9 +157,9 @@ def _maximize(
     def prune(vector: Vector, suffix: Vector) -> bool:
         return best is not None and key(map(add, vector, suffix)) <= best
 
-    def leaf(vector: Vector, choices: list[int]) -> None:
+    def leaf(vector: Vector, choices: tuple[int, ...]) -> None:
         nonlocal best, best_choices
-        best, best_choices = key(vector), tuple(choices)
+        best, best_choices = key(vector), choices
 
     _search(instance, factors, prune, leaf)
     return Outcome(choices=best_choices)
@@ -157,7 +167,7 @@ def _maximize(
 
 def _support_key(vector: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Ranks supports by size, then lexicographically smallest first."""
-    negated = tuple(-i for i, u in enumerate(vector) if u)
+    negated = tuple(compress(count(0, -1), vector))
     return len(negated), negated
 
 
@@ -216,10 +226,8 @@ def pareto_improvement(
     """The lexicographically first outcome that Pareto dominates ``outcome``,
     or None; raises CapExceeded when the outcome space exceeds ``cap``."""
     _check_cap(instance, cap)
-    base = tuple(
-        sum(rows[i][c] for rows, c in zip(instance.scaled, outcome.choices))
-        for i in range(instance.n)
-    )
+    chosen = zip(instance.scaled, outcome.choices)
+    base = tuple(map(sum, zip(*(map(itemgetter(c), rows) for rows, c in chosen))))
     stop = _search(
         instance,
         dict.fromkeys(range(instance.n), 1),

@@ -615,6 +615,30 @@ def test_parse_result_rejects_duplicates_and_junk():
         io.parse_result('{"choices": [0], "mechanism": 3}')
 
 
+@pytest.mark.parametrize(
+    "instance",
+    [
+        fd.random_public(3, 4, 3, 1),
+        fd.random_goods(3, 5, 1),
+        fd.generate("compromise").instance,
+    ],
+    ids=["public", "goods", "fractions"],
+)
+def test_instance_documents_hand_integer_rows_through(instance):
+    """A row at scale 1 is the view's own tuple, not a copy, and the document
+    is written as json.dumps writes it with every row a list."""
+    doc = io.instance_document(instance)
+    if isinstance(instance, fd.GoodsInstance):
+        pairs = [(doc["utilities"], instance.maxima)]
+    else:
+        issues = zip(doc["issues"], instance.scaled)
+        pairs = [(issue["utilities"], rows) for issue, rows in issues]
+    for written, rows in pairs:
+        for row, view, scale in zip(written, rows, instance.scales):
+            assert (row is view) == (scale == 1)
+    assert io.to_json(doc) == _dumps(json.loads(json.dumps(doc)))
+
+
 def test_to_json_is_stable():
     doc = io.instance_document(fd.generate("example2").instance)
     text = io.to_json(doc)
@@ -643,6 +667,12 @@ json_documents = st.recursive(
         st.lists(inner).map(tuple),
         st.lists(st.one_of(st.integers(), st.booleans())),
         st.lists(st.lists(st.integers(), min_size=1), min_size=1),
+        st.lists(  # int rows as the view holds them: tuples, some among lists
+            st.lists(st.integers(), min_size=1).flatmap(
+                lambda row: st.sampled_from([row, tuple(row)])
+            ),
+            min_size=1,
+        ).flatmap(lambda rows: st.sampled_from([rows, tuple(rows)])),
         st.dictionaries(st.text(), inner),
     ),
     max_leaves=40,
@@ -672,6 +702,11 @@ def test_to_json_writes_what_json_dumps_writes(doc):
         {"a": [[0]]},
         ([[1, 2], [3]], [[4]]),
         [[1], (2,)],
+        [(1, 2), (3,)],
+        ((0,), (10**40, -1)),
+        [(1,), ()],
+        [(True, 1)],
+        {"a": ((0,),)},
     ],
 )
 def test_to_json_writes_empty_and_mixed_containers_as_json_dumps(doc):

@@ -1,11 +1,15 @@
 """Round robin, normalized leximin, and maximum Nash welfare."""
 
+import operator
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
+from fairdec import mechanisms
+from fairdec.mechanisms import pareto_improvement
 
 
 # integers, and fractions whose denominators are pairwise coprime, so the
@@ -257,3 +261,158 @@ def test_search_mechanisms_respect_the_cap_on_goods():
             search(goods, cap=15)
         assert info.value.required == 16
     assert fd.leximin(goods, cap=16) == fd.leximin(fd.goods_to_public(goods))
+
+
+# few distinct values, so utility vectors tie and dominate one another often
+TIE_HEAVY = st.one_of(
+    st.integers(0, 2),
+    st.builds(Fraction, st.integers(0, 6), st.sampled_from([2, 3, 7])),
+)
+
+
+@st.composite
+def dominance_heavy_(draw, max_n=4, max_m=4, max_k=4):
+    """Public instances, or goods embeddings, whose alternatives often repeat
+    or fall pointwise below an earlier one of the same issue: columns drawn
+    from tie-heavy values, zero-heavy columns, duplicated columns and
+    columns cut down from an earlier one."""
+    if draw(st.booleans()):
+        goods = draw(goods_(max_n=max_n, max_m=max_m))
+        return draw(st.sampled_from([goods, fd.goods_to_public(goods)]))
+    n = draw(st.integers(1, max_n))
+    issues = []
+    for _ in range(draw(st.integers(1, max_m))):
+        columns = []
+        for _ in range(draw(st.integers(1, max_k))):
+            kind = draw(st.sampled_from(["fresh", "zeros", "copy", "below"]))
+            if kind == "zeros" or (kind != "fresh" and not columns):
+                column = [draw(st.sampled_from([0, 0, 1])) for _ in range(n)]
+                columns.append([v and draw(TIE_HEAVY) for v in column])
+            elif kind == "fresh":
+                columns.append([draw(TIE_HEAVY) for _ in range(n)])
+            elif kind == "copy":
+                columns.append(draw(st.sampled_from(columns)))
+            else:
+                cuts = st.sampled_from([1, 1, Fraction(1, 2), 0])
+                earlier = draw(st.sampled_from(columns))
+                columns.append([v * draw(cuts) for v in earlier])
+        issues.append([list(row) for row in zip(*columns)])
+    return fd.decision_instance(issues)
+
+
+def _dropped(inst):
+    """For each issue, the alternatives the search view leaves out."""
+    kept = inst.search_view[0]
+    return [
+        sorted(set(range(len(rows[0]))) - set(k)) for rows, k in zip(inst.scaled, kept)
+    ]
+
+
+def _first_improvement(inst, outcome):
+    """The first outcome of the enumeration that Pareto dominates ``outcome``."""
+    base = fd.utility_vector(inst, outcome)
+    for candidate in fd.enumerate_outcomes(_public(inst)):
+        utils = fd.utility_vector(inst, candidate)
+        if utils != base and all(map(operator.ge, utils, base)):
+            return candidate
+    return None
+
+
+def _public(inst):
+    return fd.goods_to_public(inst) if isinstance(inst, fd.GoodsInstance) else inst
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominance_heavy_(), st.data())
+def test_searches_over_the_view_match_the_oracles(inst, data):
+    """Leximin, MNW and the Pareto check equal full enumeration exactly, ties
+    and the first witness included, on instances where many alternatives are
+    dropped; the audited outcomes include ones that pick dropped alternatives."""
+    public = _public(inst)
+    for fast, objective in ((fd.leximin, "leximin"), (fd.max_nash_welfare, "nash")):
+        result, slow = fast(inst), fd.exact_optimum(public, objective)
+        assert result.outcome == slow.outcome
+        assert result.utilities == slow.utilities
+        assert result.normalization == slow.normalization
+        assert result.support == slow.support
+    picks_dropped = fd.Outcome(
+        choices=tuple(
+            data.draw(st.sampled_from(gone or range(len(rows[0]))))
+            for gone, rows in zip(_dropped(inst), inst.scaled)
+        )
+    )
+    for outcome in (picks_dropped, fd.leximin(inst).outcome):
+        assert pareto_improvement(inst, outcome) == _first_improvement(inst, outcome)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominance_heavy_(), st.data())
+def test_weighted_searches_on_part_of_the_players_match_enumeration(inst, data):
+    """The kernel under any positive integer factors on any subset of the
+    players (weighted leximin, MNW phase 2 on a partial support) returns the
+    first outcome of the enumeration with the greatest key."""
+    players = data.draw(st.lists(st.integers(0, inst.n - 1), unique=True).map(sorted))
+    factors = {i: data.draw(st.integers(1, 4)) for i in players}
+    key = data.draw(st.sampled_from([sorted, prod, mechanisms._support_key]))
+    best = best_outcome = None
+    for outcome in fd.enumerate_outcomes(_public(inst)):
+        picked = list(zip(inst.scaled, outcome.choices))
+        totals = [sum(rows[i][c] for rows, c in picked) for i in players]
+        value = key([u * factors[i] for u, i in zip(totals, players)])
+        if best is None or value > best:
+            best, best_outcome = value, outcome
+    assert mechanisms._maximize(inst, factors, key) == best_outcome
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominance_heavy_())
+def test_the_search_view_keeps_exactly_the_undominated_alternatives(inst):
+    """An alternative is dropped iff an earlier one of its issue is at least as
+    good for every player; the view is built once, and its suffix sums are
+    the sums of the maxima over the issues left."""
+    kept, vectors, suffix = inst.search_view
+    assert inst.search_view is inst.search_view
+    for rows, indices, kept_vectors in zip(inst.scaled, kept, vectors):
+        columns = list(zip(*rows))
+        assert list(kept_vectors) == [columns[a] for a in indices]
+        for a, column in enumerate(columns):
+            dominated = any(all(map(operator.ge, columns[b], column)) for b in range(a))
+            assert (a not in indices) == dominated
+    assert suffix == tuple(
+        tuple(sum(row[t:]) for row in inst.maxima) for t in range(inst.m + 1)
+    )
+
+
+def test_search_node_counts_are_pinned(monkeypatch):
+    """Nodes visited (calls of ``prune``) by MNW (both phases), leximin and the
+    Pareto check of the leximin outcome on two goods instances. Without the
+    dropped alternatives they were 263,658 / 106,065 / 18,165 and
+    584,656 / 166,100 / 67,056."""
+    visited = []
+    search = mechanisms._search
+
+    def counting(instance, factors, prune, leaf):
+        def counted(vector, suffix):
+            visited[-1] += 1
+            return prune(vector, suffix)
+
+        return search(instance, factors, counted, leaf)
+
+    monkeypatch.setattr(mechanisms, "_search", counting)
+    expected = {(3, 14): (27_683, 12_757, 2_288), (4, 12): (106_936, 35_776, 15_339)}
+    for (n, m), counts in expected.items():
+        goods = fd.random_goods(n, m, 7)
+        visited[:] = [0]
+        fd.max_nash_welfare(goods, cap=10**9)
+        visited.append(0)
+        outcome = fd.leximin(goods, cap=10**9).outcome
+        visited.append(0)
+        pareto_improvement(goods, outcome, cap=10**9)
+        assert tuple(visited) == counts, (n, m)
+    # players 2 and 3 value only good 0, so phase 2 runs on support (0, 1, 2)
+    # and drops anew the alternative handing good 0 to player 3 (171 without)
+    rows = [*fd.random_goods(2, 12, 7).maxima, [3] + [0] * 11, [4] + [0] * 11]
+    visited[:] = [0]
+    result = fd.max_nash_welfare(fd.goods_instance(rows), cap=10**9)
+    assert result.support == (0, 1, 2)
+    assert visited == [170]
