@@ -143,9 +143,10 @@ def _cmd_solve(args) -> int:
 
     if mechanism == "round-robin":
         result = round_robin(instance, order=args.order)
+    elif mechanism == "leximin":
+        result = leximin(instance, cap=args.cap)
     else:
-        search = leximin if mechanism == "leximin" else max_nash_welfare
-        result = search(instance, cap=args.cap)
+        result = max_nash_welfare(instance, cap=args.cap)
     _write(io.to_json(_public_result_doc(args, instance, result)), args.out)
     return 0
 
@@ -198,8 +199,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = _load_instance(args)
-    goods = isinstance(instance, GoodsInstance)
-    public = goods_to_public(instance) if goods else instance
+    public = (
+        goods_to_public(instance) if isinstance(instance, GoodsInstance) else instance
+    )
     result = exact_optimum(public, args.objective, cap=args.cap)
     _write(io.to_json(_public_result_doc(args, instance, result)), args.out)
     return 0
@@ -218,8 +220,12 @@ def _bench_trial(args, trial_seed: int) -> dict[str, tuple[bool, bool, bool, boo
         args.n, args.m, args.k, trial_seed, umin=args.umin, umax=args.umax
     )
     flags = {}
-    for name, run in zip(PUBLIC_MECHANISMS, (round_robin, leximin, max_nash_welfare)):
-        result = run(instance)
+    for name, run in (
+        ("round-robin", lambda: round_robin(instance)),
+        ("leximin", lambda: leximin(instance)),
+        ("mnw", lambda: max_nash_welfare(instance)),
+    ):
+        result = run()
         report = audit(instance, result.outcome, po_cap=DEFAULT_ENUM_CAP)
         flags[name] = (
             report.po.satisfied,

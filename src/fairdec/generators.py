@@ -50,8 +50,16 @@ from .model import (
 )
 
 FAMILIES = (
-    "example1", "example2", "compromise", "theorem5", "lemma6_upper",
-    "theorem6_upper", "appendixA", "weighted_welfare_gap", "random", "random-goods",
+    "example1",
+    "example2",
+    "compromise",
+    "theorem5",
+    "lemma6_upper",
+    "theorem6_upper",
+    "appendixA",
+    "weighted_welfare_gap",
+    "random",
+    "random-goods",
 )
 
 
@@ -97,7 +105,9 @@ def theorem5(n: int) -> DecisionInstance:
     """
     if n < 2:
         raise ValueError("this family needs at least two players")
-    x = Fraction((math.log(n) - math.log(math.log(n))) / n).limit_denominator(10**7)
+    x = Fraction(
+        (math.log(n) - math.log(math.log(n))) / n
+    ).limit_denominator(10**7)
     rhs_product = 1 / ((1 + x) ** (n - 1) - 1 + Fraction(1, n))
     rhs_linear = n * x / (n + x)
     d = _THEOREM5_SLACK * max(rhs_product, rhs_linear) / n
@@ -229,9 +239,11 @@ def generate(
     or missing parameters."""
 
     def need(**params):
-        missing = ", ".join(name for name, value in params.items() if value is None)
+        missing = [name for name, value in params.items() if value is None]
         if missing:
-            raise ValueError(f"family {family!r} needs parameters: {missing}")
+            raise ValueError(
+                f"family {family!r} needs parameters: {', '.join(missing)}"
+            )
 
     fixed = {"example1": example1, "example2": example2, "compromise": compromise}
     if family in fixed:
@@ -241,13 +253,15 @@ def generate(
         return GeneratedInstance(family, theorem5(n))
     if family == "lemma6_upper":
         need(n=n)
-        return GeneratedInstance(family, *lemma6_upper(n))  # instance, witness
+        instance, witness = lemma6_upper(n)
+        return GeneratedInstance(family, instance, witness=witness)
     if family == "theorem6_upper":
         instance = theorem6_upper(delta if delta is not None else Fraction(1, 100))
         return GeneratedInstance(family, instance)
     if family == "appendixA":
         need(n=n, m=m)
-        return GeneratedInstance(family, *appendixA(n, m))  # instance, witness
+        instance, witness = appendixA(n, m)
+        return GeneratedInstance(family, instance, witness=witness)
     if family == "weighted_welfare_gap":
         instance, ratio = weighted_welfare_gap()
         return GeneratedInstance(family, instance, critical_ratio=ratio)

@@ -26,24 +26,21 @@ tie-break), rules out the subtree; once an outcome covers every player, the
 support phase prunes everything left. The Pareto check prunes each subtree
 where some player can no longer reach her audited utility.
 
-The descent runs over the instance's ``search_view``, built once and shared
-by every search on the instance: each issue's alternatives less those
-pointwise at most an earlier one. Swapping in the earlier one raises no key,
-keeps a Pareto improvement one and comes first in lexicographic order, so
-ties and the first witness are unchanged. Positive factors keep dominance; a
-search on part of the players drops again on its part.
+Every search reads the instance's ``search_view``, built once: each issue's
+alternatives less those pointwise at most an earlier one. Swapping in the
+earlier one raises no key, keeps a Pareto improvement one and comes first in
+lexicographic order, and positive factors on any players keep dominance, so
+ties and the first witness are those of the full tree in every search.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
 from math import lcm, prod
-from operator import add, ge, getitem, itemgetter
+from operator import add, ge, getitem
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import DEFAULT_ENUM_CAP, CapExceeded
-from .model import Instance, MechanismResult, Outcome, Pick
-from .model import drop_dominated, utility_vector
+from .model import Instance, MechanismResult, Outcome, Pick, utility_vector
 from .shares import leximin_normalization
 
 
@@ -105,8 +102,8 @@ def _search(
     leaf: Callable[[Vector, tuple[int, ...]], bool | None],
 ) -> tuple[int, ...] | None:
     """Search the outcome tree depth first in lexicographic choice order, on
-    the scaled utilities of the players in ``factors`` (keyed in index order),
-    each times her factor, over the undominated alternatives of each issue.
+    the scaled utilities of the players in ``factors``, each times her factor,
+    over the alternatives of the instance's search view.
 
     ``prune(vector, suffix)`` sees each node below the root with its partial
     utility vector and the most each player can still add; True skips the
@@ -117,8 +114,6 @@ def _search(
     if factors != dict.fromkeys(range(instance.n), 1):
         items = factors.items()
         tree = [[tuple(v[i] * f for i, f in items) for v in at] for at in tree]
-        if len(factors) < instance.n:  # positive factors on all keep every drop
-            kept, tree = zip(*map(drop_dominated, map(zip, kept, tree)))
         suffix = [tuple(s[i] * f for i, f in items) for s in suffix]
     m = len(tree)  # tree[t][a]: the utilities of alternative kept[t][a] of issue t
     vectors = [suffix[m]] * m  # vectors[t]: the utilities of choices[:t]
@@ -167,7 +162,7 @@ def _maximize(
 
 def _support_key(vector: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Ranks supports by size, then lexicographically smallest first."""
-    negated = tuple(compress(count(0, -1), vector))
+    negated = tuple(-i for i, u in enumerate(vector) if u)
     return len(negated), negated
 
 
@@ -226,8 +221,10 @@ def pareto_improvement(
     """The lexicographically first outcome that Pareto dominates ``outcome``,
     or None; raises CapExceeded when the outcome space exceeds ``cap``."""
     _check_cap(instance, cap)
-    chosen = zip(instance.scaled, outcome.choices)
-    base = tuple(map(sum, zip(*(map(itemgetter(c), rows) for rows, c in chosen))))
+    base = tuple(
+        sum(rows[i][c] for rows, c in zip(instance.scaled, outcome.choices))
+        for i in range(instance.n)
+    )
     stop = _search(
         instance,
         dict.fromkeys(range(instance.n), 1),

@@ -16,12 +16,12 @@ utilities on issue t times it; ``maxima[i][t]``, her best scaled utility on
 issue t; and ``ranking[i]``, her issues by those maxima, largest first, ties
 low. Readers add and compare these integers and divide by ``scales[i]`` once
 per result. ``search_view``, built once, is what the searches read (see
-``mechanisms``): each issue's undominated alternatives, and suffix sums. The
-Fraction rows (``.utilities``) are built on first read, one Fraction per
-distinct value. The factories check all matrices of an instance at once,
-with no Python loop per row or issue: row counts, one type set over every
-cell, row widths against the label counts, one least value. An instance
-that passes keeps its matrices as its own view at scale 1. Else the
+``mechanisms``): each issue's alternatives less dominated ones, and suffix
+sums. The Fraction rows (``.utilities``) are built on first read, one
+Fraction per distinct value. The factories check all matrices of an
+instance at once, with no Python loop per row or issue: row counts, one type
+set over every cell, row widths against the label counts, one least value.
+An instance that passes keeps its matrices as its own view at scale 1. Else the
 factory's reader (``as_fraction``, or ``io``'s document reader) reads each
 row that is not all ints, and the instance is checked as a bare one is.
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from math import lcm
+from math import lcm, prod
 from operator import ge
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -241,11 +241,22 @@ class _Instance:
 
     @cached_property
     def search_view(self) -> tuple:
-        """The indices of each issue's undominated alternatives, their vectors
-        over all players, then suffix[t][i], the sum of maxima[i][t:], t <= m."""
-        kept = [drop_dominated(enumerate(zip(*rows))) for rows in self.scaled]
+        """Per issue, the alternatives the searches descend and their vectors
+        over all players, then suffix[t][i], the sum of maxima[i][t:], t <= m.
+        An issue of k alternatives drops those pointwise at most an earlier one,
+        unless k * k exceeds the outcome space, which bounds a search's nodes."""
+        space, kept = prod(len(rows[0]) for rows in self.scaled), []
+        for rows in self.scaled:
+            view: dict = {}  # alternative: vector
+            for a, vector in enumerate(zip(*rows)):
+                if len(rows[0]) ** 2 > space or not any(
+                    all(map(ge, other, vector)) for other in view.values()
+                ):
+                    view[a] = vector
+            kept.append(view)
         sums = [*zip(*(accumulate(reversed(row), initial=0) for row in self.maxima))]
-        return *zip(*kept), tuple(reversed(sums))
+        vectors = tuple(tuple(view.values()) for view in kept)
+        return tuple(map(tuple, kept)), vectors, tuple(reversed(sums))
 
 
 @dataclass(frozen=True)
@@ -265,7 +276,9 @@ class DecisionInstance(_Instance):
     @cached_property
     def maxima(self) -> tuple[tuple[int, ...], ...]:
         """maxima[i][t]: player i's best scaled utility on issue t."""
-        return tuple(zip(*(map(max, rows) for rows in self.scaled)))
+        return tuple(
+            tuple(max(rows[i]) for rows in self.scaled) for i in range(self.n)
+        )
 
 
 @dataclass(frozen=True)
@@ -342,16 +355,6 @@ class MechanismResult:
     picks: tuple[Pick, ...] | None = None
     support: tuple[int, ...] | None = None
     normalization: tuple[Fraction | None, ...] | None = None
-
-
-def drop_dominated(alternatives: Iterable[tuple[int, tuple]]) -> tuple:
-    """The indices and vectors, in order, of the (index, vector) pairs whose
-    vector is not pointwise at most an earlier one's."""
-    kept: dict = {}
-    for a, vector in alternatives:
-        if not any(all(map(ge, other, vector)) for other in kept.values()):
-            kept[a] = vector
-    return tuple(kept), tuple(kept.values())
 
 
 def _labels(given: Sequence[str] | None, prefix: str, count: int) -> tuple[str, ...]:

@@ -171,8 +171,14 @@ def _min_ratio_candidate(run: _Run, dec: set[int]) -> WeightReduction | None:
                     best = (top, bottom, i, j, g)
     if best is None:
         return None
-    top, bottom, i, j, g = best  # donor, recipient, good
-    return WeightReduction(i, j, g, Fraction(top, bottom), goods.maxima[j][g] == 0)
+    top, bottom, i, j, g = best
+    return WeightReduction(
+        donor=i,
+        recipient=j,
+        good=g,
+        factor=Fraction(top, bottom),
+        degenerate=goods.maxima[j][g] == 0,
+    )
 
 
 def _transfer_round(run: _Run, seeds: set[int], needy: set[int]) -> Round | None:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable
 
 from .errors import CapExceeded
@@ -69,9 +68,13 @@ def pessimistic_share(instance: Instance, player: int) -> Fraction:
 def _partitions_up_to(m: int, n: int) -> int:
     """Number of set partitions of m items into at most n non-empty blocks."""
     # Stirling numbers of the second kind, S[j] = S(row, j), built row by row.
-    stirling = [1] + [0] * n
+    stirling = [0] * (n + 1)
+    stirling[0] = 1
     for _ in range(m):
-        stirling = [0] + [stirling[j - 1] + j * stirling[j] for j in range(1, n + 1)]
+        new = [0] * (n + 1)
+        for j in range(1, n + 1):
+            new[j] = stirling[j - 1] + j * stirling[j]
+        stirling = new
     return sum(stirling[1:])
 
 
@@ -100,7 +103,9 @@ def _mms(values: list[int], n: int, cap: int) -> int:
         raise CapExceeded(space, cap, what="maximin-share partition enumeration")
 
     # rest[t]: the value of items t, t+1, ... still to place
-    rest = [*accumulate(reversed(values), initial=0)][::-1]
+    rest = [0] * (m + 1)
+    for t in range(m - 1, -1, -1):
+        rest[t] = rest[t + 1] + values[t]
     goal = rest[0] // n  # the smallest block never exceeds the mean
     sums = [0] * n
     for value in values:  # greedy (LPT) split: each item to the lowest block

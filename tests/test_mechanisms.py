@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
-from fairdec import mechanisms
+from fairdec import mechanisms, model
 from fairdec.mechanisms import pareto_improvement
 
 
@@ -368,16 +368,18 @@ def test_weighted_searches_on_part_of_the_players_match_enumeration(inst, data):
 @given(dominance_heavy_())
 def test_the_search_view_keeps_exactly_the_undominated_alternatives(inst):
     """An alternative is dropped iff an earlier one of its issue is at least as
-    good for every player; the view is built once, and its suffix sums are
-    the sums of the maxima over the issues left."""
+    good for every player and the issue's k * k is at most the outcome space;
+    the view is built once, and its suffix sums are the sums of the maxima
+    over the issues left."""
     kept, vectors, suffix = inst.search_view
     assert inst.search_view is inst.search_view
+    space = prod(len(rows[0]) for rows in inst.scaled)
     for rows, indices, kept_vectors in zip(inst.scaled, kept, vectors):
         columns = list(zip(*rows))
         assert list(kept_vectors) == [columns[a] for a in indices]
         for a, column in enumerate(columns):
             dominated = any(all(map(operator.ge, columns[b], column)) for b in range(a))
-            assert (a not in indices) == dominated
+            assert (a not in indices) == (dominated and len(columns) ** 2 <= space)
     assert suffix == tuple(
         tuple(sum(row[t:]) for row in inst.maxima) for t in range(inst.m + 1)
     )
@@ -409,10 +411,53 @@ def test_search_node_counts_are_pinned(monkeypatch):
         visited.append(0)
         pareto_improvement(goods, outcome, cap=10**9)
         assert tuple(visited) == counts, (n, m)
-    # players 2 and 3 value only good 0, so phase 2 runs on support (0, 1, 2)
-    # and drops anew the alternative handing good 0 to player 3 (171 without)
+    # players 2 and 3 value only good 0, so phase 2 runs on support (0, 1, 2),
+    # on the view that every search shares
     rows = [*fd.random_goods(2, 12, 7).maxima, [3] + [0] * 11, [4] + [0] * 11]
     visited[:] = [0]
     result = fd.max_nash_welfare(fd.goods_instance(rows), cap=10**9)
     assert result.support == (0, 1, 2)
-    assert visited == [170]
+    assert visited == [171]
+
+
+def test_a_wide_issue_is_searched_without_dominance_tests(monkeypatch):
+    """One issue of 20,000 alternatives (a, 20,000 - a), none dominated: the
+    view makes no dominance test where k * k exceeds the outcome space, and
+    each search visits each alternative once, as the search with no view did.
+    A second issue of two alternatives keeps the wide one untested."""
+    tests = []
+
+    def counted(a, b):
+        tests.append(1)
+        if len(tests) > 40_000:  # twice the outcome space: fail before it stalls
+            raise AssertionError("dominance tests outnumber the outcomes")
+        return a >= b
+
+    monkeypatch.setattr(model, "ge", counted)
+    k = 20_000
+    wide = [list(range(k)), [k - a for a in range(k)]]
+    for issues in ([wide], [wide, [[1, 0], [0, 1]]]):
+        tests.clear()
+        inst = fd.decision_instance(issues)
+        assert inst.search_view[0][0] == tuple(range(k))
+        assert len(tests) <= 2 * (len(issues) - 1)  # the narrow issue's one test
+        for search in (fd.leximin, fd.max_nash_welfare):
+            search(inst)
+        assert pareto_improvement(inst, fd.Outcome((0,) * len(issues))) is None
+    nodes = []
+    search = mechanisms._search
+
+    def counting(instance, factors, prune, leaf):
+        def counted_prune(vector, suffix):
+            nodes[-1] += 1
+            return prune(vector, suffix)
+
+        nodes.append(0)
+        return search(instance, factors, counted_prune, leaf)
+
+    monkeypatch.setattr(mechanisms, "_search", counting)
+    inst = fd.decision_instance([wide])
+    fd.max_nash_welfare(inst)
+    fd.leximin(inst)
+    pareto_improvement(inst, fd.Outcome((0,)))
+    assert nodes == [k] * 4
