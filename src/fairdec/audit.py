@@ -13,10 +13,10 @@ as the reference, minimized over opponents.
 Both audits take every share from one ``share_sums`` call and build their
 per-player results in one place. A route supplies each player's utility and
 Prop1 reach as sums of her scaled integers (her best single switch on public
-instances, which gains at most the issue's ``maxima`` entry; her bundle plus
-``best_unowned_good``, the first good of her ``ranking`` outside it, on
-goods) and, for goods, the envy levels. Each level is one ``Fraction`` of two
-integers, such as n U / T for Prop on a utility sum U and row sum T.
+instances, which gains at most the issue's ``maxima`` entry; on goods, her
+bundle plus ``GoodsInstance.best_unowned``, the first good of her ``ranking``
+outside it) and, for goods, the envy levels. Each level is one ``Fraction``
+of two integers, such as n U / T for Prop on a utility sum U and row sum T.
 """
 
 from __future__ import annotations
@@ -176,17 +176,12 @@ def audit(
     return AuditReport(utilities=utilities, players=players, po=po)
 
 
-def _unowned(goods: GoodsInstance, player: int, bundle) -> int:
-    row = goods.maxima[player]
-    return next((row[g] for g in goods.ranking[player] if g not in bundle), 0)
-
-
 def best_unowned_good(
     goods: GoodsInstance, player: int, bundle: frozenset[int] | set[int]
 ) -> Fraction:
     """The most valuable good outside the player's bundle (0 when she holds
-    all): the first good of her ranking that she does not hold."""
-    return Fraction(_unowned(goods, player, bundle), goods.scales[player])
+    all): ``GoodsInstance.best_unowned`` over her scale."""
+    return Fraction(goods.best_unowned(player, bundle), goods.scales[player])
 
 
 def audit_goods(
@@ -225,7 +220,7 @@ def audit_goods(
         worth = [sum(map(row.__getitem__, bundle)) for bundle in rivals]
         top = [max(map(row.__getitem__, bundle), default=0) for bundle in rivals]
         values.append(sum(map(row.__getitem__, own)))
-        reach.append(values[i] + _unowned(goods, i, own))
+        reach.append(values[i] + goods.best_unowned(i, own))
         # no value is negative, so the worst ratio is over the largest reference
         ef, ef1 = max(worth, default=0), max(map(sub, worth, top), default=0)
         envy.append((_level(values[i], ef), _level(values[i], ef1)))

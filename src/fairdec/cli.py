@@ -27,7 +27,6 @@ from .errors import (
     DegenerateInstance,
     FairdecError,
     InstanceFormatError,
-    InvariantError,
 )
 from .generators import FAMILIES, generate, random_public
 from .mechanisms import leximin, max_nash_welfare, round_robin
@@ -179,8 +178,6 @@ def _cmd_gen(args) -> int:
         raise InstanceFormatError(f"family {args.family!r} has no witness allocation")
     _write(io.to_json(io.instance_document(generated.instance)), args.out)
     if args.witness_out is not None:
-        if not isinstance(generated.instance, GoodsInstance):
-            raise InvariantError("a witness allocation needs a goods instance")
         doc = io.goods_result_document(
             "witness",
             generated.witness,

@@ -115,6 +115,10 @@ def theorem5(n: int) -> DecisionInstance:
         raise GenerationError(
             f"calibration failed at n={n}: d={d} >= 1 breaks the unit share of player 1"
         )
+    try:
+        str(d)  # the conversion io.to_json makes
+    except ValueError:
+        raise GenerationError(f"at n={n}, d has too many digits to write") from None
     issues = [[[1, d]] + [[0, int(j == t)] for j in range(1, n)] for t in range(n)]
     issues[0][1:] = [[0, x]] * (n - 1)
     return decision_instance(issues)
@@ -196,6 +200,8 @@ def random_public(
     (a sequence gives per-issue counts). Draw order: issues, then players,
     then alternatives."""
     counts = list(k) if not isinstance(k, int) else [k] * m
+    if m < 0 or min(counts, default=0) < 0:
+        raise ValueError(f"m and k must not be negative, got m={m}, k={k}")
     if len(counts) != m:
         raise ValueError("need one alternative count per issue")
     draws = _draws(seed, umin, umax)
@@ -206,6 +212,8 @@ def random_goods(
     n: int, m: int, seed: int, umin: int = 0, umax: int = 5
 ) -> GoodsInstance:
     """Uniform integer per-good utilities in [umin, umax]; players then goods."""
+    if m < 0:
+        raise ValueError(f"m must not be negative, got {m}")
     draws = _draws(seed, umin, umax)
     return goods_instance([[*islice(draws, m)] for _ in range(n)])
 

@@ -44,15 +44,6 @@ from .model import Instance, MechanismResult, Outcome, Pick, utility_vector
 from .shares import leximin_normalization
 
 
-def _check_order(n: int, order: Sequence[int] | None) -> tuple[int, ...]:
-    if order is None:
-        return tuple(range(n))
-    order = tuple(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order!r}")
-    return order
-
-
 def round_robin(
     instance: Instance, order: Sequence[int] | None = None
 ) -> MechanismResult:
@@ -63,12 +54,15 @@ def round_robin(
     from a cursor that only moves forward, and fixes the lowest alternative
     that reaches her maximum there.
     """
-    order = _check_order(instance.n, order)
+    n = instance.n
+    order = tuple(range(n)) if order is None else tuple(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order!r}")
     choices: list[int | None] = [None] * instance.m
-    cursors = [0] * instance.n
+    cursors = [0] * n
     picks = []
     for turn in range(instance.m):
-        player = order[turn % instance.n]
+        player = order[turn % n]
         ranking = instance.ranking[player]
         while choices[ranking[cursors[player]]] is not None:
             cursors[player] += 1

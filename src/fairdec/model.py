@@ -23,7 +23,8 @@ instance at once, with no Python loop per row or issue: row counts, one type
 set over every cell, row widths against the label counts, one least value.
 An instance that passes keeps its matrices as its own view at scale 1. Else the
 factory's reader (``as_fraction``, or ``io``'s document reader) reads each
-row that is not all ints, and the instance is checked as a bare one is.
+row that is not all ints, and the instance is checked and viewed as a bare one
+is, row by row: its view rows are new tuples of ints, never its caller's rows.
 
 Allocating private goods is the special case with one issue per good and one
 alternative per player: the alternative that hands good g to player i gives
@@ -70,17 +71,17 @@ class TooManyDigits(ValueError):
 
 def exact_value(text: str) -> Fraction:
     """The exact value of an integer, "p/q" or decimal string. Raises
-    TooManyDigits when its numerator or denominator has more digits than
-    int-to-string conversion allows (sys.get_int_max_str_digits(), 0 for no
-    limit), and ValueError when ``text`` is none of those forms or a "p/q"
+    TooManyDigits when its numerator, denominator or exponent has more digits
+    than int-to-string conversion allows (sys.get_int_max_str_digits(), 0 for
+    no limit), and ValueError when ``text`` is none of those forms or a "p/q"
     with q = 0."""
     number = _NUMBER_RE.fullmatch(text)
     if number is None:
         raise ValueError(f"not a number: {text!r}")
-    limit = sys.get_int_max_str_digits()
-    if limit and number[1] and abs(int(number[1])) > 3 * limit:
-        # Fraction reads at most 2 * limit mantissa digits, so a non-zero value
-        # needs more than ``limit`` digits here; do not build 10**exponent
+    limit, exponent = sys.get_int_max_str_digits(), number[1] or "0"
+    if limit and (len(exponent.lstrip("+-")) > limit or abs(int(exponent)) > 3 * limit):
+        # an exponent int() refuses, or one past 3 * limit, where a non-zero
+        # value needs over ``limit`` digits: do not build 10**exponent
         mantissa = Fraction(text[: number.start(1)] + "0")
         if mantissa:
             raise TooManyDigits(text)
@@ -141,20 +142,15 @@ def _read(rows, read, path: str) -> tuple:
 
 def _scaled(matrices, n: int) -> tuple:
     """Each of the ``n`` players' scales, the lcm of her denominators in
-    ``matrices``, and the matrices with each of her rows times her scale. A
-    row of plain ints adds no denominator, and is kept where its scale is 1."""
-    ints = [[{*map(type, row)} <= {int} for row in rows] for rows in matrices]
-    scales = [
-        lcm(*(v.denominator for m, w in zip(matrices, ints) if not w[i] for v in m[i]))
-        for i in range(n)
-    ]
-    return tuple(scales), tuple(
+    ``matrices``, and the matrices with each of her rows times her scale, each
+    row a new tuple of ints."""
+    scales = tuple(lcm(*(v.denominator for m in matrices for v in m[i])) for i in range(n))
+    return scales, tuple(
         tuple(
-            row if whole and s == 1
-            else tuple(v.numerator * (s // v.denominator) for v in row)
-            for row, s, whole in zip(rows, scales, wholes)
+            tuple(v.numerator * (s // v.denominator) for v in row)
+            for row, s in zip(rows, scales)
         )
-        for rows, wholes in zip(matrices, ints)
+        for rows in matrices
     )
 
 
@@ -203,9 +199,8 @@ class Issue(_Unscaled):
     alternatives: tuple[str, ...]
 
     @property
-    def k(self) -> int:  # unbuilt rows come from a checked view: a label per column
-        rows = vars(self).get("utilities", [self.alternatives])
-        return len(rows[0]) if rows else 0
+    def k(self) -> int:
+        return len(self.alternatives)
 
 
 class _Instance:
@@ -295,6 +290,11 @@ class GoodsInstance(_Instance, _Unscaled):
 
     def utility(self, player: int, good: int) -> Fraction:
         return Fraction(self.maxima[player][good], self.scales[player])
+
+    def best_unowned(self, player: int, bundle) -> int:
+        """The first good of her ranking outside ``bundle``, scaled; 0 if none."""
+        row = self.maxima[player]
+        return next((row[g] for g in self.ranking[player] if g not in bundle), 0)
 
     @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -433,8 +433,6 @@ def allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
 
 def _row_violations(path: str, rows, width: int) -> Iterator[Violation]:
     """Width and sign defects of the rows of one utility matrix at ``path``."""
-    if width and {*map(len, rows)} <= {width} and min(map(min, rows), default=0) >= 0:
-        return  # whole-matrix passes find none, so no row is read one by one
     for i, row in enumerate(rows):
         if len(row) != width:
             yield Violation(f"{path}[{i}]", f"expected {width} entries, got {len(row)}")
@@ -465,7 +463,8 @@ def _violations(instance: Instance) -> Iterator[Violation]:
     if instance.m < 1:
         yield Violation("issues", "at least one issue is required")
     for t, issue in enumerate(instance.issues):
-        k, rows, labels = issue.k, issue.utilities, issue.alternatives
+        rows, labels = issue.utilities, issue.alternatives
+        k = len(rows[0]) if rows else 0
         if k < 1:
             yield Violation(f"issues[{t}]", "an issue needs at least one alternative")
         if len(rows) != n:

@@ -22,8 +22,8 @@ up to one good: it seeds the group with players at their proportional share
 weighted average), grows it until a Prop1 violator joins, and routes a good
 to her. Violators can reappear, so it stops after ``SEARCH_ROUNDS`` rounds
 and reports whether the result is certified by the audit's rule, on scaled
-integers: n times the bundle plus the first good of the player's ranking
-outside it reaches her row sum.
+integers: n times the bundle plus ``GoodsInstance.best_unowned`` reaches the
+player's row sum.
 
 Both run rounds of ``_transfer_round``. A candidate tie there is a group
 member i, an outside player j and a good g of i: a zero for j beside a
@@ -280,8 +280,7 @@ def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
     losses: list[tuple[int, int]] = []
 
     def prop1_ok(i: int) -> bool:
-        best = next((rows[i][g] for g in goods.ranking[i] if g not in bundles[i]), 0)
-        return held[i] + n * best >= totals[i]
+        return held[i] + n * goods.best_unowned(i, bundles[i]) >= totals[i]
 
     ok = [prop1_ok(i) for i in range(n)]
     for round_index in range(SEARCH_ROUNDS):

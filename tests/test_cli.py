@@ -217,23 +217,39 @@ def test_over_long_numbers_exit_two_with_one_line(capsys, tmp_path, value, messa
          "7-character number"),
         (f'"1.{"1" * 5000}"', "utilities[0][1]: too many digits in the exact "
          "value of a 5002-character number"),
+        (f'"1e{"1" * 5000}"', "utilities[0][1]: too many digits in the exact "
+         "value of a 5002-character number"),
+        (f'"1e{"0" * 5000}"', "utilities[0][1]: too many digits in the exact "
+         "value of a 5002-character number"),
+        (f'"0e{"1" * 5000}"', None),
     ],
     ids=[
         "exponent-string",
         "exponent-literal",
         "negative-exponent-string",
         "long-mantissa-string",
+        "long-exponent-string",
+        "long-zero-exponent-string",
+        "zero-mantissa-long-exponent-string",
     ],
 )
 def test_over_long_decimals_are_refused_when_parsed(capsys, tmp_path, value, message):
     path = tmp_path / "long.json"
-    path.write_text(
-        '{"kind": "goods", "players": ["a"], "goods": ["g", "h"], '
-        f'"utilities": [[1, {value}]]}}'
-    )
+
+    def document(cell):
+        return (
+            '{"kind": "goods", "players": ["a"], "goods": ["g", "h"], '
+            f'"utilities": [[1, {cell}]]}}'
+        )
+
+    path.write_text(document(value))
     argv = ["solve", "--mechanism", "round-robin", "--input", str(path)]
-    code, out, err = run(capsys, argv + ["--allow-decimal"])
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    result = run(capsys, argv + ["--allow-decimal"])
+    if message is None:  # a zero mantissa reads as 0 at any exponent
+        path.write_text(document("0"))
+        assert result == run(capsys, argv) and result[0] == 0
+    else:
+        assert result == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -602,6 +618,54 @@ def test_gen_random_families_write_pinned_bytes(capsys, tmp_path, params, digest
 def test_an_empty_utility_range_is_exit_two_naming_both_bounds(capsys, argv):
     expected = "error: empty utility range: umin 5 exceeds umax 4\n"
     assert run(capsys, argv + ["--umin", "5", "--umax", "4"]) == (2, "", expected)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("gen --family random --n 2 --m 2 --k -1 --seed 1",
+         "m and k must not be negative, got m=2, k=-1"),
+        ("gen --family random --n 2 --m -1 --k 2 --seed 1",
+         "m and k must not be negative, got m=-1, k=2"),
+        ("gen --family random-goods --n 2 --m -1 --seed 3",
+         "m must not be negative, got -1"),
+        ("bench --trials 1 --seed 1 --k -1",
+         "m and k must not be negative, got m=5, k=-1"),
+    ],
+    ids=["random-k", "random-m", "random-goods-m", "bench-k"],
+)
+def test_negative_sizes_are_exit_two_naming_them(capsys, argv, message):
+    assert run(capsys, argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_theorem5_refuses_a_d_no_document_can_hold(capsys, tmp_path):
+    """Under a 640-digit conversion limit the calibrated d of n = 93 has too
+    many digits to write (n = 632 at the default 4,300), while n = 92 writes."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        out = tmp_path / "f.json"
+        argv = ["gen", "--family", "theorem5", "--out", str(out), "--n"]
+        expected = "error: at n=93, d has too many digits to write\n"
+        assert run(capsys, argv + ["93"]) == (2, "", expected)
+        assert not out.exists()
+        code, _, err = run(capsys, argv + ["92"])
+        assert (code, err) == (0, "") and io.parse_instance(out.read_text()).n == 92
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_gen_prints_the_critical_ratio_with_out(capsys, tmp_path):
+    out = tmp_path / "f.json"
+    argv = ["gen", "--family", "weighted_welfare_gap", "--out", str(out)]
+    code, extras, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(extras) == {
+        "critical_ratio": "3/4",
+        "family": "weighted_welfare_gap",
+    }
+    goods = io.parse_instance(out.read_text())
+    assert goods.maxima == ((4, 4, 1, 1), (3, 3, 2, 2))
 
 
 @pytest.mark.parametrize("delta", ["٣/١٠٠", "1e99999999999", "1/0", " 1/0", "x"])

@@ -214,3 +214,36 @@ def test_random_instances_validate(seed):
         fd.generate("random-goods", n=3, m=5, seed=seed, umin=-5, umax=-1)
     paths = [v.path for v in info.value.violations]
     assert paths == [f"utilities[{i}][{g}]" for i in range(3) for g in range(5)]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: fd.generators.lemma6_upper(1), ValueError, "at least two players"),
+        (lambda: fd.generators.appendixA(1, 5), ValueError, "at least two players"),
+        (lambda: fd.generators.appendixA(3, 2), ValueError, "as many goods as players"),
+        (lambda: fd.random_public(2, 3, [2, 2], 0), ValueError, "one alternative count"),
+        (lambda: fd.random_public(2, 2, -1, 0), ValueError, "got m=2, k=-1"),
+        (lambda: fd.random_public(2, 2, [2, -1], 0), ValueError, "got m=2, k=[2, -1]"),
+        (lambda: fd.random_goods(2, -1, 0), ValueError, "m must not be negative"),
+        (
+            lambda: next(fd.enumerate_allocations(fd.random_goods(3, 15, 1), cap=10)),
+            fd.CapExceeded,
+            "allocation enumeration needs 14348907 points but the cap is 10",
+        ),
+    ],
+    ids=[
+        "lemma6-one-player",
+        "appendixA-one-player",
+        "appendixA-too-few-goods",
+        "random-short-widths",
+        "random-negative-k",
+        "random-negative-width",
+        "random-goods-negative-m",
+        "allocations-over-cap",
+    ],
+)
+def test_bad_sizes_are_refused_with_a_named_error(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert message in str(info.value)

@@ -152,6 +152,16 @@ def test_only_ascii_digits_are_numbers(value, allow_decimal):
     assert str(info.value).startswith("utilities[0][0]: ")
 
 
+@pytest.mark.parametrize("cell", [None, [1], {"a": 1}], ids=["null", "list", "object"])
+@pytest.mark.parametrize("allow_decimal", [False, True])
+def test_a_null_list_or_object_cell_is_not_a_number(cell, allow_decimal):
+    doc = {"kind": "goods", "players": ["a"], "goods": ["g", "h"]}
+    text = json.dumps({**doc, "utilities": [[1, cell]]})
+    with pytest.raises(fd.InstanceFormatError) as info:
+        io.parse_instance(text, allow_decimal=allow_decimal)
+    assert str(info.value) == f"utilities[0][1]: cannot read {cell!r} as a number"
+
+
 @pytest.mark.parametrize("value", [" 7 ", "1_0", "1_0/3", "\t5\n"])
 def test_whitespace_and_underscores_are_not_numbers(value):
     """The decimal reader takes what a strict document takes, plus decimals

@@ -45,12 +45,17 @@ def test_zero_denominators_are_value_errors(build):
 
 
 def test_over_long_decimals_are_too_many_digits():
-    """A decimal whose mantissa has more digits than int() converts is refused
-    as TooManyDigits, like one with a huge exponent."""
+    """A decimal whose mantissa or exponent has more digits than int()
+    converts is refused as TooManyDigits, like one with a huge exponent; a
+    zero mantissa reads as 0 at any exponent."""
     with pytest.raises(TooManyDigits):
         fd.as_fraction("1." + "1" * 5000)
     with pytest.raises(TooManyDigits):
         fd.as_fraction("1e99999999999")
+    for exponent in ("1" * 5000, "0" * 5000):
+        with pytest.raises(TooManyDigits):
+            fd.as_fraction("1e" + exponent)
+    assert fd.as_fraction("0e" + "1" * 5000) == 0
 
 
 def test_as_fraction_rejects_bools_and_floats():
@@ -343,6 +348,43 @@ def test_model_values_are_frozen():
     outcome = fd.Outcome(choices=(0, 1))
     with pytest.raises(AttributeError):
         outcome.choices = (1, 1)
+
+
+def test_a_bare_instance_shares_no_row_with_its_caller():
+    """A bare instance built from list rows keeps its view in its own tuples:
+    editing those lists afterwards changes no view, audit or search result."""
+    issue_rows = [[[3, 1], [0, 2]], [[1, 1], [2, 0]]]
+    goods_rows = [[3, 1, 4], [2, 0, 5]]
+
+    def bare(issues, goods):
+        labels = ("a", "b")
+        public = fd.DecisionInstance(
+            tuple(fd.Issue(rows, f"i{t}", labels) for t, rows in enumerate(issues)),
+            ("p", "q"),
+        )
+        return public, fd.GoodsInstance(goods, ("p", "q"), ("g", "h", "k"))
+
+    def seen(public, goods):
+        outcome, alloc = fd.Outcome((0, 1)), fd.allocation([{0, 1}, {2}])
+        return (
+            public.scaled,
+            public.maxima,
+            goods.maxima,
+            goods.scaled,
+            fd.audit(public, outcome).utilities,
+            fd.audit_goods(goods, alloc).utilities,
+            fd.max_nash_welfare(public).outcome,
+            fd.max_nash_welfare(goods).outcome,
+        )
+
+    expected = seen(*bare(
+        [[list(row) for row in rows] for rows in issue_rows],
+        [list(row) for row in goods_rows],
+    ))
+    built = bare(issue_rows, goods_rows)
+    issue_rows[0][0][0] = goods_rows[0][0] = -100
+    assert seen(*built) == expected
+    assert expected[4][0] == 4 and expected[5][0] == 4
 
 
 goods_matrices = st.integers(1, 3).flatmap(

@@ -438,6 +438,16 @@ def test_prop1_bookkeeping_matches_the_audit_round_by_round(goods):
     assert result.certified_prop1 == all(prop1)
 
 
+def test_prop1_search_records_a_loss():
+    """On skewed 4x16 goods at seed 28 the second round's chain costs player 1
+    Prop1 and the third gives it back; the round-by-round audit agrees."""
+    goods = skewed_goods(4, 16, 28)
+    result = fd.prop1_po_search(goods)
+    assert result.prop1_losses == ((1, 1),)
+    assert result.certified_prop1 and len(result.trace.rounds) == 3
+    test_prop1_bookkeeping_matches_the_audit_round_by_round.hypothesis.inner_test(goods)
+
+
 @pytest.mark.parametrize("n, m", [(6, 60), (8, 80)])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_prop1_bookkeeping_on_multi_round_runs(seed, n, m):
