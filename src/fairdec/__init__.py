@@ -48,15 +48,7 @@ from .model import (
     outcome_utility,
     utility_vector,
 )
-from .oracles import (
-    DEFAULT_ENUM_CAP,
-    ProductBoundCheck,
-    enumerate_allocations,
-    enumerate_outcomes,
-    exact_optimum,
-    feasible_product_lower_bound,
-    pareto_frontier,
-)
+from .oracles import DEFAULT_ENUM_CAP, enumerate_outcomes, exact_optimum
 from .private_goods import (
     Prop1SearchResult,
     TransferTrace,

@@ -176,14 +176,6 @@ def audit(
     return AuditReport(utilities=utilities, players=players, po=po)
 
 
-def best_unowned_good(
-    goods: GoodsInstance, player: int, bundle: frozenset[int] | set[int]
-) -> Fraction:
-    """The most valuable good outside the player's bundle (0 when she holds
-    all): ``GoodsInstance.best_unowned`` over her scale."""
-    return Fraction(goods.best_unowned(player, bundle), goods.scales[player])
-
-
 def audit_goods(
     goods: GoodsInstance,
     alloc: Allocation | None,

@@ -9,13 +9,18 @@ Exit codes: 0 success, 2 validation or format error, 3 enumeration cap
 exceeded, 4 degenerate instance. All output is deterministic for a fixed
 command line, input files, and seed; bench runs its trials one after another
 in this process. ``main`` builds its argument parser once per process and
-reuses it for every call.
+reuses it for every call. It pauses the cyclic garbage collector while a
+command runs: what a command builds (instances, views, results, documents)
+holds no reference cycles and is freed by reference counting, so the
+collector's scans would find nothing. ``main`` resumes the collector on
+return only if it was enabled on entry.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 import warnings
 from pathlib import Path
@@ -340,15 +345,21 @@ def _print_warning(message, *_) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    with warnings.catch_warnings():
-        # one stderr line per non-canonical value, naming its place in the input
-        warnings.simplefilter("always", io.NonCanonicalRationalWarning)
-        warnings.showwarning = _print_warning
-        try:
+    # what a command builds dies by reference count (see the module docstring)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with warnings.catch_warnings():
+            # one stderr line per non-canonical value, naming its place in the input
+            warnings.simplefilter("always", io.NonCanonicalRationalWarning)
+            warnings.showwarning = _print_warning
             return args.handler(args)
-        except (FairdecError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return {CapExceeded: 3, DegenerateInstance: 4}.get(type(exc), 2)
+    except (FairdecError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return {CapExceeded: 3, DegenerateInstance: 4}.get(type(exc), 2)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -199,6 +199,8 @@ def random_public(
     """Uniform integer utilities in [umin, umax]; k alternatives per issue
     (a sequence gives per-issue counts). Draw order: issues, then players,
     then alternatives."""
+    if n < 1:
+        raise ValueError(f"players: at least one player is required, got n={n}")
     counts = list(k) if not isinstance(k, int) else [k] * m
     if m < 0 or min(counts, default=0) < 0:
         raise ValueError(f"m and k must not be negative, got m={m}, k={k}")
@@ -212,6 +214,8 @@ def random_goods(
     n: int, m: int, seed: int, umin: int = 0, umax: int = 5
 ) -> GoodsInstance:
     """Uniform integer per-good utilities in [umin, umax]; players then goods."""
+    if n < 1:
+        raise ValueError(f"players: at least one player is required, got n={n}")
     if m < 0:
         raise ValueError(f"m must not be negative, got {m}")
     draws = _draws(seed, umin, umax)

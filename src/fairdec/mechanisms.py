@@ -16,7 +16,9 @@ guarantees when it is built.
 Every mechanism here takes either kind of instance and reads only its
 integer view. A GoodsInstance's view is that of its public embedding, so a
 goods result is the one found on ``goods_to_public(goods)``, ties included:
-a good worth 0 to the player picking it goes to alternative 0.
+a good worth 0 to the player picking it goes to alternative 0. Round robin
+takes each pick from the instance's ``pick``, which a goods instance reads
+off its own matrix, so it never builds the embedding.
 
 A player's utility in a subtree is at most her partial utility plus her
 per-issue maxima over the undecided issues. Each objective's key (sorted
@@ -67,8 +69,7 @@ def round_robin(
         while choices[ranking[cursors[player]]] is not None:
             cursors[player] += 1
         issue = ranking[cursors[player]]
-        row = instance.scaled[issue][player]
-        alternative = row.index(instance.maxima[player][issue])
+        alternative = instance.pick(player, issue)
         choices[issue] = alternative
         picks.append(Pick(player=player, issue=issue, alternative=alternative))
     outcome = Outcome(choices=tuple(choices))
@@ -215,10 +216,7 @@ def pareto_improvement(
     """The lexicographically first outcome that Pareto dominates ``outcome``,
     or None; raises CapExceeded when the outcome space exceeds ``cap``."""
     _check_cap(instance, cap)
-    base = tuple(
-        sum(rows[i][c] for rows, c in zip(instance.scaled, outcome.choices))
-        for i in range(instance.n)
-    )
+    base = tuple(instance.scaled_utility(i, outcome.choices) for i in range(instance.n))
     stop = _search(
         instance,
         dict.fromkeys(range(instance.n), 1),

@@ -14,11 +14,14 @@ by a positive constant, so an instance is stored as one integer view:
 ``scales[i]``, the lcm of player i's denominators; ``scaled[t][i]``, her
 utilities on issue t times it; ``maxima[i][t]``, her best scaled utility on
 issue t; and ``ranking[i]``, her issues by those maxima, largest first, ties
-low. Readers add and compare these integers and divide by ``scales[i]`` once
-per result. ``search_view``, built once, is what the searches read (see
-``mechanisms``): each issue's alternatives less dominated ones, and suffix
-sums. The Fraction rows (``.utilities``) are built on first read, one
-Fraction per distinct value. The factories check all matrices of an
+low, built on first read by round robin or ``GoodsInstance.best_unowned``,
+its only readers (the shares sort the maxima by value). Readers add and
+compare these integers and divide by ``scales[i]`` once per result.
+``pick`` and ``scaled_utility`` are each kind's round robin pick and a
+player's scaled utility for a choice vector. ``search_view``, built once,
+is what the searches read (see ``mechanisms``): each issue's alternatives
+less dominated ones, and suffix sums. The Fraction rows (``.utilities``)
+are built on first read, one Fraction per distinct value. The factories check all matrices of an
 instance at once, with no Python loop per row or issue: row counts, one type
 set over every cell, row widths against the label counts, one least value.
 An instance that passes keeps its matrices as its own view at scale 1. Else the
@@ -32,8 +35,10 @@ u_i(g) to i and zero to everyone else. A GoodsInstance derives the view of
 that embedding from its own matrix: ``maxima[i][g]`` is player i's scaled
 value for good g, and ``scaled[g][i]`` holds it at alternative i and 0 at
 every other. So everything that reads the view (mechanisms, shares, the
-Pareto check) takes either kind, ``Instance``. ``goods_to_public`` builds the
-embedding as a DecisionInstance on the goods' own view;
+Pareto check) takes either kind, ``Instance``. Round robin, the shares and the
+audit levels read only a goods instance's matrix; ``scaled``, n times its
+size, is built on first read, by the searches, the Pareto check or
+``goods_to_public``, which builds the embedding as a DecisionInstance on it;
 ``outcome_to_allocation`` and ``allocation_to_outcome`` move between outcomes
 and allocations (the chosen alternative of a reduced issue is the recipient
 of the good).
@@ -49,7 +54,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import lcm, prod
 from operator import ge
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -268,6 +273,14 @@ class DecisionInstance(_Instance):
     def utility(self, player: int, issue: int, alternative: int) -> Fraction:
         return Fraction(self.scaled[issue][player][alternative], self.scales[player])
 
+    def pick(self, player: int, issue: int) -> int:
+        """The lowest alternative of the issue that reaches her maximum there."""
+        return self.scaled[issue][player].index(self.maxima[player][issue])
+
+    def scaled_utility(self, player: int, choices: Sequence[int]) -> int:
+        """Her scaled utility for one chosen alternative per issue."""
+        return sum(rows[player][c] for rows, c in zip(self.scaled, choices))
+
     @cached_property
     def maxima(self) -> tuple[tuple[int, ...], ...]:
         """maxima[i][t]: player i's best scaled utility on issue t."""
@@ -290,6 +303,15 @@ class GoodsInstance(_Instance, _Unscaled):
 
     def utility(self, player: int, good: int) -> Fraction:
         return Fraction(self.maxima[player][good], self.scales[player])
+
+    def pick(self, player: int, good: int) -> int:
+        """The embedding's pick, read off the matrix: the good goes to her when
+        she values it, else to alternative 0, the lowest reaching her 0."""
+        return player if self.maxima[player][good] else 0
+
+    def scaled_utility(self, player: int, choices: Sequence[int]) -> int:
+        """Her scaled value for the goods whose chosen alternative is hers."""
+        return sum(compress(self.maxima[player], map(player.__eq__, choices)))
 
     def best_unowned(self, player: int, bundle) -> int:
         """The first good of her ranking outside ``bundle``, scaled; 0 if none."""
@@ -507,7 +529,7 @@ def allocation_to_outcome(goods: GoodsInstance, alloc: Allocation) -> Outcome:
 
 def outcome_utility(instance: Instance, outcome: Outcome, player: int) -> Fraction:
     """Player's total utility for an outcome: the sum of her per-issue utilities."""
-    total = sum(rows[player][c] for rows, c in zip(instance.scaled, outcome.choices))
+    total = instance.scaled_utility(player, outcome.choices)
     return Fraction(total, instance.scales[player])
 
 

@@ -18,21 +18,12 @@ product 0 over it, so this is the largest product over that support.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import DEFAULT_ENUM_CAP, CapExceeded
-from .model import (
-    Allocation,
-    DecisionInstance,
-    GoodsInstance,
-    MechanismResult,
-    Outcome,
-    outcome_to_allocation,
-    utility_vector,
-)
+from .model import DecisionInstance, MechanismResult, Outcome, utility_vector
 from .shares import leximin_normalization
 
 Objective = str  # "nash" | "leximin" | "utilitarian"
@@ -56,17 +47,6 @@ def enumerate_outcomes(
     ranges = [range(issue.k) for issue in instance.issues]
     for choices in itertools.product(*ranges):
         yield Outcome(choices=choices)
-
-
-def enumerate_allocations(
-    goods: GoodsInstance, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[Allocation]:
-    """Yield every allocation of the goods (n^m of them), lexicographic by owner vector."""
-    size = goods.n**goods.m
-    if size > cap:
-        raise CapExceeded(size, cap, what="allocation enumeration")
-    for owners in itertools.product(range(goods.n), repeat=goods.m):
-        yield outcome_to_allocation(goods, Outcome(choices=owners))
 
 
 def _support(utilities: Sequence[Fraction]) -> tuple[int, ...]:
@@ -130,64 +110,4 @@ def exact_optimum(
         utilities=utils,
         support=_support(utils) if objective == "nash" else None,
         normalization=divisors,
-    )
-
-
-def pareto_frontier(
-    instance: DecisionInstance, cap: int = DEFAULT_ENUM_CAP
-) -> list[tuple[tuple[Fraction, ...], Outcome]]:
-    """All non-dominated utility vectors, each with its lexicographically least outcome.
-
-    Sorted by representative choice vector. A vector is dominated when some
-    outcome is at least as good for everyone and strictly better for someone.
-    """
-    representatives: dict[tuple[Fraction, ...], Outcome] = {}
-    for outcome in enumerate_outcomes(instance, cap):
-        utils = utility_vector(instance, outcome)
-        representatives.setdefault(utils, outcome)  # first hit is lex-least
-
-    def dominated(u: tuple[Fraction, ...]) -> bool:
-        return any(
-            all(w >= v for w, v in zip(other, u)) and other != u
-            for other in representatives
-        )
-
-    frontier = [
-        (utils, outcome)
-        for utils, outcome in representatives.items()
-        if not dominated(utils)
-    ]
-    frontier.sort(key=lambda pair: pair[1].choices)
-    return frontier
-
-
-@dataclass(frozen=True)
-class ProductBoundCheck:
-    """Result of the multiplicative lower-bound test on a set of rationals.
-
-    ``feasible`` records whether the total shortfall below 1 stays within
-    delta; whenever it does, the product of the values is at least 1 - delta
-    (``holds`` confirms the exact comparison).
-    """
-
-    feasible: bool
-    shortfall: Fraction
-    product: Fraction
-    floor: Fraction
-
-    @property
-    def holds(self) -> bool:
-        return self.product >= self.floor
-
-
-def feasible_product_lower_bound(
-    values: Sequence[Fraction], delta: Fraction
-) -> ProductBoundCheck:
-    """Check sum_k max(0, 1 - x_k) <= delta and compare prod x_k against 1 - delta."""
-    shortfall = sum((max(Fraction(0), 1 - x) for x in values), Fraction(0))
-    return ProductBoundCheck(
-        feasible=shortfall <= delta,
-        shortfall=shortfall,
-        product=prod(values, start=Fraction(1)),
-        floor=1 - delta,
     )

@@ -17,8 +17,9 @@ p = floor(m / n):
   branch and bound over the bundle sums, not by listing the partitions
 
 The chain Prop >= MMS >= RRS >= PPS holds for every player. Every share
-sums the player's scaled maxima (``model``'s integer view) in the order of
-her ranking; ``share_sums`` returns those integers, ``share_profile`` divides
+sums the player's scaled maxima (``model``'s integer view) sorted by value,
+largest first, which is the order of her ``ranking`` without building it;
+``share_sums`` returns those integers, ``share_profile`` divides
 them by her scale (and Prop's by n), and the per-player functions read the
 same helpers. All take either kind of instance (``model.Instance``): a goods
 instance's maxima are its per-good values, exactly the per-issue maxima of
@@ -39,8 +40,7 @@ DEFAULT_MMS_CAP = 10**6
 
 def _share(instance: Instance, player: int, rule: Callable, *args) -> Fraction:
     """``rule`` on the player's ranked scaled maxima, divided by her scale."""
-    row = instance.maxima[player]
-    ranked = [row[t] for t in instance.ranking[player]]
+    ranked = sorted(instance.maxima[player], reverse=True)
     return Fraction(rule(ranked, instance.n, *args), instance.scales[player])
 
 
@@ -148,11 +148,11 @@ def share_sums(
     instance: Instance, with_mms: bool = False, mms_cap: int = DEFAULT_MMS_CAP
 ) -> list[tuple[int, int, int, int | None]]:
     """Each player's row sum, RRS, PPS and (optionally) MMS on her scaled
-    maxima, ranked once for all rules: her Prop times n and her scale, and
+    maxima, sorted once for all rules: her Prop times n and her scale, and
     the other shares times her scale."""
     n, sums = instance.n, []
-    for row, order in zip(instance.maxima, instance.ranking):
-        ranked = [row[t] for t in order]
+    for row in instance.maxima:
+        ranked = sorted(row, reverse=True)
         mms = _mms(ranked, n, mms_cap) if with_mms else None
         sums.append((sum(row), _rrs(ranked, n), _pps(ranked, n), mms))
     return sums

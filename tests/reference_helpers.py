@@ -1,0 +1,107 @@
+"""Brute-force helpers that only the tests use.
+
+No package path, command or benchmark calls these, so they live beside the
+tests rather than in ``fairdec``. Like ``fairdec.oracles`` they enumerate
+plainly in Fraction arithmetic, with no pruning: the Pareto frontier of a
+public instance, every allocation of a goods instance, the feasible-product
+bound, and a goods player's best unowned good as a Fraction.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from math import prod
+from typing import Iterator, Sequence
+
+from fairdec import (
+    DEFAULT_ENUM_CAP,
+    Allocation,
+    CapExceeded,
+    DecisionInstance,
+    GoodsInstance,
+    Outcome,
+    enumerate_outcomes,
+    outcome_to_allocation,
+    utility_vector,
+)
+
+
+def enumerate_allocations(
+    goods: GoodsInstance, cap: int = DEFAULT_ENUM_CAP
+) -> Iterator[Allocation]:
+    """Yield every allocation of the goods (n^m of them), lexicographic by owner vector."""
+    size = goods.n**goods.m
+    if size > cap:
+        raise CapExceeded(size, cap, what="allocation enumeration")
+    for owners in itertools.product(range(goods.n), repeat=goods.m):
+        yield outcome_to_allocation(goods, Outcome(choices=owners))
+
+
+def pareto_frontier(
+    instance: DecisionInstance, cap: int = DEFAULT_ENUM_CAP
+) -> list[tuple[tuple[Fraction, ...], Outcome]]:
+    """All non-dominated utility vectors, each with its lexicographically least outcome.
+
+    Sorted by representative choice vector. A vector is dominated when some
+    outcome is at least as good for everyone and strictly better for someone.
+    """
+    representatives: dict[tuple[Fraction, ...], Outcome] = {}
+    for outcome in enumerate_outcomes(instance, cap):
+        utils = utility_vector(instance, outcome)
+        representatives.setdefault(utils, outcome)  # first hit is lex-least
+
+    def dominated(u: tuple[Fraction, ...]) -> bool:
+        return any(
+            all(w >= v for w, v in zip(other, u)) and other != u
+            for other in representatives
+        )
+
+    frontier = [
+        (utils, outcome)
+        for utils, outcome in representatives.items()
+        if not dominated(utils)
+    ]
+    frontier.sort(key=lambda pair: pair[1].choices)
+    return frontier
+
+
+@dataclass(frozen=True)
+class ProductBoundCheck:
+    """Result of the multiplicative lower-bound test on a set of rationals.
+
+    ``feasible`` records whether the total shortfall below 1 stays within
+    delta; whenever it does, the product of the values is at least 1 - delta
+    (``holds`` confirms the exact comparison).
+    """
+
+    feasible: bool
+    shortfall: Fraction
+    product: Fraction
+    floor: Fraction
+
+    @property
+    def holds(self) -> bool:
+        return self.product >= self.floor
+
+
+def feasible_product_lower_bound(
+    values: Sequence[Fraction], delta: Fraction
+) -> ProductBoundCheck:
+    """Check sum_k max(0, 1 - x_k) <= delta and compare prod x_k against 1 - delta."""
+    shortfall = sum((max(Fraction(0), 1 - x) for x in values), Fraction(0))
+    return ProductBoundCheck(
+        feasible=shortfall <= delta,
+        shortfall=shortfall,
+        product=prod(values, start=Fraction(1)),
+        floor=1 - delta,
+    )
+
+
+def best_unowned_good(
+    goods: GoodsInstance, player: int, bundle: frozenset[int] | set[int]
+) -> Fraction:
+    """The most valuable good outside the player's bundle (0 when she holds
+    all): ``GoodsInstance.best_unowned`` over her scale."""
+    return Fraction(goods.best_unowned(player, bundle), goods.scales[player])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
-from fairdec.audit import best_single_switch, best_unowned_good
+from fairdec.audit import best_single_switch
+from reference_helpers import best_unowned_good
 
 
 # integers, and fractions whose denominators are pairwise coprime, so the

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, documents, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -350,6 +351,82 @@ def test_degenerate_instances_are_exit_four(capsys, goods_file, monkeypatch):
     assert "stuck" in err
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_leaves_the_collector_as_it_found_it(
+    capsys, tmp_path, contested_file, goods_file, monkeypatch, enabled
+):
+    """main pauses the cyclic collector for a command and restores the state
+    it found, whatever the exit code."""
+
+    def explode(instance):
+        raise fd.DegenerateInstance("stuck")
+
+    monkeypatch.setattr(cli, "pps_po_allocate", explode)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    solve = ["solve", "--mechanism"]
+    commands = {
+        0: solve + ["round-robin", "--input", contested_file, "--with-audit"],
+        2: solve + ["round-robin", "--input", str(broken)],
+        3: solve + ["leximin", "--input", contested_file, "--cap", "10"],
+        4: solve + ["pps-po", "--input", goods_file],
+    }
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for code, argv in commands.items():
+            assert (main(argv), gc.isenabled()) == (code, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def _audited_commands(tmp_path, instance_file, name):
+    """A solve with an embedded audit and Pareto check, then an audit of its
+    result."""
+    result = str(tmp_path / f"{name}-result.json")
+    solve = ["solve", "--mechanism", "round-robin", "--input", instance_file]
+    solve += ["--with-audit", "--po-cap", "1000", "--out", result]
+    audit = ["audit", "--input", instance_file, "--result", result]
+    return [solve, audit + ["--out", str(tmp_path / f"{name}-audit.json")]]
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, contested_file, goods_file):
+    """What a command builds dies by reference count, which is why main may
+    pause the collector: once warmed up, a solve with its audit and an audit,
+    on a public and on a goods file, leave gc.collect() nothing to free."""
+    commands = _audited_commands(tmp_path, contested_file, "public")
+    commands += _audited_commands(tmp_path, goods_file, "goods")
+    for argv in commands:  # warm-up: first calls fill module-level caches
+        assert main(argv) == 0
+    for argv in commands:
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0, argv
+
+
+def test_goods_round_robin_and_its_audit_build_no_embedding(
+    tmp_path, goods_file, monkeypatch
+):
+    """Round robin, its audit and a later audit read a goods instance off its
+    matrix: none of them builds the embedding's view."""
+    parsed = []
+    parse_instance = io.parse_instance
+
+    def keep(*args, **kwargs):
+        parsed.append(parse_instance(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(io, "parse_instance", keep)
+    result = str(tmp_path / "result.json")
+    solve = ["solve", "--mechanism", "round-robin", "--input", goods_file]
+    assert main(solve + ["--with-audit", "--out", result]) == 0
+    audit = ["audit", "--input", goods_file, "--result", result]
+    assert main(audit + ["--out", str(tmp_path / "audit.json")]) == 0
+    assert [isinstance(goods, fd.GoodsInstance) for goods in parsed] == [True] * 2
+    assert ["scaled" in vars(goods) for goods in parsed] == [False] * 2
+
+
 def test_audit_text_output(capsys, tmp_path, contested_file):
     result = tmp_path / "result.json"
     result.write_text('{"choices": [0, 0, 0, 0, 0, 0, 0, 0]}\n')
@@ -631,8 +708,14 @@ def test_an_empty_utility_range_is_exit_two_naming_both_bounds(capsys, argv):
          "m must not be negative, got -1"),
         ("bench --trials 1 --seed 1 --k -1",
          "m and k must not be negative, got m=5, k=-1"),
+        ("gen --family random-goods --n -1 --m 2 --seed 3",
+         "players: at least one player is required, got n=-1"),
+        ("gen --family random --n 0 --m 2 --k 2 --seed 3",
+         "players: at least one player is required, got n=0"),
     ],
-    ids=["random-k", "random-m", "random-goods-m", "bench-k"],
+    ids=[
+        "random-k", "random-m", "random-goods-m", "bench-k", "random-goods-n", "random-n"
+    ],
 )
 def test_negative_sizes_are_exit_two_naming_them(capsys, argv, message):
     assert run(capsys, argv.split()) == (2, "", f"error: {message}\n")

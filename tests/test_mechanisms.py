@@ -244,6 +244,22 @@ def test_goods_route_equals_the_embedding_route(goods, data):
     )
 
 
+@settings(deadline=None)
+@given(goods_(max_n=4, max_m=7), st.data())
+def test_goods_round_robin_reads_the_goods_matrix(goods, data):
+    """Round robin and the utility vector read a goods instance off its own
+    matrix, never building the embedding's view, and still give exactly what
+    they give on the embedding: choices, picks and utilities, in any order."""
+    order = data.draw(st.permutations(range(goods.n)))
+    owners = data.draw(st.tuples(*[st.integers(0, goods.n - 1)] * goods.m))
+    result = fd.round_robin(goods, order=order)
+    utilities = fd.utility_vector(goods, fd.Outcome(choices=owners))
+    assert "scaled" not in vars(goods)
+    image = fd.goods_to_public(goods)
+    assert result == fd.round_robin(image, order=order)
+    assert utilities == fd.utility_vector(image, fd.Outcome(choices=owners))
+
+
 def test_leximin_with_every_player_excluded_picks_the_first_outcome():
     """With both shares zero for everyone the objective is empty, so every
     outcome ties and the all-zeros one wins, on goods as on the embedding."""

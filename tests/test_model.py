@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
-from fairdec.audit import best_unowned_good
 from fairdec.model import TooManyDigits
+from reference_helpers import best_unowned_good
 
 
 def test_as_fraction_accepts_exact_forms():

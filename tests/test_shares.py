@@ -206,6 +206,30 @@ def test_integer_maximin_share_matches_rational_enumeration(goods):
         assert fd.maximin_share(goods, i) == _mms_reference(goods.utilities[i], goods.n)
 
 
+@st.composite
+def tied_goods_(draw, max_n=4, max_m=9):
+    """Rows drawn from a few values, so they tie and hold zeros; some cells
+    are "p/q" strings, two of them equal as fractions."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    cell = st.sampled_from([0, 0, 1, 2, "1/2", "2/4", "3/2", "5/3"])
+    return fd.goods_instance([[draw(cell) for _ in range(m)] for _ in range(n)])
+
+
+@settings(deadline=None)
+@given(tied_goods_(), st.booleans())
+def test_share_sums_equal_the_sums_in_ranking_order(goods, with_mms):
+    """Reading the maxima sorted by value gives the sums that reading them
+    through ``ranking`` gives, on goods and on their embedding."""
+    for inst in (goods, fd.goods_to_public(goods)):
+        n, sums = inst.n, fd.shares.share_sums(inst, with_mms)
+        for (total, rrs, pps, _), row, order in zip(sums, inst.maxima, inst.ranking):
+            ranked = [row[t] for t in order]
+            assert total == sum(ranked)
+            assert rrs == sum(ranked[n - 1 :: n])
+            assert pps == sum(ranked[len(ranked) - len(ranked) // n :])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_maximin_share_of_every_small_multiset(n):
     """Every multiset of up to 7 values from 0..3: ties and zeros throughout,
