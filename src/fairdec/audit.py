@@ -14,8 +14,8 @@ Both audits take every share from one ``share_sums`` call and build their
 per-player results in one place. A route supplies each player's utility and
 Prop1 reach as sums of her scaled integers (her best single switch on public
 instances, which gains at most the issue's ``maxima`` entry; on goods, her
-bundle plus ``GoodsInstance.best_unowned``, the first good of her ``ranking``
-outside it) and, for goods, the envy levels. Each level is one ``Fraction``
+bundle plus the best of the per-rival tops that EF1 reads, with no ``ranking``
+built) and, for goods, the envy levels. Each level is one ``Fraction``
 of two integers, such as n U / T for Prop on a utility sum U and row sum T.
 """
 
@@ -186,12 +186,12 @@ def audit_goods(
     """Audit an allocation of private goods.
 
     Share axioms read the per-good values directly (they coincide with the
-    per-issue maxima of the public embedding); the one-good relaxation of
-    proportionality credits the player with her bundle plus the best good she
-    does not hold. Envy-freeness and its one-good relaxation are reported per
-    player as the worst case over opponents. The Pareto check searches the
-    goods' own view of the embedding and reads any witness back as an
-    allocation. Raises InstanceFormatError when the allocation does not fit.
+    per-issue maxima of the public embedding). Prop1 credits the player with
+    her bundle plus the best good she lacks: her rivals hold it, so it is the
+    best of their tops, which EF1 reads too. EF and EF1 are reported per player
+    as the worst case over opponents. The Pareto check searches the goods' own
+    view of the embedding and reads any witness back as an allocation. Raises
+    InstanceFormatError when the allocation does not fit.
     """
     if alloc is None:
         raise InstanceFormatError("a goods instance needs a bundles result")
@@ -212,7 +212,7 @@ def audit_goods(
         worth = [sum(map(row.__getitem__, bundle)) for bundle in rivals]
         top = [max(map(row.__getitem__, bundle), default=0) for bundle in rivals]
         values.append(sum(map(row.__getitem__, own)))
-        reach.append(values[i] + goods.best_unowned(i, own))
+        reach.append(values[i] + max(top, default=0))
         # no value is negative, so the worst ratio is over the largest reference
         ef, ef1 = max(worth, default=0), max(map(sub, worth, top), default=0)
         envy.append((_level(values[i], ef), _level(values[i], ef1)))

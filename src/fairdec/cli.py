@@ -5,20 +5,21 @@ result file against an instance file), gen (write a named instance family),
 oracle (brute-force optimum of an objective), reduce (embed goods as a public
 instance), bench (mechanism quality rates over seeded random instances).
 
-Exit codes: 0 success, 2 validation or format error, 3 enumeration cap
-exceeded, 4 degenerate instance. All output is deterministic for a fixed
-command line, input files, and seed; bench runs its trials one after another
-in this process. ``main`` builds its argument parser once per process and
-reuses it for every call. It pauses the cyclic garbage collector while a
-command runs: what a command builds (instances, views, results, documents)
-holds no reference cycles and is freed by reference counting, so the
-collector's scans would find nothing. ``main`` resumes the collector on
-return only if it was enabled on entry.
+Exit codes: 0 success, 2 validation or format error or an output that cannot
+be written, 3 enumeration cap exceeded, 4 degenerate instance. All output is
+deterministic for a fixed command line, input files, and seed; bench runs its
+trials one after another in this process. ``main`` builds its argument parser
+once per process and reuses it for every call. It pauses the cyclic garbage
+collector while a command runs: what a command builds (instances, views,
+results, documents) holds no reference cycles and is freed by reference
+counting, so the collector's scans would find nothing. ``main`` resumes the
+collector on return only if it was enabled on entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import sys
@@ -69,35 +70,38 @@ def _read(path: str) -> str:
 
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to ``out``, or to stdout without it, as UTF-8 bytes
-    whatever the locale."""
-    if out is None:
-        sys.stdout.flush()
-        if hasattr(sys.stdout, "buffer"):
-            sys.stdout.buffer.write(text.encode("utf-8"))
-        else:  # a text-only stream, such as a StringIO
-            sys.stdout.write(text)
-        return
+    whatever the locale; a failure, a None stdout included, is a FairdecError."""
     try:
-        Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise FairdecError(f"cannot write {out}: {exc}")
+        if out is not None:
+            Path(out).write_text(text, encoding="utf-8")
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+            sys.stdout.buffer.flush()
+        else:  # a text-only stream, such as a StringIO, or None
+            sys.stdout.write(text)
+    except (OSError, AttributeError) as exc:
+        if out is None and sys.stdout is not None:  # exit would flush it again
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        name = "standard output" if out is None else out
+        raise FairdecError(f"cannot write {name}: {exc}")
 
 
 def _load_instance(args) -> Instance:
     return io.parse_instance(_read(args.input), allow_decimal=args.allow_decimal)
 
 
-def _run_audit(args, instance, outcome=None, alloc=None):
+def _run_audit(args, instance, result):
+    run = audit_goods if isinstance(instance, GoodsInstance) else audit
     options = dict(with_mms=args.with_mms, mms_cap=args.mms_cap, po_cap=args.po_cap)
-    if isinstance(instance, GoodsInstance):
-        return audit_goods(instance, alloc, **options)
-    return audit(instance, outcome, **options)
+    return run(instance, result, **options)
 
 
-def _audit_doc(args, instance, outcome=None, alloc=None) -> dict | None:
+def _audit_doc(args, instance, result) -> dict | None:
     """The audit document ``--with-audit`` asks for, or None without it."""
     if getattr(args, "with_audit", False):
-        return io.audit_document(_run_audit(args, instance, outcome, alloc))
+        return io.audit_document(_run_audit(args, instance, result))
     return None
 
 
@@ -105,7 +109,7 @@ def _public_result_doc(args, instance, result: MechanismResult) -> dict:
     """The document of a mechanism or oracle result on ``instance``, with the
     audit ``args`` asks for; goods read the outcome back as an allocation."""
     if not isinstance(instance, GoodsInstance):
-        audit_doc = _audit_doc(args, instance, outcome=result.outcome)
+        audit_doc = _audit_doc(args, instance, result.outcome)
         return io.result_document(result, audit_doc=audit_doc)
     alloc = outcome_to_allocation(instance, result.outcome)
     return io.goods_result_document(
@@ -113,54 +117,50 @@ def _public_result_doc(args, instance, result: MechanismResult) -> dict:
         alloc,
         result.utilities,
         trace=io.mechanism_trace(result),
-        audit_doc=_audit_doc(args, instance, alloc=alloc),
+        audit_doc=_audit_doc(args, instance, alloc),
     )
 
 
 def _cmd_solve(args) -> int:
-    instance = _load_instance(args)
-    mechanism = args.mechanism
-
-    if mechanism in GOODS_MECHANISMS:
-        if not isinstance(instance, GoodsInstance):
-            raise InstanceFormatError(f"{mechanism} needs a goods instance")
-        if mechanism == "pps-po":
-            alloc, weights, trace = pps_po_allocate(instance)
-            trace_doc = {}
-        else:
-            found = prop1_po_search(instance)
-            alloc, weights, trace = found.allocation, found.weights, found.trace
-            trace_doc = {
-                "certified_prop1": found.certified_prop1,
-                "prop1_losses": [list(event) for event in found.prop1_losses],
-            }
+    instance, mechanism = _load_instance(args), args.mechanism
+    if mechanism == "round-robin":
+        result = round_robin(instance, order=args.order)
+    elif mechanism == "leximin":
+        result = leximin(instance, cap=args.cap)
+    elif mechanism == "mnw":
+        result = max_nash_welfare(instance, cap=args.cap)
+    elif not isinstance(instance, GoodsInstance):
+        raise InstanceFormatError(f"{mechanism} needs a goods instance")
+    elif mechanism == "pps-po":
+        alloc, weights, trace = pps_po_allocate(instance)
+        trace_doc = {}
+    else:
+        found = prop1_po_search(instance)
+        alloc, weights, trace = found.allocation, found.weights, found.trace
+        trace_doc = {
+            "certified_prop1": found.certified_prop1,
+            "prop1_losses": [list(event) for event in found.prop1_losses],
+        }
+    if mechanism in PUBLIC_MECHANISMS:
+        doc = _public_result_doc(args, instance, result)
+    else:
         trace_doc["weights"] = [io.encode_rational(w) for w in weights]
         doc = io.goods_result_document(
             mechanism,
             alloc,
             allocation_utilities(instance, alloc),
             trace={**trace_doc, **io.transfer_trace_document(trace)},
-            audit_doc=_audit_doc(args, instance, alloc=alloc),
+            audit_doc=_audit_doc(args, instance, alloc),
         )
-        _write(io.to_json(doc), args.out)
-        return 0
-
-    if mechanism == "round-robin":
-        result = round_robin(instance, order=args.order)
-    elif mechanism == "leximin":
-        result = leximin(instance, cap=args.cap)
-    else:
-        result = max_nash_welfare(instance, cap=args.cap)
-    _write(io.to_json(_public_result_doc(args, instance, result)), args.out)
+    _write(io.to_json(doc), args.out)
     return 0
 
 
 def _cmd_audit(args) -> int:
     instance = _load_instance(args)
     parsed = io.parse_result(_read(args.result))
-    report = _run_audit(
-        args, instance, outcome=parsed.outcome, alloc=parsed.allocation
-    )
+    goods = isinstance(instance, GoodsInstance)
+    report = _run_audit(args, instance, parsed.allocation if goods else parsed.outcome)
     if args.format == "text":
         _write(io.render_audit_text(report, players=instance.players), args.out)
     else:

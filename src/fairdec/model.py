@@ -284,9 +284,7 @@ class DecisionInstance(_Instance):
     @cached_property
     def maxima(self) -> tuple[tuple[int, ...], ...]:
         """maxima[i][t]: player i's best scaled utility on issue t."""
-        return tuple(
-            tuple(max(rows[i]) for rows in self.scaled) for i in range(self.n)
-        )
+        return tuple(zip(*(map(max, rows) for rows in self.scaled)))
 
 
 @dataclass(frozen=True)
@@ -543,6 +541,4 @@ def bundle_utility(goods: GoodsInstance, player: int, bundle: Iterable[int]) -> 
 
 
 def allocation_utilities(goods: GoodsInstance, alloc: Allocation) -> tuple[Fraction, ...]:
-    return tuple(
-        bundle_utility(goods, i, alloc.bundles[i]) for i in range(goods.n)
-    )
+    return tuple(bundle_utility(goods, i, alloc.bundles[i]) for i in range(goods.n))

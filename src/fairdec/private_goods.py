@@ -226,8 +226,12 @@ def pps_po_allocate(
     zero are exempt from the quota; for the rest, any p = floor(m/n) goods are
     worth at least the sum of the p cheapest, so quota implies the share.
 
-    Raises DegenerateInstance if a player below quota can never be reached by
-    tie creation (every candidate ratio infinite).
+    Never raises DegenerateInstance. A player below quota has a positive PPS,
+    so fewer than p of her values are 0. Every seed (a player above quota)
+    holds at least p + 1 goods, so she values at least two goods of each seed,
+    and each is a finite tie candidate: ``_cheapest`` raises InvariantError on
+    a good its owner finds worthless. So ``_min_ratio_candidate`` never returns
+    None here, and the raise below is only a guard.
     """
     n, p, run = goods.n, goods.m // goods.n, _Run(goods)
     quota_bound = [pps > 0 for _, _, pps, _ in share_sums(goods)]

@@ -18,7 +18,7 @@ p = floor(m / n):
 
 The chain Prop >= MMS >= RRS >= PPS holds for every player. Every share
 sums the player's scaled maxima (``model``'s integer view) sorted by value,
-largest first, which is the order of her ``ranking`` without building it;
+largest first, the order of her ``ranking``, which no share or audit builds;
 ``share_sums`` returns those integers, ``share_profile`` divides
 them by her scale (and Prop's by n), and the per-player functions read the
 same helpers. All take either kind of instance (``model.Instance``): a goods

@@ -131,6 +131,19 @@ def test_best_unowned_good_matches_a_plain_scan(data):
         assert best_unowned_good(goods, i, bundle) == max(unowned, default=0)
 
 
+def test_a_goods_audit_builds_no_ranking():
+    """The goods audit reads each player's best unowned good off the rivals'
+    tops it takes for EF1, so it builds no ranking; the Prop1 search and
+    round robin, which walk the ranking, still build it."""
+    goods = fd.random_goods(3, 9, 4)
+    fd.audit_goods(goods, fd.pps_po_allocate(goods)[0], with_mms=True)
+    assert "ranking" not in vars(goods)
+    for walk in (fd.prop1_po_search, fd.round_robin):
+        fresh = fd.goods_instance(goods.utilities)
+        walk(fresh)
+        assert "ranking" in vars(fresh)
+
+
 def test_envy_checks_on_a_lopsided_split():
     goods = fd.goods_instance([[3, 1], [1, 3]])
     envious = fd.allocation([{}, {0, 1}])

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from io import BytesIO, StringIO, TextIOWrapper
+from io import BytesIO, RawIOBase, StringIO, TextIOWrapper
 from pathlib import Path
 
 import pytest
@@ -42,18 +42,23 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(argv, *python_flags, **environ):
-    """The same command in a new ``python -m fairdec.cli`` process, with
-    ``environ`` added to the environment."""
+def fresh_env(**environ) -> dict:
+    """This process's environment with the package source on PYTHONPATH and
+    ``environ`` added."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = os.environ.get("PYTHONPATH")
     path = os.pathsep.join(filter(None, [src, inherited]))
-    env = dict(os.environ, PYTHONPATH=path, **environ)
+    return dict(os.environ, PYTHONPATH=path, **environ)
+
+
+def run_fresh(argv, *python_flags, **environ):
+    """The same command in a new ``python -m fairdec.cli`` process, with
+    ``environ`` added to the environment."""
     done = subprocess.run(
         [sys.executable, *python_flags, "-m", "fairdec.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=fresh_env(**environ),
         timeout=120,
     )
     return done.returncode, done.stdout, done.stderr
@@ -506,6 +511,108 @@ def test_stdout_carries_the_bytes_out_writes_whatever_its_encoding(
         assert main(argv) == 0
         assert stdout.buffer.getvalue() == out.read_bytes()
         assert "Zoë".encode() in out.read_bytes()
+
+
+# a few dozen bytes, which a buffered stdout holds until it is flushed, and
+# a document larger than its buffer
+SHORT_OUTPUT = "bench --trials 1 --seed 1".split()
+LONG_OUTPUT = "gen --family random-goods --n 4 --m 400 --seed 1".split()
+OUTPUTS = pytest.mark.parametrize(
+    "argv", [SHORT_OUTPUT, LONG_OUTPUT], ids=["short", "long"]
+)
+BUFFERING = pytest.mark.parametrize(
+    "unbuffered", [False, True], ids=["buffered", "unbuffered"]
+)
+posix_only = pytest.mark.skipif(os.name != "posix", reason="POSIX descriptors")
+
+
+def run_to(argv, stdout, unbuffered, **popen) -> tuple[int, str]:
+    """Exit code and stderr of ``argv`` in a new process writing its standard
+    output to ``stdout``, buffered unless ``unbuffered``."""
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "fairdec.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+        **popen,
+    )
+    return done.returncode, done.stderr
+
+
+@posix_only
+@OUTPUTS
+@BUFFERING
+def test_a_closed_pipe_on_stdout_is_exit_two_with_one_line(argv, unbuffered):
+    """Python ignores SIGPIPE, so the write fails with EPIPE; the command says
+    so in one line, and nothing is left for the interpreter to flush at exit
+    (which would print "Exception ignored" and exit 120)."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, err = run_to(argv, write, unbuffered)
+    finally:
+        os.close(write)
+    assert (code, err) == (
+        2,
+        "error: cannot write standard output: [Errno 32] Broken pipe\n",
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@OUTPUTS
+@BUFFERING
+def test_a_full_device_on_stdout_is_exit_two_with_one_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        code, err = run_to(argv, full, unbuffered)
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: cannot write standard output: [Errno 28] ")
+
+
+@posix_only
+@BUFFERING
+def test_no_stdout_at_all_is_exit_two_with_one_line(unbuffered):
+    """Started with descriptor 1 closed, Python sets sys.stdout to None."""
+    code, err = run_to(
+        SHORT_OUTPUT,
+        subprocess.DEVNULL,
+        unbuffered,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: cannot write standard output: ")
+
+
+class _BrokenPipe(RawIOBase):
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_a_broken_stdout_in_process_is_exit_two(
+    capsys, monkeypatch, contested_file, enabled
+):
+    """main turns the failed write into exit 2 and one stderr line, and
+    leaves the collector as it found it."""
+    monkeypatch.setattr(sys, "stdout", TextIOWrapper(_BrokenPipe(), encoding="utf-8"))
+    argv = ["solve", "--mechanism", "round-robin", "--input", contested_file]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert (main(argv), gc.isenabled()) == (2, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().err == (
+        "error: cannot write standard output: [Errno 32] Broken pipe\n"
+    )
 
 
 def test_audit_json_output_with_mms(capsys, tmp_path, contested_file):

@@ -1,6 +1,8 @@
 """Instance construction, the checks it runs, the per-player integer view, and
 the goods-to-public embedding."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,34 @@ def test_the_factories_type_test_every_matrix():
     assert mixed.scales == (3, 1)
     assert mixed.scaled == (((3, 6), (3, 4)), ((1, 0), (5, 6)))
     assert mixed.issues[1].utilities == ((Fraction(1, 3), 0), (5, 6))
+
+
+def test_unbuilt_fraction_rows_answer_no_other_attribute():
+    """Only ``utilities`` is built on first read; any other missing name is
+    an AttributeError, so hasattr tells the truth."""
+    inst = fd.decision_instance([[[1, "1/2"]], [[3, 4]]])
+    goods = fd.goods_instance([[1, "1/3"]])
+    for unscaled in (inst.issues[0], goods):
+        assert hasattr(unscaled, "missing") is False
+        assert hasattr(unscaled, "utilities") is True
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_copies_of_factory_built_instances_are_equal(copier):
+    """A pickled or copied instance, its Fraction rows still unbuilt, equals
+    the original and has the same leximin outcome."""
+    for inst in (
+        fd.decision_instance([[[1, "1/2"], [0, 2]], [[3, 0, 1], ["2/3", 1, 0]]]),
+        fd.goods_instance([[1, "1/3", 2], [0, 2, "3/2"]]),
+        fd.random_goods(3, 6, 11),
+    ):
+        copied = copier(inst)
+        assert copied == inst
+        assert fd.leximin(copied).outcome == fd.leximin(inst).outcome
 
 
 def test_factories_fill_default_labels():
