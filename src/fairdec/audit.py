@@ -14,15 +14,16 @@ Both audits take every share from one ``share_sums`` call and build their
 per-player results in one place. A route supplies each player's utility and
 Prop1 reach as sums of her scaled integers (her best single switch on public
 instances, which gains at most the issue's ``maxima`` entry; on goods, her
-bundle plus the best of the per-rival tops that EF1 reads, with no ``ranking``
-built) and, for goods, the envy levels. Each level is one ``Fraction``
-of two integers, such as n U / T for Prop on a utility sum U and row sum T.
+bundle plus the best of the per-rival tops that EF1 reads, each bundle's worth
+and top a slice of one read of her row in bundle order) and, for goods, the
+envy levels. Each level is one ``Fraction`` of two integers, such as n U / T
+for Prop on a utility sum U and row sum T, met when n U >= T.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable, Sequence
 
 from dataclasses import dataclass
@@ -81,10 +82,10 @@ class AuditReport:
 
 
 def _level(value: int, reference: int) -> AxiomCheck:
-    """The ratio value/reference; a zero reference leaves the level unbounded
-    (None), and the axiom holds vacuously."""
+    """The ratio value/reference, None (unbounded) for a zero reference; the
+    axiom holds when value >= reference, on integers, since none is negative."""
     alpha = Fraction(value, reference) if reference else None
-    return AxiomCheck(satisfied=alpha is None or alpha >= 1, alpha=alpha)
+    return AxiomCheck(satisfied=value >= reference, alpha=alpha)
 
 
 def _player_audits(
@@ -188,10 +189,11 @@ def audit_goods(
     Share axioms read the per-good values directly (they coincide with the
     per-issue maxima of the public embedding). Prop1 credits the player with
     her bundle plus the best good she lacks: her rivals hold it, so it is the
-    best of their tops, which EF1 reads too. EF and EF1 are reported per player
-    as the worst case over opponents. The Pareto check searches the goods' own
-    view of the embedding and reads any witness back as an allocation. Raises
-    InstanceFormatError when the allocation does not fit.
+    best of their tops, which EF1 reads too. Her row is read once, in bundle
+    order; each bundle's worth and top are slices of that read. EF and EF1 are
+    reported per player as the worst case over opponents. The Pareto check
+    searches the goods' own view of the embedding and reads any witness back as
+    an allocation. Raises InstanceFormatError when the allocation does not fit.
     """
     if alloc is None:
         raise InstanceFormatError("a goods instance needs a bundles result")
@@ -199,23 +201,29 @@ def audit_goods(
         raise InstanceFormatError(
             f"expected {goods.n} bundles, got {len(alloc.bundles)}"
         )
-    handed = sorted(g for bundle in alloc.bundles for g in bundle)
+    order, spans = [], []  # the goods in bundle order, and each bundle's span
+    for bundle in alloc.bundles:
+        spans.append(slice(len(order), len(order) + len(bundle)))
+        order += bundle
+    handed = sorted(order)
     if handed != list(range(goods.m)):
         missing = sorted(set(range(goods.m)).difference(handed))
         raise InstanceFormatError(
             f"bundles must hand out every good exactly once; "
             f"missing {missing}, handed out {handed}"
         )
+    take = itemgetter(*order, 0)  # the spare cell keeps m = 1 a tuple
     values, reach, envy = [], [], []
-    for i, (row, own) in enumerate(zip(goods.maxima, alloc.bundles)):
-        rivals = alloc.bundles[:i] + alloc.bundles[i + 1 :]
-        worth = [sum(map(row.__getitem__, bundle)) for bundle in rivals]
-        top = [max(map(row.__getitem__, bundle), default=0) for bundle in rivals]
-        values.append(sum(map(row.__getitem__, own)))
-        reach.append(values[i] + max(top, default=0))
+    for i, row in enumerate(goods.maxima):
+        cells = [*map(take(row).__getitem__, spans)]
+        worth, top = [*map(sum, cells)], [max(c, default=0) for c in cells]
+        value = worth.pop(i)
+        del top[i]
+        values.append(value)
+        reach.append(value + max(top, default=0))
         # no value is negative, so the worst ratio is over the largest reference
         ef, ef1 = max(worth, default=0), max(map(sub, worth, top), default=0)
-        envy.append((_level(values[i], ef), _level(values[i], ef1)))
+        envy.append((_level(value, ef), _level(value, ef1)))
     utilities, players = _player_audits(goods, values, reach, with_mms, mms_cap, envy)
     po = None
     if po_cap is not None:

@@ -78,10 +78,12 @@ def _write(text: str, out: str | None) -> None:
             sys.stdout.flush()
             sys.stdout.buffer.write(text.encode("utf-8"))
             sys.stdout.buffer.flush()
-        else:  # a text-only stream, such as a StringIO, or None
+        elif sys.stdout is None:  # started with file descriptor 1 closed
+            raise FairdecError("cannot write standard output: it is closed")
+        else:  # a text-only stream, such as a StringIO
             sys.stdout.write(text)
-    except (OSError, AttributeError) as exc:
-        if out is None and sys.stdout is not None:  # exit would flush it again
+    except OSError as exc:
+        if out is None:  # exit would flush it again
             with contextlib.suppress(OSError):
                 sys.stdout.close()
         name = "standard output" if out is None else out

@@ -21,12 +21,16 @@ is built unless the value is refused or warned about.
 
 ``to_json`` writes canonical output in one walk over the document: keys
 sorted, two-space indents, strings escaped by ``json.encoder``'s
-``encode_basestring``. A list of ints is joined at once, and a list of
-non-empty int rows (lists or tuples) one row per join, with no call per row.
-Its text equals json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
-plus a newline; any value but a str, int, bool, None, dict, list or tuple is
-a TypeError. So emit-parse-emit is byte stable and parse(emit(x)) == x for
-every model value.
+``encode_basestring``. Each dict shape's sorted, escaped key heads are laid
+out once, in a bounded cache keyed by its keys in insertion order and its
+depth, and a scalar value follows its head in the same string. A list of ints
+is joined at once, and a list of non-empty int rows (lists or tuples) one row
+per join, with no call per row. Its text equals json.dumps(doc, indent=2,
+sort_keys=True, ensure_ascii=False) plus a newline; any value but a str, int,
+bool, None, dict, list or tuple is a TypeError. So emit-parse-emit is byte
+stable and parse(emit(x)) == x for every model value. A value with more
+digits than int-to-string conversion allows is a ``TooManyDigits`` from
+``encode_rational`` or ``to_json`` that says so.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring as _string
 
@@ -57,6 +61,7 @@ from .private_goods import TransferTrace
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _RATIO_RE = re.compile(r"[+-]?[0-9]+/[0-9]+")
+_TOO_LONG = "a result value has more digits than a document can hold"
 
 
 class NonCanonicalRationalWarning(UserWarning):
@@ -64,9 +69,13 @@ class NonCanonicalRationalWarning(UserWarning):
 
 
 def encode_rational(value: Fraction) -> int | str:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    """An int when whole, else "p/q"; TooManyDigits, whole or not, when a part
+    has more digits than int-to-string conversion allows."""
+    try:
+        text = f"{value.numerator}/{value.denominator}"
+    except ValueError:  # a part past sys.get_int_max_str_digits()
+        raise TooManyDigits(_TOO_LONG) from None
+    return int(value) if value.denominator == 1 else text
 
 
 def _at(path: str, index: tuple[int, ...]) -> str:
@@ -394,21 +403,39 @@ def audit_document(report: AuditReport) -> dict:
     }
 
 
+# The writer of each scalar type; a str or int subclass is written as its
+# base type is, by the isinstance branches of ``_emit``.
+_LITERALS = {None: "null", True: "true", False: "false"}
+_SCALARS = {str: _string, int: int.__repr__, bool: _LITERALS.get, type(None): _LITERALS.get}
+
+
+@lru_cache(maxsize=256)
+def _heads(keys: tuple, newline: str) -> tuple[tuple[object, str], ...]:
+    """Each of a dict's ``keys`` in sorted order, with the text that opens or
+    follows a comma before its value at the depth ``newline`` breaks to."""
+    heads, sep = [], "{" + newline + "  "
+    for key in sorted(keys):
+        heads.append((key, sep + _string(key) + ": "))
+        sep = "," + newline + "  "
+    return tuple(heads)
+
+
 def _emit(value, parts: list[str], newline: str) -> None:
     """Append the JSON text of ``value`` to ``parts``; ``newline`` breaks the
     line and indents it to the depth ``value`` sits at."""
-    if isinstance(value, str):
-        parts.append(_string(value))
-    elif value is None or value is True or value is False:
-        parts.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        parts.append(write(value))
     elif isinstance(value, dict):
-        inner, sep = newline + "  ", "{" + newline + "  "
-        for key in sorted(value):
-            parts.append(sep + _string(key) + ": ")
-            _emit(value[key], parts, inner)
-            sep = "," + inner
+        inner = newline + "  "
+        for key, head in _heads(tuple(value), newline):
+            item = value[key]
+            write = _SCALARS.get(type(item))
+            if write is None:
+                parts.append(head)
+                _emit(item, parts, inner)
+            else:
+                parts.append(head + write(item))
         parts.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "[" + newline + "  "
@@ -427,13 +454,20 @@ def _emit(value, parts: list[str], newline: str) -> None:
                 _emit(item, parts, inner)
                 sep = "," + inner
         parts.append(newline + "]" if value else "[]")
+    elif isinstance(value, str):
+        parts.append(_string(value))
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
     else:
         raise TypeError(f"{type(value).__name__} is not a JSON value")
 
 
 def to_json(doc) -> str:
     parts: list[str] = []
-    _emit(doc, parts, "\n")
+    try:
+        _emit(doc, parts, "\n")
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        raise TooManyDigits(_TOO_LONG) from None
     parts.append("\n")
     return "".join(parts)
 

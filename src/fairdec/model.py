@@ -59,7 +59,7 @@ from math import lcm, prod
 from operator import ge
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .errors import InstanceFormatError
+from .errors import FairdecError, InstanceFormatError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -70,7 +70,7 @@ _NUMBER_RE = re.compile(
 )
 
 
-class TooManyDigits(ValueError):
+class TooManyDigits(FairdecError, ValueError):
     """A value whose exact form has more digits than ``io.to_json`` writes."""
 
 

@@ -46,7 +46,6 @@ from typing import Sequence
 
 from .errors import DegenerateInstance, InvariantError
 from .model import Allocation, GoodsInstance, Outcome, allocation, outcome_to_allocation
-from .shares import share_sums
 
 SEARCH_ROUNDS = 100
 
@@ -92,17 +91,19 @@ def weighted_welfare_allocation(
 ) -> Allocation:
     """Give each good to a player maximizing w_i * u_i(g); ties to the lowest
     index. Row i of ``maxima`` is scaled by one integer, w_i / scales[i] over
-    the least common denominator, and each column's first maximum wins."""
+    the least common denominator (not at all when every row's is the same),
+    and each column's first maximum wins."""
     weights = tuple(weights)
     if len(weights) != goods.n or any(w <= 0 for w in weights):
         raise ValueError("weights must be positive, one per player")
     dens = [w.denominator * s for w, s in zip(weights, goods.scales)]
     common = lcm(*dens)
-    rows = [
-        [*map((w.numerator * (common // d)).__mul__, row)]
-        for w, d, row in zip(weights, dens, goods.maxima)
-    ]
-    owners = tuple(column.index(max(column)) for column in zip(*rows))
+    factors = [w.numerator * (common // d) for w, d in zip(weights, dens)]
+    rows = goods.maxima
+    if factors.count(factors[0]) != goods.n:
+        rows = [[*map(f.__mul__, row)] for f, row in zip(factors, rows)]
+    columns = [*zip(*rows)]
+    owners = tuple(map(tuple.index, columns, map(max, columns)))
     return outcome_to_allocation(goods, Outcome(choices=owners))
 
 
@@ -224,17 +225,19 @@ def pps_po_allocate(
     (each good sits with a player maximizing w_i * u_i(g)), and the trace of
     every weight reduction and transfer. Players whose pessimistic share is
     zero are exempt from the quota; for the rest, any p = floor(m/n) goods are
-    worth at least the sum of the p cheapest, so quota implies the share.
+    worth at least the sum of the p cheapest, so quota implies the share. That
+    sum is positive exactly when fewer than p of her values are 0, so the
+    quota set counts zeros and sorts no row.
 
-    Never raises DegenerateInstance. A player below quota has a positive PPS,
-    so fewer than p of her values are 0. Every seed (a player above quota)
-    holds at least p + 1 goods, so she values at least two goods of each seed,
-    and each is a finite tie candidate: ``_cheapest`` raises InvariantError on
-    a good its owner finds worthless. So ``_min_ratio_candidate`` never returns
-    None here, and the raise below is only a guard.
+    Never raises DegenerateInstance. A player below quota has fewer than p
+    zeros, and every seed (a player above quota) holds at least p + 1 goods,
+    so she values at least two goods of each seed, and each is a finite tie
+    candidate: ``_cheapest`` raises InvariantError on a good its owner finds
+    worthless. So ``_min_ratio_candidate`` never returns None here, and the
+    raise below is only a guard.
     """
     n, p, run = goods.n, goods.m // goods.n, _Run(goods)
-    quota_bound = [pps > 0 for _, _, pps, _ in share_sums(goods)]
+    quota_bound = [row.count(0) < p for row in goods.maxima]
     rounds: list[Round] = []
 
     while True:

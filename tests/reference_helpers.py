@@ -4,7 +4,8 @@ No package path, command or benchmark calls these, so they live beside the
 tests rather than in ``fairdec``. Like ``fairdec.oracles`` they enumerate
 plainly in Fraction arithmetic, with no pruning: the Pareto frontier of a
 public instance, every allocation of a goods instance, the feasible-product
-bound, and a goods player's best unowned good as a Fraction.
+bound, and a goods player's best unowned good as a Fraction. ``read_goods``
+reads rows through a document, so non-whole cells arrive as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Sequence
 
+from fairdec import io
 from fairdec import (
     DEFAULT_ENUM_CAP,
     Allocation,
@@ -105,3 +107,16 @@ def best_unowned_good(
     """The most valuable good outside the player's bundle (0 when she holds
     all): ``GoodsInstance.best_unowned`` over her scale."""
     return Fraction(goods.best_unowned(player, bundle), goods.scales[player])
+
+
+def read_goods(rows: list[list[Fraction | int]]) -> GoodsInstance:
+    """The goods instance of ``rows`` as a document reads it: whole cells as
+    JSON integers and the rest as canonical "p/q" strings."""
+    cells = [[io.encode_rational(Fraction(v)) for v in row] for row in rows]
+    doc = {
+        "kind": "goods",
+        "players": [f"p{i}" for i in range(len(rows))],
+        "goods": [f"g{g}" for g in range(len(rows[0]))],
+        "utilities": cells,
+    }
+    return io.parse_instance(io.to_json(doc))

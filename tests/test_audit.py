@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
 from fairdec.audit import best_single_switch
-from reference_helpers import best_unowned_good
+from reference_helpers import best_unowned_good, read_goods
 
 
 # integers, and fractions whose denominators are pairwise coprime, so the
@@ -203,6 +203,53 @@ def test_envy_levels_are_the_least_fraction_ratio(pair):
         assert (player.ef.alpha, player.ef1.alpha) == (ef, ef1)
         assert player.ef.satisfied == (ef is None or ef >= 1)
         assert player.ef1.satisfied == (ef1 is None or ef1 >= 1)
+
+
+@st.composite
+def edge_goods_with_allocation_(draw):
+    """Zero-heavy goods read from "p/q" cells with one good, one player, or
+    bundles of at most one good each (some of them empty)."""
+    shape = draw(st.sampled_from(["one good", "one player", "singletons"]))
+    n = 1 if shape == "one player" else draw(st.integers(1, 5))
+    most = n if shape == "singletons" else 6
+    m = 1 if shape == "one good" else draw(st.integers(1, most))
+    rows = [
+        [0 if draw(st.integers(0, 2)) else draw(UTILITIES) for _ in range(m)]
+        for _ in range(n)
+    ]
+    if shape == "singletons":
+        owners = draw(st.permutations(range(n)))[:m]
+    else:
+        owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    bundles = [{g for g, o in enumerate(owners) if o == i} for i in range(n)]
+    return read_goods(rows), fd.allocation(bundles)
+
+
+def _level(value, reference):
+    return None if reference == 0 else value / reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_goods_with_allocation_())
+def test_goods_audit_edges_match_plain_fraction_reads(pair):
+    """Utilities, Prop, Prop1 and envy levels equal plain Fraction sums: the
+    Prop1 credit is the bundle plus the best good outside it, found by a
+    scan of every good; each axiom holds when its level is None or >= 1."""
+    goods, alloc = pair
+    report = fd.audit_goods(goods, alloc)
+    for i, player in enumerate(report.players):
+        u = [goods.utility(i, g) for g in range(goods.m)]
+        own = alloc.bundles[i]
+        value = sum((u[g] for g in own), Fraction(0))
+        credit = value + max((u[g] for g in range(goods.m) if g not in own), default=0)
+        total = sum(u, Fraction(0))
+        assert report.utilities[i] == value
+        assert player.prop.alpha == _level(goods.n * value, total)
+        assert player.prop1.alpha == _level(goods.n * credit, total)
+        assert (player.ef.alpha, player.ef1.alpha) == _envy_reference(goods, alloc, i)
+        checks = (player.prop, player.prop1, player.rrs, player.pps, player.ef)
+        for check in (*checks, player.ef1):
+            assert check.satisfied == (check.alpha is None or check.alpha >= 1)
 
 
 def test_envy_levels_with_zero_values_and_worthless_rivals():

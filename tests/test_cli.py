@@ -586,6 +586,7 @@ def test_no_stdout_at_all_is_exit_two_with_one_line(unbuffered):
     )
     assert code == 2 and err.count("\n") == 1
     assert err.startswith("error: cannot write standard output: ")
+    assert err == "error: cannot write standard output: it is closed\n"
 
 
 class _BrokenPipe(RawIOBase):
@@ -841,6 +842,65 @@ def test_theorem5_refuses_a_d_no_document_can_hold(capsys, tmp_path):
         assert not out.exists()
         code, _, err = run(capsys, argv + ["92"])
         assert (code, err) == (0, "") and io.parse_instance(out.read_text()).n == 92
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _primes(count: int) -> list[int]:
+    primes, candidate = [], 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+TOO_LONG = "error: a result value has more digits than a document can hold\n"
+
+
+@pytest.mark.parametrize("mechanism", ["round-robin", "pps-po", "prop1-po"])
+@pytest.mark.parametrize("audit", [[], ["--with-audit"]], ids=["bare", "audited"])
+def test_an_over_long_result_value_is_exit_two_naming_it(
+    capsys, tmp_path, mechanism, audit
+):
+    """Under a 640-digit conversion limit, two players' "1/p" rows over the
+    first 700 primes give exact utilities whose denominators have more digits
+    than the limit: one line says so, with no advice to raise the limit."""
+    cells = [f"1/{p}" for p in _primes(700)]
+    doc = {
+        "kind": "goods",
+        "players": ["a", "b"],
+        "goods": [f"g{g}" for g in range(700)],
+        "utilities": [cells, cells[::-1]],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        argv = ["solve", "--mechanism", mechanism, "--input", str(path), *audit]
+        assert run(capsys, argv) == (2, "", TOO_LONG)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_over_long_whole_utility_is_exit_two_naming_it(capsys, tmp_path, fmt):
+    """Two goods worth 10**640 - 1 each, both held by the one player: her
+    utility has 641 digits, one past a 640-digit limit, and no form of the
+    audit writes it."""
+    nines = int("9" * 640)
+    goods = tmp_path / "goods.json"
+    result = tmp_path / "result.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        write_instance(goods, fd.goods_instance([[nines] * 2]))
+        result.write_text(json.dumps({"bundles": [[0, 1]]}))
+        argv = ["audit", "--input", str(goods), "--result", str(result)]
+        assert run(capsys, argv + ["--format", fmt]) == (2, "", TOO_LONG)
+        solve = ["solve", "--mechanism", "round-robin", "--input", str(goods)]
+        assert run(capsys, solve) == (2, "", TOO_LONG)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -731,6 +732,114 @@ def test_to_json_refuses_what_is_not_a_json_value(value):
     for doc in (value, [value], {"key": value}, [1, [value]], (value,), *matrices):
         with pytest.raises(TypeError):
             io.to_json(doc)
+
+
+class _Text(str):
+    def __str__(self):
+        return "not this"
+
+
+class _Count(int):
+    def __repr__(self):
+        return "not this"
+
+    __str__ = __repr__
+
+
+def _key_layouts(first: tuple, second: tuple) -> dict:
+    """The key set {a, b, c} in the insertion orders ``first`` and ``second``,
+    at depths 0 to 4, with str and int subclass values among the scalars."""
+    values = ("x", _Text("é\n\""), _Count(-7))
+
+    def leaf(order):
+        return dict(zip(order, values))
+
+    middle = {"b": [leaf(first), leaf(second)], "a": leaf(second), "c": 3}
+    top = {"b": middle, "a": 0, "c": None}
+    return {"c": [middle, leaf(first)], "a": top, "b": True}
+
+
+def test_to_json_lays_out_each_key_set_once_per_depth():
+    """One document holding the same key set in two insertion orders at
+    several depths, then more distinct key sets than the layout cache holds,
+    then the first key sets again, is written as json.dumps writes it, twice
+    over; str and int subclass values are written as their base types are."""
+    spread = io._heads.cache_info().maxsize + 44
+    doc = [
+        _key_layouts(("b", "a", "c"), ("c", "b", "a")),
+        [{f"k{i}": i, f"j{i}": [_Text(str(i))], f"é{i}": {}} for i in range(spread)],
+        _key_layouts(("a", "c", "b"), ("b", "c", "a")),
+    ]
+    expected = _dumps(doc)
+    assert "not this" not in expected
+    assert io.to_json(doc) == expected
+    assert io.to_json(doc) == expected
+    small = {"b": _Count(2), "a": _Text("s")}
+    assert io.to_json(small) == '{\n  "a": "s",\n  "b": 2\n}\n'
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {1: "a"},
+        {"a": 1, 2: 3},
+        {None: 1},
+        {True: 1},
+        {("a",): 1},
+        {"a": 1.5},
+        {"a": Fraction(1, 2)},
+        {"a": {1, 2}},
+        {"a": [{"b": 1, "c": 0.5}]},
+    ],
+)
+def test_to_json_keeps_refusing_what_json_dumps_would_change(bad):
+    """A non-str key, or a float, Fraction or set value, is a TypeError at any
+    depth, every time, whatever key layouts were written before it."""
+    io.to_json({"a": 1, "b": 2, "c": 3})
+    for doc in (bad, [bad], {"a": bad}, {"a": [1, bad]}):
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                io.to_json(doc)
+
+
+@pytest.fixture
+def limit_640():
+    """A 640-digit int-to-string conversion limit, restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+LONG = 10**700
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [LONG, [LONG], {"a": LONG}, [[1, LONG]], {"a": [0, {"b": -LONG}]}, [1, True, LONG]],
+    ids=["bare", "list", "dict", "matrix", "nested", "mixed"],
+)
+def test_to_json_names_an_int_it_cannot_write(limit_640, doc):
+    """An int past the conversion limit is a FairdecError (and still a
+    ValueError) that says a document cannot hold it, not Python's advice."""
+    with pytest.raises(fd.FairdecError, match="^a result value has more digits than"):
+        io.to_json(doc)
+    with pytest.raises(ValueError):
+        io.to_json(doc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(LONG), Fraction(1, LONG), Fraction(LONG + 1, 3)],
+    ids=["whole", "denominator", "numerator"],
+)
+def test_encode_rational_names_a_value_it_cannot_write(limit_640, value):
+    with pytest.raises(fd.FairdecError, match="^a result value has more digits than"):
+        io.encode_rational(value)
+    with pytest.raises(ValueError):
+        io.encode_rational(value)
 
 
 def test_result_document_round_trip():

@@ -3,12 +3,15 @@
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
-from fairdec import io
+from fairdec import io, private_goods
+from fairdec.shares import share_sums
+from reference_helpers import read_goods
 
 
 # integers, and fractions whose denominators are pairwise coprime, so the
@@ -104,6 +107,64 @@ def test_weighted_welfare_argmax_on_p_q_rows():
     assert _fraction_argmax(goods, weights) == [1, 1, 1]
     heavier = fd.weighted_welfare_allocation(goods, (Fraction(2, 3), Fraction(2, 3), 1))
     assert [sorted(b) for b in heavier.bundles] == [[], [], [0, 1, 2]]
+
+
+@st.composite
+def zero_heavy_p_q_goods_(draw, max_n=5):
+    """Goods read from "p/q" cells with zero-heavy rows, shaped m < n or m a
+    multiple of n, so that p = floor(m/n) is 0 or an exact share of goods."""
+    n = draw(st.integers(1, max_n))
+    below = st.integers(1, max(1, n - 1))
+    m = draw(st.one_of(below, st.integers(1, 3).map(n.__mul__)))
+    values = draw(st.sampled_from([UTILITIES, TIE_HEAVY]))
+    rows = []
+    for _ in range(n):
+        zeros = draw(st.integers(0, 3))  # out of 4: how likely a cell is 0
+        rows.append(
+            [0 if draw(st.integers(1, 4)) <= zeros else draw(values) for _ in range(m)]
+        )
+    return read_goods(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_heavy_p_q_goods_())
+def test_the_quota_set_is_read_from_zero_counts(goods):
+    """A player is quota bound exactly when fewer than p of her values are 0,
+    which is when her PPS is positive; every round the allocator routes a
+    good toward those of them still below quota, and it stops when none is."""
+    n, p = goods.n, goods.m // goods.n
+    bound = [pps > 0 for _, _, pps, _ in share_sums(goods)]
+    assert [row.count(0) < p for row in goods.maxima] == bound
+    needy_sets = []
+    transfer_round = private_goods._transfer_round
+
+    def spy(run, seeds, needy):
+        below = {i for i in range(n) if bound[i] and len(run.bundles[i]) < p}
+        needy_sets.append((needy, below))
+        return transfer_round(run, seeds, needy)
+
+    with mock.patch.object(private_goods, "_transfer_round", spy):
+        alloc, _, trace = fd.pps_po_allocate(goods)
+    assert len(needy_sets) == len(trace.rounds)
+    assert all(needy == below for needy, below in needy_sets)
+    assert all(len(b) >= p for b, quota in zip(alloc.bundles, bound) if quota)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_weighted_welfare_on_p_q_rows_is_the_fraction_argmax(data):
+    """Equal row factors (w_i / scales[i] alike, as at the allocator's equal
+    start weights on equal scales) skip the rescaling; either way each good
+    goes to the lowest index maximizing w_i * u_i(g)."""
+    goods = data.draw(zero_heavy_p_q_goods_())
+    if data.draw(st.booleans()):
+        weights = [data.draw(WEIGHTS) * s for s in goods.scales]
+    else:
+        weights = data.draw(st.lists(WEIGHTS, min_size=goods.n, max_size=goods.n))
+    owners = _fraction_argmax(goods, weights)
+    assert fd.weighted_welfare_allocation(goods, weights).bundles == fd.allocation(
+        {g for g, owner in enumerate(owners) if owner == i} for i in range(goods.n)
+    ).bundles
 
 
 def test_weighted_welfare_rejects_bad_weights():
