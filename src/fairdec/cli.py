@@ -224,12 +224,8 @@ def _bench_trial(args, trial_seed: int) -> dict[str, tuple[bool, bool, bool, boo
         args.n, args.m, args.k, trial_seed, umin=args.umin, umax=args.umax
     )
     flags = {}
-    for name, run in (
-        ("round-robin", lambda: round_robin(instance)),
-        ("leximin", lambda: leximin(instance)),
-        ("mnw", lambda: max_nash_welfare(instance)),
-    ):
-        result = run()
+    for name, run in zip(PUBLIC_MECHANISMS, (round_robin, leximin, max_nash_welfare)):
+        result = run(instance)
         report = audit(instance, result.outcome, po_cap=DEFAULT_ENUM_CAP)
         flags[name] = (
             report.po.satisfied,
@@ -248,7 +244,7 @@ def _cmd_bench(args) -> int:
         for trial in range(args.trials)
     ]
     lines = ["mechanism,po,pps,rrs,prop1"]
-    for name in ("round-robin", "leximin", "mnw"):
+    for name in PUBLIC_MECHANISMS:
         rates = [
             sum(1 for r in results if r[name][axis]) / len(results)
             for axis in range(4)

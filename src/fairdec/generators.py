@@ -198,7 +198,7 @@ def random_public(
 ) -> DecisionInstance:
     """Uniform integer utilities in [umin, umax]; k alternatives per issue
     (a sequence gives per-issue counts). Draw order: issues, then players,
-    then alternatives."""
+    then alternatives; each issue's n * k draws are one slice, cut into rows."""
     if n < 1:
         raise ValueError(f"players: at least one player is required, got n={n}")
     counts = list(k) if not isinstance(k, int) else [k] * m
@@ -207,7 +207,9 @@ def random_public(
     if len(counts) != m:
         raise ValueError("need one alternative count per issue")
     draws = _draws(seed, umin, umax)
-    return decision_instance([[[*islice(draws, c)] for _ in range(n)] for c in counts])
+    return decision_instance(
+        [[*zip(*[islice(draws, n * c)] * c)] or [()] * n for c in counts]
+    )
 
 
 def random_goods(

@@ -23,14 +23,14 @@ is built unless the value is refused or warned about.
 sorted, two-space indents, strings escaped by ``json.encoder``'s
 ``encode_basestring``. Each dict shape's sorted, escaped key heads are laid
 out once, in a bounded cache keyed by its keys in insertion order and its
-depth, and a scalar value follows its head in the same string. A list of ints
-is joined at once, and a list of non-empty int rows (lists or tuples) one row
-per join, with no call per row. Its text equals json.dumps(doc, indent=2,
-sort_keys=True, ensure_ascii=False) plus a newline; any value but a str, int,
-bool, None, dict, list or tuple is a TypeError. So emit-parse-emit is byte
-stable and parse(emit(x)) == x for every model value. A value with more
-digits than int-to-string conversion allows is a ``TooManyDigits`` from
-``encode_rational`` or ``to_json`` that says so.
+depth, and a scalar value follows its head in the same string. A list of plain
+ints or strs is joined at once; a list of non-empty plain-int rows (lists or
+tuples) takes one ``%d`` format per row width, built once per matrix. Its text
+equals json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) plus a
+newline; any value but a str, int, bool, None, dict, list or tuple is a
+TypeError. So emit-parse-emit is byte stable and parse(emit(x)) == x for every
+model value. A value with more digits than int-to-string conversion allows is
+a ``TooManyDigits`` from ``encode_rational`` or ``to_json`` that says so.
 """
 
 from __future__ import annotations
@@ -440,14 +440,18 @@ def _emit(value, parts: list[str], newline: str) -> None:
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "[" + newline + "  "
         types = {*map(type, value)}
-        if types == {int}:
-            parts.append(sep + ("," + inner).join(map(int.__repr__, value)))
+        if types == {int} or types == {str}:
+            parts.append(sep + ("," + inner).join(map(_SCALARS[types.pop()], value)))
         elif types <= {list, tuple} and all(value) and (
             {*map(type, chain(*value))} == {int}
         ):
-            cell, row = "," + inner + "  ", inner + "]," + inner + "[" + inner + "  "
-            rows = [cell.join(map(int.__repr__, r)) for r in value]
-            parts.append(sep + "[" + inner + "  " + row.join(rows) + inner + "]")
+            cell, width, rows = "," + inner + "  ", 0, []
+            for row in value:  # one %d format, rebuilt only for another width
+                if len(row) != width:
+                    width = len(row)
+                    form = f"[{inner}  {cell.join(repeat('%d', width))}{inner}]"
+                rows.append(form % tuple(row))
+            parts.append(sep + ("," + inner).join(rows))
         else:
             for item in value:
                 parts.append(sep)

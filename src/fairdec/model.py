@@ -37,11 +37,11 @@ value for good g, and ``scaled[g][i]`` holds it at alternative i and 0 at
 every other. So everything that reads the view (mechanisms, shares, the
 Pareto check) takes either kind, ``Instance``. Round robin, the shares and the
 audit levels read only a goods instance's matrix; ``scaled``, n times its
-size, is built on first read, by the searches, the Pareto check or
-``goods_to_public``, which builds the embedding as a DecisionInstance on it;
-``outcome_to_allocation`` and ``allocation_to_outcome`` move between outcomes
-and allocations (the chosen alternative of a reduced issue is the recipient
-of the good).
+size, is built on first read (each good's n-by-n block by one strided slice
+assignment) by the searches, the Pareto check or ``goods_to_public``, which
+builds the embedding as a DecisionInstance on it; ``outcome_to_allocation``
+and ``allocation_to_outcome`` move between outcomes and allocations (the
+chosen alternative of a reduced issue is the recipient of the good).
 
 Inputs and results are ``fractions.Fraction``. Nothing in this package rounds.
 Instances, outcomes and allocations are immutable once built.
@@ -320,11 +320,12 @@ class GoodsInstance(_Instance, _Unscaled):
     def scaled(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """scaled[g][i]: the embedding's view of good g for player i, maxima[i][g]
         at alternative i (the good goes to her) and 0 at every other one."""
-        zeros = (0,) * self.n
-        return tuple(
-            tuple(zeros[:i] + (v,) + zeros[i + 1 :] for i, v in enumerate(column))
-            for column in zip(*self.maxima)
-        )
+        n, view = self.n, []
+        cells = [0] * n * n  # a good's n-by-n block; each good refills its diagonal
+        for column in zip(*self.maxima):
+            cells[:: n + 1] = column
+            view.append(tuple(zip(*[iter(cells)] * n)))
+        return tuple(view)
 
 
 Instance = DecisionInstance | GoodsInstance

@@ -68,13 +68,9 @@ def pessimistic_share(instance: Instance, player: int) -> Fraction:
 def _partitions_up_to(m: int, n: int) -> int:
     """Number of set partitions of m items into at most n non-empty blocks."""
     # Stirling numbers of the second kind, S[j] = S(row, j), built row by row.
-    stirling = [0] * (n + 1)
-    stirling[0] = 1
+    stirling = [1] + [0] * n
     for _ in range(m):
-        new = [0] * (n + 1)
-        for j in range(1, n + 1):
-            new[j] = stirling[j - 1] + j * stirling[j]
-        stirling = new
+        stirling = [0] + [stirling[j - 1] + j * stirling[j] for j in range(1, n + 1)]
     return sum(stirling[1:])
 
 

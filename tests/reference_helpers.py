@@ -6,6 +6,8 @@ plainly in Fraction arithmetic, with no pruning: the Pareto frontier of a
 public instance, every allocation of a goods instance, the feasible-product
 bound, and a goods player's best unowned good as a Fraction. ``read_goods``
 reads rows through a document, so non-whole cells arrive as "p/q" strings.
+``embedding_view`` writes the goods embedding's integer view cell by cell from
+its definition.
 """
 
 from __future__ import annotations
@@ -107,6 +109,18 @@ def best_unowned_good(
     """The most valuable good outside the player's bundle (0 when she holds
     all): ``GoodsInstance.best_unowned`` over her scale."""
     return Fraction(goods.best_unowned(player, bundle), goods.scales[player])
+
+
+def embedding_view(goods: GoodsInstance) -> tuple:
+    """scaled[g][i] of the goods embedding by its definition: player i's row
+    for good g holds ``maxima[i][g]`` at alternative i and 0 at every other."""
+    return tuple(
+        tuple(
+            tuple(goods.maxima[i][g] if a == i else 0 for a in range(goods.n))
+            for i in range(goods.n)
+        )
+        for g in range(goods.m)
+    )
 
 
 def read_goods(rows: list[list[Fraction | int]]) -> GoodsInstance:

@@ -1,5 +1,6 @@
 """Named instance families and the seeded random generators."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -149,14 +150,60 @@ def test_random_families_are_seeded_and_bounded():
 @pytest.mark.parametrize("seed", [0, 7, 11, 2**40])
 def test_random_families_draw_what_randint_draws(seed, umin, umax):
     """Each random family equals the instance built from
-    random.Random(seed).randint in its documented order."""
-    draw, counts = random.Random(seed).randint, (3, 1, 2, 3)
-    cells = [[[draw(umin, umax) for _ in range(c)] for _ in range(4)] for c in counts]
-    public = fd.random_public(4, 4, counts, seed, umin, umax)
-    assert public == fd.decision_instance(cells)
-    draw = random.Random(seed).randint
-    rows = [[draw(umin, umax) for _ in range(9)] for _ in range(3)]
-    assert fd.random_goods(3, 9, seed, umin, umax) == fd.goods_instance(rows)
+    random.Random(seed).randint in its documented order, at one player and
+    at issues of one alternative too."""
+    for n, counts in ((4, (3, 1, 2, 3)), (1, (3, 1, 2)), (3, (1, 4, 1)), (1, (1,))):
+        draw = random.Random(seed).randint
+        cells = [
+            [[draw(umin, umax) for _ in range(c)] for _ in range(n)] for c in counts
+        ]
+        public = fd.random_public(n, len(counts), counts, seed, umin, umax)
+        assert public == fd.decision_instance(cells)
+        draw = random.Random(seed).randint
+        rows = [[draw(umin, umax) for _ in range(9)] for _ in range(n)]
+        assert fd.random_goods(n, 9, seed, umin, umax) == fd.goods_instance(rows)
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (
+            lambda: fd.random_public(10, 200, 2, 7),
+            "74e28f9384b4c6438f0a97d2be95d1d78e748e48858e8200b9736e71fc308240",
+        ),
+        (
+            lambda: fd.random_goods(20, 400, 7),
+            "e47c4a7984c7944ffe4285659a0599c569c99cd4d0e4da8fdc8615f82ca722bf",
+        ),
+        (
+            lambda: fd.goods_to_public(fd.random_goods(20, 400, 7)),
+            "6ddcf7e069641c85acbfb9cde518dacd2908bdb9cc6919d7e7e91d4641cec0aa",
+        ),
+    ],
+)
+def test_large_generated_documents_keep_their_bytes(build, digest):
+    """The sha256 of the documents that a seed's public instance, goods
+    instance and goods embedding write, so that the generators and the
+    emitter keep writing a seed's files byte for byte."""
+    text = fd.io.to_json(fd.io.instance_document(build()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+_NO_ALTERNATIVE = "an issue needs at least one alternative"
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (0, "; ".join(f"issues[{t}]: {_NO_ALTERNATIVE}" for t in range(3))),
+        ((2, 0, 1), f"issues[1]: {_NO_ALTERNATIVE}"),
+    ],
+    ids=["every-issue", "one-issue"],
+)
+def test_an_issue_drawn_with_no_alternatives_is_refused_by_name(k, message):
+    with pytest.raises(fd.InstanceFormatError) as info:
+        fd.random_public(2, 3, k, 0)
+    assert str(info.value) == message
 
 
 def test_an_empty_utility_range_names_both_bounds():

@@ -662,6 +662,18 @@ def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+class _Text(str):
+    def __str__(self):
+        return "not this"
+
+
+class _Count(int):
+    def __repr__(self):
+        return "not this"
+
+    __str__ = __repr__
+
+
 json_scalars = st.one_of(
     st.integers(),
     st.integers(min_value=10**29, max_value=10**40),
@@ -677,6 +689,7 @@ json_documents = st.recursive(
         st.lists(inner),
         st.lists(inner).map(tuple),
         st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(st.text()),
         st.lists(st.lists(st.integers(), min_size=1), min_size=1),
         st.lists(  # int rows as the view holds them: tuples, some among lists
             st.lists(st.integers(), min_size=1).flatmap(
@@ -718,6 +731,17 @@ def test_to_json_writes_what_json_dumps_writes(doc):
         [(1,), ()],
         [(True, 1)],
         {"a": ((0,),)},
+        ["\"\\/\x00\x1f\n\t", "é", "漢\u2028\U0001f600", ""],
+        ("a", "b\\"),
+        ["x", _Text("é\n\""), "y"],
+        [[1], [2, 3, 4]],
+        [[1, 2, 3], [4]],
+        [(1, 2), [3], (4, 5), [6, 7], (8,)],
+        [[0], [7], [-1]],
+        ((5,),),
+        [[1, 2], (3, 4), [5, 6]],
+        ((1, 2), [3, 4]),
+        [[-(10**39) - 7, 10**39 + 1], [-1, 0], [10**40 - 1, -(10**40) + 1]],
     ],
 )
 def test_to_json_writes_empty_and_mixed_containers_as_json_dumps(doc):
@@ -732,18 +756,6 @@ def test_to_json_refuses_what_is_not_a_json_value(value):
     for doc in (value, [value], {"key": value}, [1, [value]], (value,), *matrices):
         with pytest.raises(TypeError):
             io.to_json(doc)
-
-
-class _Text(str):
-    def __str__(self):
-        return "not this"
-
-
-class _Count(int):
-    def __repr__(self):
-        return "not this"
-
-    __str__ = __repr__
 
 
 def _key_layouts(first: tuple, second: tuple) -> dict:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
 from fairdec.model import TooManyDigits
-from reference_helpers import best_unowned_good
+from reference_helpers import best_unowned_good, embedding_view, read_goods
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -450,6 +450,26 @@ def test_embedding_preserves_shape(matrix):
     assert image.n == goods.n
     assert image.m == goods.m
     assert all(issue.k == goods.n for issue in image.issues)
+
+
+@st.composite
+def embedding_rows(draw):
+    """Rows of n = 1 to 6 players over 1 to 7 goods: either mostly zeros, or
+    fractions that a document writes as "p/q" strings."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    zero_heavy = st.sampled_from([0, 0, 0, 0, 1, 7])
+    cells = draw(st.sampled_from([zero_heavy, st.fractions(0, 9, max_denominator=12)]))
+    return [draw(st.lists(cells, min_size=m, max_size=m)) for _ in range(n)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(embedding_rows())
+def test_the_goods_embedding_view_is_its_definition(rows):
+    """``scaled`` equals the embedding written cell by cell from its
+    definition, and so does the view of ``goods_to_public``."""
+    goods = read_goods(rows)
+    assert goods.scaled == embedding_view(goods)
+    assert fd.goods_to_public(goods).scaled == embedding_view(goods)
 
 
 @st.composite

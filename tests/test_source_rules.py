@@ -18,7 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairdec"
 MODULES = sorted(PACKAGE.glob("*.py"))
-LINE_CEILING = 2910  # src/fairdec/*.py, all lines counted
+LINE_CEILING = 2909  # src/fairdec/*.py, all lines counted
 
 
 def _private(name: str) -> bool:
