@@ -22,11 +22,10 @@ for Prop on a utility sum U and row sum T, met when n U >= T.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, sub
-from typing import Iterable, Sequence
-
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
     Allocation,
@@ -42,8 +41,7 @@ from .mechanisms import pareto_improvement
 from .shares import DEFAULT_MMS_CAP, share_sums
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     """One axiom for one player: satisfied flag and exact level.
 
     ``alpha`` is None when the reference is zero, meaning the level is
@@ -55,16 +53,14 @@ class AxiomCheck:
     alpha: Fraction | None
 
 
-@dataclass(frozen=True)
-class ParetoCheck:
+class ParetoCheck(NamedTuple):
     """Exact Pareto test; ``witness`` is the lexicographically first improvement."""
 
     satisfied: bool
     witness: Outcome | Allocation | None
 
 
-@dataclass(frozen=True)
-class PlayerAudit:
+class PlayerAudit(NamedTuple):
     prop: AxiomCheck
     prop1: AxiomCheck
     rrs: AxiomCheck
@@ -76,6 +72,8 @@ class PlayerAudit:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """The package's one dataclass: ``perfbench`` sets ``po`` by ``dataclasses.replace``."""
+
     utilities: tuple[Fraction, ...]
     players: tuple[PlayerAudit, ...]
     po: ParetoCheck | None = None

@@ -6,7 +6,8 @@ oracle (brute-force optimum of an objective), reduce (embed goods as a public
 instance), bench (mechanism quality rates over seeded random instances).
 
 Exit codes: 0 success, 2 validation or format error or an output that cannot
-be written, 3 enumeration cap exceeded, 4 degenerate instance. All output is
+be written, 3 enumeration cap exceeded, 4 degenerate instance, 130 interrupted
+(Ctrl-C), with one ``error: interrupted`` line and no traceback. All output is
 deterministic for a fixed command line, input files, and seed; bench runs its
 trials one after another in this process. ``main`` builds its argument parser
 once per process and reuses it for every call. It pauses the cyclic garbage
@@ -355,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FairdecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {CapExceeded: 3, DegenerateInstance: 4}.get(type(exc), 2)
+    except KeyboardInterrupt:  # the shell's code for SIGINT, without a traceback
+        print("error: interrupted", file=sys.stderr)
+        return 130
     finally:
         if enabled:
             gc.enable()

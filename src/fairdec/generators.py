@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import index
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GenerationError
 from .model import (
@@ -63,8 +62,7 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class GeneratedInstance:
+class GeneratedInstance(NamedTuple):
     family: str
     instance: Instance
     witness: Allocation | None = None

@@ -38,11 +38,11 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring as _string
+from typing import NamedTuple
 
 from .audit import AuditReport
 from .errors import InstanceFormatError
@@ -215,8 +215,7 @@ def parse_instance(text: str | bytes, allow_decimal: bool = False) -> Instance:
     return decision_instance(matrices, players, names, labels, read=read)
 
 
-@dataclass(frozen=True)
-class ParsedResult:
+class ParsedResult(NamedTuple):
     """A result document reduced to what an audit needs."""
 
     outcome: Outcome | None
@@ -295,7 +294,7 @@ def instance_document(instance: Instance) -> dict:
 def mechanism_trace(result: MechanismResult) -> dict | None:
     trace: dict = {}
     if result.picks is not None:
-        trace["picks"] = [{**vars(p)} for p in result.picks]
+        trace["picks"] = [p._asdict() for p in result.picks]
     if result.support is not None:
         trace["support"] = list(result.support)
     if result.normalization is not None:
@@ -327,10 +326,10 @@ def transfer_trace_document(trace: TransferTrace) -> dict:
         {
             "dec": [list(snapshot) for snapshot in r.dec_snapshots],
             "reductions": [
-                {**vars(red), "factor": encode_rational(red.factor)}
+                {**red._asdict(), "factor": encode_rational(red.factor)}
                 for red in r.reductions
             ],
-            "transfers": [{**vars(t)} for t in r.transfers],
+            "transfers": [t._asdict() for t in r.transfers],
         }
         for r in trace.rounds
     ]
@@ -363,16 +362,9 @@ def _axiom_document(check) -> dict:
     }
 
 
-# PlayerAudit's axiom fields and their text labels; None fields are left out.
-_AXIOM_LABELS = (
-    ("prop", "Prop"),
-    ("prop1", "Prop1"),
-    ("rrs", "RRS"),
-    ("pps", "PPS"),
-    ("mms", "MMS"),
-    ("ef", "EF"),
-    ("ef1", "EF1"),
-)
+# the text labels of PlayerAudit's axiom fields, in field order; None fields
+# are left out of both renderings
+_AXIOM_LABELS = ("Prop", "Prop1", "RRS", "PPS", "MMS", "EF", "EF1")
 
 
 def _witness(witness: Outcome | Allocation) -> tuple[str, list]:
@@ -385,9 +377,9 @@ def _witness(witness: Outcome | Allocation) -> tuple[str, list]:
 def audit_document(report: AuditReport) -> dict:
     players = [
         {
-            field: _axiom_document(getattr(player, field))
-            for field, _ in _AXIOM_LABELS
-            if getattr(player, field) is not None
+            field: _axiom_document(check)
+            for field, check in zip(player._fields, player)
+            if check is not None
         }
         for player in report.players
     ]
@@ -484,8 +476,7 @@ def render_audit_text(
     for i, player in enumerate(report.players):
         name = players[i] if players else f"p{i + 1}"
         lines.append(f"{name}: utility {encode_rational(report.utilities[i])}")
-        for field, label in _AXIOM_LABELS:
-            check = getattr(player, field)
+        for label, check in zip(_AXIOM_LABELS, player):
             if check is None:
                 continue
             alpha = check.alpha

@@ -51,13 +51,12 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from math import lcm, prod
 from operator import ge
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import FairdecError, InstanceFormatError
 
@@ -182,8 +181,46 @@ class _Unscaled:
         return self.utilities
 
 
-@dataclass(frozen=True)
-class Violation:
+class _Frozen:
+    """Fields named by the class's annotations, given in order or by name and
+    never reassigned, compared and hashed as a tuple within one class, shown
+    as ``Name(field=value, ...)``. Unlike a NamedTuple it keeps a ``__dict__``
+    for what is built on first read; pickle and copy fill that directly."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, given = self._fields, len(args) + len(kwargs)
+        if given != len(fields) or not kwargs.keys() <= {*fields[len(args):]}:
+            raise TypeError(f"{type(self).__name__} takes {', '.join(fields)}")
+        vars(self).update(zip(fields, args), **kwargs)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Violation(NamedTuple):
     """One structural defect of an instance, reported by InstanceFormatError.
 
     Attributes:
@@ -195,8 +232,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class Issue(_Unscaled):
+class Issue(_Frozen, _Unscaled):
     """One issue: a label, alternative labels, and an n-by-k utility matrix."""
 
     utilities: tuple[tuple[Fraction, ...], ...]  # rows = players, cols = alternatives
@@ -208,12 +244,13 @@ class Issue(_Unscaled):
         return len(self.alternatives)
 
 
-class _Instance:
+class _Instance(_Frozen):
     """What both instance kinds share: the check when built bare, ``n`` and
     ``ranking``. A public instance holds ``scales`` and ``scaled``, a goods
     one ``scales`` and ``maxima``."""
 
-    def __post_init__(self) -> None:  # built bare: the view is read off checked rows
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # built bare: the view is read off checked rows
         violations = list(_violations(self))
         if violations:
             raise InstanceFormatError(
@@ -259,7 +296,6 @@ class _Instance:
         return tuple(map(tuple, kept)), vectors, tuple(reversed(sums))
 
 
-@dataclass(frozen=True)
 class DecisionInstance(_Instance):
     """A public decision instance: players and issues, checked when built."""
 
@@ -287,7 +323,6 @@ class DecisionInstance(_Instance):
         return tuple(zip(*(map(max, rows) for rows in self.scaled)))
 
 
-@dataclass(frozen=True)
 class GoodsInstance(_Instance, _Unscaled):
     """Indivisible private goods: an n-by-m utility matrix, checked when built."""
 
@@ -331,22 +366,19 @@ class GoodsInstance(_Instance, _Unscaled):
 Instance = DecisionInstance | GoodsInstance
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """One chosen alternative index per issue."""
 
     choices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """A partition of the goods: bundles[i] is the set of goods player i holds."""
 
     bundles: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class Pick:
+class Pick(NamedTuple):
     """One round robin turn: who decided which issue, choosing which alternative."""
 
     player: int
@@ -354,8 +386,7 @@ class Pick:
     alternative: int
 
 
-@dataclass(frozen=True)
-class MechanismResult:
+class MechanismResult(NamedTuple):
     """Output of a mechanism or optimization oracle, with enough data to audit it.
 
     Attributes:

@@ -38,11 +38,10 @@ patches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateInstance, InvariantError
 from .model import Allocation, GoodsInstance, Outcome, allocation, outcome_to_allocation
@@ -52,8 +51,7 @@ SEARCH_ROUNDS = 100
 WeightVector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class WeightReduction:
+class WeightReduction(NamedTuple):
     """One tie creation: DEC weights were divided by ``factor`` so that
     ``recipient`` ties with ``donor`` on ``good``."""
 
@@ -64,15 +62,13 @@ class WeightReduction:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     donor: int
     recipient: int
     good: int
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     """One outer iteration: DEC growth snapshots, tie events, then the chain of moves."""
 
     dec_snapshots: tuple[tuple[int, ...], ...]
@@ -80,8 +76,7 @@ class Round:
     transfers: tuple[Transfer, ...]
 
 
-@dataclass(frozen=True)
-class TransferTrace:
+class TransferTrace(NamedTuple):
     initial: Allocation
     rounds: tuple[Round, ...]
 
@@ -259,8 +254,7 @@ def pps_po_allocate(
     return allocation(run.bundles), run.weights(), trace
 
 
-@dataclass(frozen=True)
-class Prop1SearchResult:
+class Prop1SearchResult(NamedTuple):
     """Outcome of the proportionality-up-to-one-good search.
 
     The allocation is always weighted-welfare-maximizing for ``weights`` and

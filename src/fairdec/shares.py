@@ -28,9 +28,8 @@ its public embedding, so both give the same numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CapExceeded
 from .model import Instance
@@ -154,8 +153,7 @@ def share_sums(
     return sums
 
 
-@dataclass(frozen=True)
-class ShareProfile:
+class ShareProfile(NamedTuple):
     """All share thresholds for every player of one instance."""
 
     prop: tuple[Fraction, ...]

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,6 +19,16 @@ from hypothesis import given, settings, strategies as st
 import fairdec as fd
 from fairdec import cli, io
 from fairdec.cli import main
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def documented_exit_codes() -> set[int]:
+    """The codes in README's exit-code table."""
+    section = README.read_text(encoding="utf-8").split("\n### Exit codes\n")[1]
+    table = section.split("\n### ")[0]
+    return {int(code) for code in re.findall(r"^\| (\d+) \|", table, re.MULTILINE)}
 
 
 def write_instance(path, instance):
@@ -384,6 +395,35 @@ def test_main_leaves_the_collector_as_it_found_it(
     finally:
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
+
+
+def test_the_documented_exit_codes():
+    assert documented_exit_codes() == {0, 2, 3, 4, 130}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("mechanism", ["leximin", "pps-po"])
+def test_an_interrupt_is_exit_130_with_one_line(
+    capsys, contested_file, goods_file, monkeypatch, enabled, mechanism
+):
+    """Ctrl-C during a command ends it with the shell's code for SIGINT and
+    one stderr line, no traceback and no output, and main still restores the
+    collector."""
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "leximin", interrupted)
+    monkeypatch.setattr(cli, "pps_po_allocate", interrupted)
+    file = goods_file if mechanism == "pps-po" else contested_file
+    argv = ["solve", "--mechanism", mechanism, "--input", file, "--with-audit"]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert (main(argv), gc.isenabled()) == (130, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
 def _audited_commands(tmp_path, instance_file, name):
@@ -1226,8 +1266,9 @@ def cli_runs(draw):
 @settings(max_examples=150, deadline=None)
 @given(cli_runs())
 def test_fuzzed_runs_end_in_a_documented_exit_code(tmp_path_factory, run_):
-    """Whatever the documents and flags, a run ends in 0, 2, 3 or 4 and
-    prints no traceback; a failed run prints one error line and no output."""
+    """Whatever the documents and flags, a run ends in a code README
+    documents and prints no traceback; a failed run prints one error line and
+    no output."""
     flags, instance_text, result_text = run_
     folder = tmp_path_factory.mktemp("fuzz")
     instance, result = folder / "instance.json", folder / "result.json"
@@ -1239,7 +1280,7 @@ def test_fuzzed_runs_end_in_a_documented_exit_code(tmp_path_factory, run_):
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2, 3, 4), (argv, instance_text, err.getvalue())
+    assert code in documented_exit_codes(), (argv, instance_text, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code:
         assert out.getvalue() == ""

@@ -560,7 +560,7 @@ DEFECTIVE = {
 
 
 def _bare(doc):
-    """The document's instance built by its dataclass, values as Fractions."""
+    """The document's instance built by its bare class, values as Fractions."""
     def rows(matrix):
         return tuple(tuple(map(Fraction, row)) for row in matrix)
 
@@ -1006,7 +1006,7 @@ def _rows(instance):
 def test_whole_matrix_checks_agree_with_the_per_row_route(case):
     """An all-int document takes the whole-matrix checks, and one planted
     change sends it to the per-row route; either way parsing, the factory and
-    the bare dataclass agree on the instance or on every violation."""
+    the bare class agree on the instance or on every violation."""
     doc, change, cell, prefix = case
     if change == "true":
         with pytest.raises(fd.InstanceFormatError) as info:

@@ -288,7 +288,7 @@ INVALID = {
 
 @pytest.mark.parametrize("build, paths", INVALID.values(), ids=INVALID.keys())
 def test_invalid_instances_cannot_be_built(build, paths):
-    """Factories and bare dataclasses alike raise with every defect's path, so
+    """Factories and bare instance classes alike raise with every defect's path, so
     no mechanism, share or audit ever receives such an instance."""
     with pytest.raises(fd.InstanceFormatError) as info:
         build()

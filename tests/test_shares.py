@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
+from fairdec import shares
 
 
 def two_player_contest():
@@ -93,6 +94,33 @@ def test_maximin_share_of_two_players_and_twenty_goods():
     best = max(min(s, total - s) for s in reachable)
     assert best == total // 2 - 1
     assert fd.maximin_share(fd.goods_instance([values] * 2), 0) == best
+
+
+@pytest.mark.parametrize(
+    "goods, nodes",
+    [
+        (fd.random_goods(4, 12, 7, umax=30), [0, 1, 0, 27]),
+        (fd.random_goods(3, 10, 5, umax=1000), [419, 168, 51]),
+    ],
+    ids=["4x12-umax30", "3x10-umax1000"],
+)
+def test_maximin_share_search_work_is_pinned(monkeypatch, goods, nodes):
+    """The search's nodes per player, counted as its calls of ``sorted`` (one
+    ranks her values, then one per node). Its greedy start, its bound and its
+    one try per distinct block sum change no value, only this work."""
+    calls = []
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(None)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(shares, "sorted", counting_sorted, raising=False)
+    work = []
+    for player in range(goods.n):
+        before = len(calls)
+        fd.maximin_share(goods, player)
+        work.append(len(calls) - before - 1)
+    assert work == nodes
 
 
 def test_share_profile_skips_mms_by_default():

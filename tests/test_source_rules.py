@@ -7,8 +7,9 @@ another module's private, ``_``-prefixed names, the brute-force reference
 ``errors``, only ``cli`` and the package import ``oracles`` and only they and
 ``io`` import ``audit``, no module uses ``json.dumps`` (``io.to_json`` is the
 one emitter), every ``open``, ``read_text`` and ``write_text`` call names its
-``encoding`` (files are UTF-8 whatever the locale), and the package may not
-grow past the line ceiling ROADMAP.md sets for it.
+``encoding`` (files are UTF-8 whatever the locale), ``AuditReport`` is the
+one dataclass (importing the package generates no per-class code), and the
+package may not grow past the line ceiling ROADMAP.md sets for it.
 """
 
 import ast
@@ -18,7 +19,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairdec"
 MODULES = sorted(PACKAGE.glob("*.py"))
-LINE_CEILING = 2909  # src/fairdec/*.py, all lines counted
+LINE_CEILING = 2923  # src/fairdec/*.py, all lines counted
 
 
 def _private(name: str) -> bool:
@@ -168,6 +169,58 @@ def test_the_encoding_rule_sees_every_form():
     source += "p.write_text('x', encoding='utf-8')\nio.open('f', encoding='ascii')\n"
     source += "p.read_bytes()\nopened('f')\n"
     assert sorted(_calls_without_encoding(ast.parse(source))) == [1, 2, 3, 4]
+
+
+def _dataclass_uses(tree: ast.Module) -> list[str]:
+    """Each use of ``dataclass`` or ``make_dataclass``, as an attribute of
+    anything or through any name imported for them: the class it decorates,
+    or "line N" for any other use."""
+    makers = {"dataclass", "make_dataclass"}
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        for alias in node.names
+        if alias.name in makers
+    }
+    decorated = {
+        id(getattr(decorator, "func", decorator)): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for decorator in node.decorator_list
+    }
+    return [
+        decorated.get(id(node), f"line {node.lineno}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and node.id in names
+        or isinstance(node, ast.Attribute)
+        and node.attr in makers
+    ]
+
+
+def test_audit_report_is_the_one_dataclass():
+    """A dataclass generates and compiles its methods when its module is
+    imported, which made up most of the package's import time; the records
+    are NamedTuples and the instance classes share ``model``'s frozen base.
+    ``AuditReport`` stays a dataclass because the benchmark's pipeline
+    (``perfbench/pipeline.py``) sets a report's ``po`` by
+    ``dataclasses.replace``."""
+    uses = {path.name: _dataclass_uses(ast.parse(path.read_text())) for path in MODULES}
+    assert {name: found for name, found in uses.items() if found} == {
+        "audit.py": ["AuditReport"]
+    }
+
+
+def test_the_dataclass_rule_sees_every_form():
+    source = "from dataclasses import dataclass, make_dataclass as md, field\n"
+    source += "import dataclasses as dc\n@dataclass\nclass A: pass\n"
+    source += "@dc.dataclass(frozen=True)\nclass B: pass\n@other\nclass C: pass\n"
+    source += "D = md('D', [])\nE = dc.make_dataclass('E', [])\nfield()\n"
+    source += "@__import__('dataclasses').dataclass\nclass G: pass\n"
+    expected = ["A", "B", "line 9", "line 10", "G"]
+    assert sorted(_dataclass_uses(ast.parse(source))) == sorted(expected)
+    assert _dataclass_uses(ast.parse("class F(NamedTuple): pass\ndataclass = 1\n")) == []
 
 
 def test_the_package_stays_under_its_line_ceiling():
