@@ -19,7 +19,6 @@ from .audit import (
 )
 from .errors import (
     CapExceeded,
-    DegenerateInstance,
     FairdecError,
     GenerationError,
     InstanceFormatError,

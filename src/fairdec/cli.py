@@ -5,16 +5,16 @@ result file against an instance file), gen (write a named instance family),
 oracle (brute-force optimum of an objective), reduce (embed goods as a public
 instance), bench (mechanism quality rates over seeded random instances).
 
-Exit codes: 0 success, 2 validation or format error or an output that cannot
-be written, 3 enumeration cap exceeded, 4 degenerate instance, 130 interrupted
-(Ctrl-C), with one ``error: interrupted`` line and no traceback. All output is
-deterministic for a fixed command line, input files, and seed; bench runs its
-trials one after another in this process. ``main`` builds its argument parser
-once per process and reuses it for every call. It pauses the cyclic garbage
-collector while a command runs: what a command builds (instances, views,
-results, documents) holds no reference cycles and is freed by reference
-counting, so the collector's scans would find nothing. ``main`` resumes the
-collector on return only if it was enabled on entry.
+Exit codes: 0 success, 2 validation or format error, an output that cannot
+be written or a failed internal invariant, 3 enumeration cap exceeded, 130
+interrupted (Ctrl-C), with one ``error: interrupted`` line and no traceback.
+All output is deterministic for a fixed command line, input files, and seed;
+bench runs its trials one after another in this process. ``main`` builds its
+argument parser once per process and reuses it for every call. It pauses the
+cyclic garbage collector while a command runs: what a command builds
+(instances, views, results, documents) holds no reference cycles and is freed
+by reference counting, so the collector's scans would find nothing. ``main``
+resumes the collector on return only if it was enabled on entry.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from pathlib import Path
 
 from . import io
 from .audit import audit, audit_goods
-from .errors import (
-    CapExceeded,
-    DegenerateInstance,
-    FairdecError,
-    InstanceFormatError,
-)
+from .errors import CapExceeded, FairdecError, InstanceFormatError
 from .generators import FAMILIES, generate, random_public
 from .mechanisms import leximin, max_nash_welfare, round_robin
 from .model import (
@@ -355,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
             return args.handler(args)
     except (FairdecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return {CapExceeded: 3, DegenerateInstance: 4}.get(type(exc), 2)
+        return 3 if type(exc) is CapExceeded else 2
     except KeyboardInterrupt:  # the shell's code for SIGINT, without a traceback
         print("error: interrupted", file=sys.stderr)
         return 130

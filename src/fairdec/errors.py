@@ -34,14 +34,6 @@ class CapExceeded(FairdecError):
         )
 
 
-class DegenerateInstance(FairdecError):
-    """The share-guaranteeing transfer procedure cannot make progress.
-
-    Raised when some player still needs goods but every candidate transfer
-    ratio is infinite, so no weight reduction can ever create a tie for her.
-    """
-
-
 class InstanceFormatError(FairdecError, ValueError):
     """A document or instance fails structural validation.
 

@@ -58,7 +58,7 @@ def round_robin(
     """
     n = instance.n
     order = tuple(range(n)) if order is None else tuple(order)
-    if sorted(order) != list(range(n)):
+    if not {*map(type, order)} <= {int} or sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order!r}")
     choices: list[int | None] = [None] * instance.m
     cursors = [0] * n

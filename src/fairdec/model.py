@@ -165,20 +165,15 @@ def _made(cls, **fields):
     return made
 
 
-class _Unscaled:
+def _unscaled(self) -> tuple:
     """Fraction ``utilities`` that a factory leaves unbuilt, built on first read
     from ``_source``: integer rows, scales and a table of shared values."""
-
-    def __getattr__(self, name: str):
-        if name != "utilities":
-            raise AttributeError(name)
-        rows, scales, values = self._source
-        built = []
-        for row, scale in zip(rows, scales):
-            fractions = [*map(Fraction, row, repeat(scale))]
-            built.append(tuple(map(values.setdefault, fractions, fractions)))
-        object.__setattr__(self, name, tuple(built))
-        return self.utilities
+    rows, scales, values = self._source
+    built = []
+    for row, scale in zip(rows, scales):
+        fractions = [*map(Fraction, row, repeat(scale))]
+        built.append(tuple(map(values.setdefault, fractions, fractions)))
+    return tuple(built)
 
 
 class _Frozen:
@@ -232,10 +227,11 @@ class Violation(NamedTuple):
     message: str
 
 
-class Issue(_Frozen, _Unscaled):
+class Issue(_Frozen):
     """One issue: a label, alternative labels, and an n-by-k utility matrix."""
 
-    utilities: tuple[tuple[Fraction, ...], ...]  # rows = players, cols = alternatives
+    # rows = players, cols = alternatives; a bare issue's own rows shadow these
+    utilities: tuple[tuple[Fraction, ...], ...] = cached_property(_unscaled)
     name: str
     alternatives: tuple[str, ...]
 
@@ -323,10 +319,11 @@ class DecisionInstance(_Instance):
         return tuple(zip(*(map(max, rows) for rows in self.scaled)))
 
 
-class GoodsInstance(_Instance, _Unscaled):
+class GoodsInstance(_Instance):
     """Indivisible private goods: an n-by-m utility matrix, checked when built."""
 
-    utilities: tuple[tuple[Fraction, ...], ...]  # rows = players, cols = goods
+    # rows = players, cols = goods; a bare instance's own rows shadow these
+    utilities: tuple[tuple[Fraction, ...], ...] = cached_property(_unscaled)
     players: tuple[str, ...]
     goods: tuple[str, ...]
 

@@ -43,7 +43,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateInstance, InvariantError
+from .errors import InvariantError
 from .model import Allocation, GoodsInstance, Outcome, allocation, outcome_to_allocation
 
 SEARCH_ROUNDS = 100
@@ -89,7 +89,8 @@ def weighted_welfare_allocation(
     the least common denominator (not at all when every row's is the same),
     and each column's first maximum wins."""
     weights = tuple(weights)
-    if len(weights) != goods.n or any(w <= 0 for w in weights):
+    exact = {*map(type, weights)} <= {Fraction, int}
+    if len(weights) != goods.n or not exact or min(weights) <= 0:
         raise ValueError("weights must be positive, one per player")
     dens = [w.denominator * s for w, s in zip(weights, goods.scales)]
     common = lcm(*dens)
@@ -145,11 +146,11 @@ def _cheapest(goods: GoodsInstance, i: int, j: int, bundle) -> list:
     return sorted(filter(None, (least, zero)), key=itemgetter(2))
 
 
-def _min_ratio_candidate(run: _Run, dec: set[int]) -> WeightReduction | None:
+def _min_ratio_candidate(run: _Run, dec: set[int]) -> WeightReduction:
     """Cheapest tie to create: argmin of (w_i u_i(g)) / (w_j u_j(g)) over
     group members i, outside players j and goods g in ``ties[i][j]``, built
-    when missing, or None if all are infinite. With e_k = (num_k, den_k), it
-    is (num_i den_j maxima[i][g], den_i num_j maxima[j][g])."""
+    when missing. With e_k = (num_k, den_k), it is (num_i den_j maxima[i][g],
+    den_i num_j maxima[j][g]). Some ratio is finite (see ``_transfer_round``)."""
     goods, e = run.goods, run.e
     outside = [j for j in range(goods.n) if j not in dec]
     best = None
@@ -166,7 +167,7 @@ def _min_ratio_candidate(run: _Run, dec: set[int]) -> WeightReduction | None:
                 if best is None or top * best[1] < best[0] * bottom:
                     best = (top, bottom, i, j, g)
     if best is None:
-        return None
+        raise InvariantError("no tie can reach a player outside the group")
     top, bottom, i, j, g = best
     return WeightReduction(
         donor=i,
@@ -177,18 +178,30 @@ def _min_ratio_candidate(run: _Run, dec: set[int]) -> WeightReduction | None:
     )
 
 
-def _transfer_round(run: _Run, seeds: set[int], needy: set[int]) -> Round | None:
+def _transfer_round(run: _Run, seeds: set[int], needy: set[int]) -> Round:
     """One round: grow DEC from ``seeds`` by tie creation until a player in
     ``needy`` joins, then replay the recorded ties back to a seed, moving one
-    good per link along a tie, which preserves welfare-maximality. None, with
-    the weights already cut, when every remaining ratio is infinite."""
+    good per link along a tie, which preserves welfare-maximality.
+
+    A round never gets stuck: while a needy player is outside DEC, some
+    member's good gives a finite or degenerate tie toward an outsider. Every
+    owned good is valued by its owner (``_cheapest`` raises InvariantError
+    otherwise).
+
+    - pps-po: a needy player, below quota, has fewer than p zeros, and each
+      seed, above quota, holds at least p + 1 goods, so she values at least
+      two goods of each seed, and each gives a finite tie.
+    - prop1-po: suppose no good of DEC gives a tie toward the outsiders O.
+      Then each is worthless to all of O, so each player of O values only
+      goods held within O, each by a maximizer of w_k u_k(g). Hence the sum
+      over O of w_i u_i(B_i) is at least that of w_i u_i(M) / |O|, so some i
+      in O has n u_i(B_i) >= u_i(M): she is a seed, in DEC, a contradiction.
+    """
     dec = set(seeds)
     snapshots = [tuple(sorted(dec))]
     reductions: list[WeightReduction] = []
     while True:
         reduction = _min_ratio_candidate(run, dec)
-        if reduction is None:
-            return None
         up, down = reduction.factor.denominator, reduction.factor.numerator
         if up != down:
             for pair in map(run.e.__getitem__, dec):
@@ -223,13 +236,6 @@ def pps_po_allocate(
     worth at least the sum of the p cheapest, so quota implies the share. That
     sum is positive exactly when fewer than p of her values are 0, so the
     quota set counts zeros and sorts no row.
-
-    Never raises DegenerateInstance. A player below quota has fewer than p
-    zeros, and every seed (a player above quota) holds at least p + 1 goods,
-    so she values at least two goods of each seed, and each is a finite tie
-    candidate: ``_cheapest`` raises InvariantError on a good its owner finds
-    worthless. So ``_min_ratio_candidate`` never returns None here, and the
-    raise below is only a guard.
     """
     n, p, run = goods.n, goods.m // goods.n, _Run(goods)
     quota_bound = [row.count(0) < p for row in goods.maxima]
@@ -242,13 +248,7 @@ def pps_po_allocate(
         gt = {i for i in range(n) if len(run.bundles[i]) > p}
         if not gt:
             raise InvariantError("a player below quota forces another above it")
-        round_ = _transfer_round(run, seeds=gt, needy=ls)
-        if round_ is None:
-            raise DegenerateInstance(
-                "no chain of ties can route a good to a player below quota: "
-                "every candidate transfer ratio is infinite"
-            )
-        rounds.append(round_)
+        rounds.append(_transfer_round(run, seeds=gt, needy=ls))
 
     trace = TransferTrace(initial=run.initial, rounds=tuple(rounds))
     return allocation(run.bundles), run.weights(), trace
@@ -292,8 +292,6 @@ def prop1_po_search(goods: GoodsInstance) -> Prop1SearchResult:
         if not seeds:
             raise InvariantError("weighted-welfare maximality puts someone at her share")
         round_ = _transfer_round(run, seeds, needy=violators)
-        if round_ is None:
-            break  # stuck: no tie can reach any violating player
         rounds.append(round_)
         for t in round_.transfers:
             held[t.donor] -= n * rows[t.donor][t.good]

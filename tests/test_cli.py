@@ -353,31 +353,32 @@ def test_mms_cap_counts_partitions_and_is_exit_three(capsys, contested_file):
     assert all("mms" in player for player in json.loads(out)["audit"]["players"])
 
 
-def test_degenerate_instances_are_exit_four(capsys, goods_file, monkeypatch):
-    import fairdec.cli as cli
+@pytest.mark.parametrize("mechanism", ["pps-po", "prop1-po"])
+def test_a_failed_invariant_is_exit_two_with_one_line(
+    capsys, goods_file, monkeypatch, mechanism
+):
+    """A defect the package catches in itself ends like bad input: exit 2,
+    one ``error:`` line and no output."""
 
-    def explode(instance):
-        raise fd.DegenerateInstance("stuck")
+    def broken(instance):
+        raise fd.InvariantError("no tie can reach a player outside the group")
 
-    monkeypatch.setattr(cli, "pps_po_allocate", explode)
-    code, _, err = run(
-        capsys, ["solve", "--mechanism", "pps-po", "--input", goods_file]
+    monkeypatch.setattr(cli, "pps_po_allocate", broken)
+    monkeypatch.setattr(cli, "prop1_po_search", broken)
+    argv = ["solve", "--mechanism", mechanism, "--input", goods_file, "--with-audit"]
+    assert run(capsys, argv) == (
+        2,
+        "",
+        "error: no tie can reach a player outside the group\n",
     )
-    assert code == 4
-    assert "stuck" in err
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_main_leaves_the_collector_as_it_found_it(
-    capsys, tmp_path, contested_file, goods_file, monkeypatch, enabled
+    capsys, tmp_path, contested_file, enabled
 ):
     """main pauses the cyclic collector for a command and restores the state
     it found, whatever the exit code."""
-
-    def explode(instance):
-        raise fd.DegenerateInstance("stuck")
-
-    monkeypatch.setattr(cli, "pps_po_allocate", explode)
     broken = tmp_path / "broken.json"
     broken.write_text("{", encoding="utf-8")
     solve = ["solve", "--mechanism"]
@@ -385,7 +386,6 @@ def test_main_leaves_the_collector_as_it_found_it(
         0: solve + ["round-robin", "--input", contested_file, "--with-audit"],
         2: solve + ["round-robin", "--input", str(broken)],
         3: solve + ["leximin", "--input", contested_file, "--cap", "10"],
-        4: solve + ["pps-po", "--input", goods_file],
     }
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
@@ -398,7 +398,7 @@ def test_main_leaves_the_collector_as_it_found_it(
 
 
 def test_the_documented_exit_codes():
-    assert documented_exit_codes() == {0, 2, 3, 4, 130}
+    assert documented_exit_codes() == {0, 2, 3, 130}
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

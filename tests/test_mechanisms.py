@@ -77,6 +77,16 @@ def test_round_robin_rejects_bad_orders():
         fd.round_robin(inst, order=(0, 2))
 
 
+@pytest.mark.parametrize("order", [(True, False), (1.0, 0), (None, 0)])
+@pytest.mark.parametrize("kind", ["public", "goods"])
+def test_round_robin_refuses_players_that_are_not_ints(order, kind):
+    """A bool, a float or None is no player, even where it sorts or compares
+    like one; the refusal is the permutation's ValueError."""
+    inst = contested() if kind == "public" else fd.goods_instance([[1, 2], [2, 1]])
+    with pytest.raises(ValueError, match=r"order must be a permutation of 0\.\.1"):
+        fd.round_robin(inst, order=order)
+
+
 def test_round_robin_prefers_valuable_issues_then_low_index():
     # first picker grabs the issue worth 5; second settles for an early tie
     inst = fd.decision_instance(

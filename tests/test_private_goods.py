@@ -175,6 +175,72 @@ def test_weighted_welfare_rejects_bad_weights():
         fd.weighted_welfare_allocation(goods, (Fraction(1), Fraction(0)))
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [(0.5, 0.5), (Fraction(1), 2.0), (True, True), (1, True)],
+    ids=["floats", "a-float", "bools", "a-bool"],
+)
+def test_weighted_welfare_refuses_weights_that_are_not_rationals(weights):
+    """Only ints and Fractions are weights: no float enters a fairness
+    decision, and a bool is not the number 1. A weight of 0 is refused by
+    ``test_weighted_welfare_rejects_bad_weights``."""
+    goods = fd.goods_instance([[1, 2], [2, 1]])
+    with pytest.raises(ValueError, match="weights must be positive, one per player"):
+        fd.weighted_welfare_allocation(goods, weights)
+
+
+def test_weighted_welfare_takes_int_and_fraction_weights():
+    goods = fd.goods_instance([[1, 2], [2, 1]])
+    for weights in [(1, 1), (Fraction(1), 1), (Fraction(1, 2), Fraction(1, 2))]:
+        alloc = fd.weighted_welfare_allocation(goods, weights)
+        assert [sorted(b) for b in alloc.bundles] == [[1], [0]]
+
+
+def test_a_round_with_no_tie_is_an_invariant_error():
+    """A group whose every good is worthless to every outsider has no tie to
+    create: the round raises instead of returning nothing."""
+    run = private_goods._Run(fd.goods_instance([[1, 1], [0, 0]]))
+    with pytest.raises(fd.InvariantError, match="no tie can reach"):
+        private_goods._transfer_round(run, seeds={0}, needy={1})
+
+
+# near-equal values, so a dense row that loses its block violates Prop1
+FLAT = st.sampled_from([1, 2, Fraction(3, 2), Fraction(4, 3), Fraction(5, 7)])
+
+
+@st.composite
+def block_goods_(draw):
+    """Goods in up to three blocks, read from "p/q" cells: player i values
+    only the goods of block i mod blocks, save the few who value every block,
+    so most member-outsider ratios are infinite. A row times 3 or 9 outbids
+    the others of its block."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(1, 14))
+    blocks = draw(st.integers(1, 3))
+    values = draw(st.sampled_from([UTILITIES, TIE_HEAVY, FLAT]))
+    good_block = draw(st.lists(st.integers(0, blocks - 1), min_size=m, max_size=m))
+    rows = []
+    for i in range(n):
+        wide, scale = draw(st.integers(0, 5)) == 0, draw(st.sampled_from([1, 3, 9]))
+        rows.append(
+            [scale * draw(values) if wide or b == i % blocks else 0 for b in good_block]
+        )
+    return read_goods(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_goods_())
+def test_the_goods_rounds_never_get_stuck(goods):
+    """Every round of both allocators finds a tie to create, and the Prop1
+    search stops only certified or after ``SEARCH_ROUNDS`` rounds."""
+    alloc, _, _ = fd.pps_po_allocate(goods)
+    p = goods.m // goods.n
+    bound = [row.count(0) < p for row in goods.maxima]
+    assert all(len(b) >= p for b, quota in zip(alloc.bundles, bound) if quota)
+    result = fd.prop1_po_search(goods)
+    rounds = len(result.trace.rounds)
+    assert result.certified_prop1 or rounds == private_goods.SEARCH_ROUNDS
+
+
 def test_no_transfers_needed_when_quotas_start_satisfied():
     goods = fd.goods_instance([[4, 4, 1, 1], [3, 3, 2, 2]])
     alloc, weights, trace = fd.pps_po_allocate(goods)
