@@ -5,7 +5,16 @@ Share-based fairness relaxations (Prop1, RRS, PPS, MMS), decision mechanisms
 Pareto-optimal allocator for private goods that guarantees everyone her
 pessimistic proportional share, exact audits, brute-force oracles, named
 instance families, and a JSON command line.
+
+``import fairdec`` loads the core every public command runs: ``errors``,
+``model``, ``shares``, ``mechanisms`` and ``audit``. The goods allocators
+(``private_goods``), the brute-force reference (``oracles``) and the instance
+families (``generators``) load on first use of one of their names here, or
+of the module's own name.
 """
+
+import importlib
+from typing import TYPE_CHECKING
 
 from .audit import (
     AuditReport,
@@ -18,13 +27,13 @@ from .audit import (
     check_pareto_optimal,
 )
 from .errors import (
+    DEFAULT_ENUM_CAP,
     CapExceeded,
     FairdecError,
     GenerationError,
     InstanceFormatError,
     InvariantError,
 )
-from .generators import GeneratedInstance, generate, random_goods, random_public
 from .mechanisms import leximin, max_nash_welfare, round_robin
 from .model import (
     Allocation,
@@ -47,14 +56,6 @@ from .model import (
     outcome_utility,
     utility_vector,
 )
-from .oracles import DEFAULT_ENUM_CAP, enumerate_outcomes, exact_optimum
-from .private_goods import (
-    Prop1SearchResult,
-    TransferTrace,
-    pps_po_allocate,
-    prop1_po_search,
-    weighted_welfare_allocation,
-)
 from .shares import (
     DEFAULT_MMS_CAP,
     ShareProfile,
@@ -65,6 +66,67 @@ from .shares import (
     share_profile,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+if TYPE_CHECKING:  # what __getattr__ resolves on first use
+    from . import generators, oracles, private_goods
+    from .generators import GeneratedInstance, generate, random_goods, random_public
+    from .oracles import enumerate_outcomes, exact_optimum
+    from .private_goods import (
+        Prop1SearchResult,
+        TransferTrace,
+        pps_po_allocate,
+        prop1_po_search,
+        weighted_welfare_allocation,
+    )
+
+# the names loaded on first use, by the module that defines them
+_LAZY = {
+    "generators": ("GeneratedInstance", "generate", "random_goods", "random_public"),
+    "oracles": ("enumerate_outcomes", "exact_optimum"),
+    "private_goods": ("Prop1SearchResult", "TransferTrace", "pps_po_allocate",
+                      "prop1_po_search", "weighted_welfare_allocation"),
+}
+
+__all__ = [
+    # audit
+    "AuditReport", "AxiomCheck", "ParetoCheck", "PlayerAudit", "audit",
+    "audit_goods", "best_single_switch", "check_pareto_optimal",
+    # errors
+    "DEFAULT_ENUM_CAP", "CapExceeded", "FairdecError", "GenerationError",
+    "InstanceFormatError", "InvariantError",
+    # generators
+    "GeneratedInstance", "generate", "random_goods", "random_public",
+    # mechanisms
+    "leximin", "max_nash_welfare", "round_robin",
+    # model
+    "Allocation", "DecisionInstance", "GoodsInstance", "Issue", "MechanismResult",
+    "Outcome", "Pick", "Violation", "allocation", "allocation_to_outcome",
+    "allocation_utilities", "as_fraction", "bundle_utility", "decision_instance",
+    "goods_instance", "goods_to_public", "outcome_to_allocation",
+    "outcome_utility", "utility_vector",
+    # oracles
+    "enumerate_outcomes", "exact_optimum",
+    # private_goods
+    "Prop1SearchResult", "TransferTrace", "pps_po_allocate", "prop1_po_search",
+    "weighted_welfare_allocation",
+    # shares
+    "DEFAULT_MMS_CAP", "ShareProfile", "maximin_share", "pessimistic_share",
+    "proportional_share", "round_robin_share", "share_profile",
+]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A module of ``_LAZY`` or one of its names, the module imported on
+    first use (PEP 562)."""
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            value = importlib.import_module(f"{__name__}.{module}")
+            value = value if name == module else getattr(value, name)
+            globals()[name] = value  # later reads skip this function
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *__all__})

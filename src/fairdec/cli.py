@@ -15,6 +15,13 @@ cyclic garbage collector while a command runs: what a command builds
 (instances, views, results, documents) holds no reference cycles and is freed
 by reference counting, so the collector's scans would find nothing. ``main``
 resumes the collector on return only if it was enabled on entry.
+
+Every command is a fresh process, which compiles each module it loads when
+there is no bytecode cache, so a command loads only what it runs. This module
+loads the package core (``errors``, ``model``, ``shares``, ``mechanisms``,
+``audit``) with ``io`` and ``generators``, whose families are ``gen``'s
+choices; ``solve`` loads the goods allocators (``private_goods``) for a goods
+mechanism only, and ``oracle`` alone loads the reference (``oracles``).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from pathlib import Path
 
 from . import io
 from .audit import audit, audit_goods
-from .errors import CapExceeded, FairdecError, InstanceFormatError
+from .errors import DEFAULT_ENUM_CAP, CapExceeded, FairdecError, InstanceFormatError
 from .generators import FAMILIES, generate, random_public
 from .mechanisms import leximin, max_nash_welfare, round_robin
 from .model import (
@@ -40,8 +47,6 @@ from .model import (
     goods_to_public,
     outcome_to_allocation,
 )
-from .oracles import DEFAULT_ENUM_CAP, exact_optimum
-from .private_goods import pps_po_allocate, prop1_po_search
 from .shares import DEFAULT_MMS_CAP
 
 PUBLIC_MECHANISMS = ("round-robin", "leximin", "mnw")
@@ -130,9 +135,11 @@ def _cmd_solve(args) -> int:
     elif not isinstance(instance, GoodsInstance):
         raise InstanceFormatError(f"{mechanism} needs a goods instance")
     elif mechanism == "pps-po":
+        from .private_goods import pps_po_allocate
         alloc, weights, trace = pps_po_allocate(instance)
         trace_doc = {}
     else:
+        from .private_goods import prop1_po_search
         found = prop1_po_search(instance)
         alloc, weights, trace = found.allocation, found.weights, found.trace
         trace_doc = {
@@ -198,6 +205,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracles import exact_optimum
     instance = _load_instance(args)
     public = (
         goods_to_public(instance) if isinstance(instance, GoodsInstance) else instance

@@ -42,9 +42,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring as _string
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .audit import AuditReport
 from .errors import InstanceFormatError
 from .model import (
     Allocation,
@@ -57,7 +56,10 @@ from .model import (
     exact_value,
     goods_instance,
 )
-from .private_goods import TransferTrace
+
+if TYPE_CHECKING:
+    from .audit import AuditReport
+    from .private_goods import TransferTrace
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _RATIO_RE = re.compile(r"[+-]?[0-9]+/[0-9]+")
@@ -82,10 +84,13 @@ def _at(path: str, index: tuple[int, ...]) -> str:
     return path + "".join(f"[{k}]" for k in index)
 
 
-def _decode_rational(value, path: str, *index: int, allow_decimal: bool):
+def _decode_rational(
+    value, path: str, *index: int, allow_decimal: bool, option: bool = False
+):
     """Read one rational: an int stays an int, any other value becomes a
     Fraction. Errors and warnings name it as ``path`` followed by ``[k]`` for
-    each ``k`` in ``index``, a string built only for them."""
+    each ``k`` in ``index``, a string built only for them. An ``option`` can
+    only be a string, so a whole number there draws no warning."""
     if isinstance(value, bool):
         raise InstanceFormatError(f"{_at(path, index)}: booleans are not numbers")
     if isinstance(value, (int, Fraction)):  # a Fraction comes from the float hook
@@ -110,11 +115,12 @@ def _decode_rational(value, path: str, *index: int, allow_decimal: bool):
     except ValueError as exc:  # a zero denominator, or no number at all
         message = exc if plain else f"cannot read {value!r} as a number"
         raise InstanceFormatError(f"{_at(path, index)}: {message}")
-    if plain and ("/" not in value or encode_rational(result) != value):
+    whole = "/" not in value
+    if plain and (not option if whole else encode_rational(result) != value):
         message = (
             f"whole number written as string {value!r}; "
             f"canonical form is the JSON integer {result}"
-            if "/" not in value
+            if whole
             else f"non-canonical rational {value!r} read as {encode_rational(result)}"
         )
         where = _at(path, index)
@@ -123,10 +129,10 @@ def _decode_rational(value, path: str, *index: int, allow_decimal: bool):
 
 
 def read_value(text: str, path: str) -> Fraction:
-    """Read one value given outside a document, such as an option, by the
-    rules of a document read with ``allow_decimal``; errors and warnings name
-    it as ``path``."""
-    return _decode_rational(text, path, allow_decimal=True)
+    """Read an option's value by the rules of a document read with
+    ``allow_decimal``, save that a whole number draws no warning; errors and
+    warnings name it as ``path``."""
+    return _decode_rational(text, path, allow_decimal=True, option=True)
 
 
 def _loads(text: str | bytes, allow_decimal: bool):

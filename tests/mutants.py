@@ -209,6 +209,14 @@ MUTANTS = [
         "except ArithmeticError:",
         ("test_cli.py",),
     ),
+    # what each command loads: io would load the goods allocators
+    Mutant(
+        "io-loads-the-allocators",
+        "io.py",
+        "if TYPE_CHECKING:",
+        "if True:",
+        ("test_imports.py",),
+    ),
     # the one-dataclass rule
     Mutant(
         "dataclass-by-import",

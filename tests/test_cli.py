@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
-from fairdec import cli, io
+from fairdec import cli, io, private_goods
 from fairdec.cli import main
 
 
@@ -363,8 +363,8 @@ def test_a_failed_invariant_is_exit_two_with_one_line(
     def broken(instance):
         raise fd.InvariantError("no tie can reach a player outside the group")
 
-    monkeypatch.setattr(cli, "pps_po_allocate", broken)
-    monkeypatch.setattr(cli, "prop1_po_search", broken)
+    monkeypatch.setattr(private_goods, "pps_po_allocate", broken)
+    monkeypatch.setattr(private_goods, "prop1_po_search", broken)
     argv = ["solve", "--mechanism", mechanism, "--input", goods_file, "--with-audit"]
     assert run(capsys, argv) == (
         2,
@@ -414,7 +414,7 @@ def test_an_interrupt_is_exit_130_with_one_line(
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "leximin", interrupted)
-    monkeypatch.setattr(cli, "pps_po_allocate", interrupted)
+    monkeypatch.setattr(private_goods, "pps_po_allocate", interrupted)
     file = goods_file if mechanism == "pps-po" else contested_file
     argv = ["solve", "--mechanism", mechanism, "--input", file, "--with-audit"]
     was = gc.isenabled()
@@ -989,6 +989,23 @@ def test_gen_delta_forms_of_one_value_write_the_same_bytes(capsys):
         for flags in ([], ["--delta", "1/100"], ["--delta", "0.01"])
     }
     assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+
+
+@pytest.mark.parametrize("delta", ["2", "03"])
+def test_a_whole_delta_gets_its_range_error_alone(capsys, tmp_path, delta):
+    """An option can only be a string, so a whole number there draws no
+    warning that it is one: the range error is the one stderr line."""
+    out = tmp_path / "f.json"
+    argv = ["gen", "--family", "theorem6_upper", "--delta", delta, "--out", str(out)]
+    expected = "error: delta must lie strictly between 0 and 1/2\n"
+    assert run(capsys, argv) == (2, "", expected) and not out.exists()
+
+
+def test_a_non_canonical_delta_still_warns(capsys):
+    argv = ["gen", "--family", "theorem6_upper", "--delta"]
+    code, out, err = run(capsys, argv + ["2/6"])
+    assert (code, out) == run(capsys, argv + ["1/3"])[:2] and code == 0
+    assert err == "warning: --delta: non-canonical rational '2/6' read as 1/3\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
