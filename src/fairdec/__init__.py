@@ -5,16 +5,10 @@ Share-based fairness relaxations (Prop1, RRS, PPS, MMS), decision mechanisms
 Pareto-optimal allocator for private goods that guarantees everyone her
 pessimistic proportional share, exact audits, brute-force oracles, named
 instance families, and a JSON command line.
-
-``import fairdec`` loads the core every public command runs: ``errors``,
-``model``, ``shares``, ``mechanisms`` and ``audit``. The goods allocators
-(``private_goods``), the brute-force reference (``oracles``) and the instance
-families (``generators``) load on first use of one of their names here, or
-of the module's own name.
 """
 
 import importlib
-from typing import TYPE_CHECKING
+from itertools import chain
 
 from .audit import (
     AuditReport,
@@ -34,6 +28,7 @@ from .errors import (
     InstanceFormatError,
     InvariantError,
 )
+from .generators import GeneratedInstance, generate, random_goods, random_public
 from .mechanisms import leximin, max_nash_welfare, round_robin
 from .model import (
     Allocation,
@@ -66,21 +61,8 @@ from .shares import (
     share_profile,
 )
 
-if TYPE_CHECKING:  # what __getattr__ resolves on first use
-    from . import generators, oracles, private_goods
-    from .generators import GeneratedInstance, generate, random_goods, random_public
-    from .oracles import enumerate_outcomes, exact_optimum
-    from .private_goods import (
-        Prop1SearchResult,
-        TransferTrace,
-        pps_po_allocate,
-        prop1_po_search,
-        weighted_welfare_allocation,
-    )
-
 # the names loaded on first use, by the module that defines them
 _LAZY = {
-    "generators": ("GeneratedInstance", "generate", "random_goods", "random_public"),
     "oracles": ("enumerate_outcomes", "exact_optimum"),
     "private_goods": ("Prop1SearchResult", "TransferTrace", "pps_po_allocate",
                       "prop1_po_search", "weighted_welfare_allocation"),
@@ -103,14 +85,10 @@ __all__ = [
     "allocation_utilities", "as_fraction", "bundle_utility", "decision_instance",
     "goods_instance", "goods_to_public", "outcome_to_allocation",
     "outcome_utility", "utility_vector",
-    # oracles
-    "enumerate_outcomes", "exact_optimum",
-    # private_goods
-    "Prop1SearchResult", "TransferTrace", "pps_po_allocate", "prop1_po_search",
-    "weighted_welfare_allocation",
     # shares
     "DEFAULT_MMS_CAP", "ShareProfile", "maximin_share", "pessimistic_share",
     "proportional_share", "round_robin_share", "share_profile",
+    *chain(*_LAZY.values()),
 ]
 
 __version__ = "0.1.0"

@@ -15,13 +15,6 @@ cyclic garbage collector while a command runs: what a command builds
 (instances, views, results, documents) holds no reference cycles and is freed
 by reference counting, so the collector's scans would find nothing. ``main``
 resumes the collector on return only if it was enabled on entry.
-
-Every command is a fresh process, which compiles each module it loads when
-there is no bytecode cache, so a command loads only what it runs. This module
-loads the package core (``errors``, ``model``, ``shares``, ``mechanisms``,
-``audit``) with ``io`` and ``generators``, whose families are ``gen``'s
-choices; ``solve`` loads the goods allocators (``private_goods``) for a goods
-mechanism only, and ``oracle`` alone loads the reference (``oracles``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """What each command loads.
 
 Every command is a fresh process that compiles and imports each module it
-loads, so a command loads only what it runs: ``import fairdec`` loads the core
-of the public commands, and the goods allocators, the brute-force reference
-and the instance families load on first use. Each case below runs in a fresh
-interpreter and lists the package's modules loaded at its end.
+loads, so a command loads only what it runs; README lists what each loads.
+Each case below runs in a fresh interpreter and lists the package's modules
+loaded at its end.
 """
 
 import json
@@ -21,8 +20,8 @@ from fairdec import io
 from fairdec.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-CORE = {"fairdec", "audit", "errors", "mechanisms", "model", "shares"}
-CLI = CORE | {"cli", "generators", "io"}
+CORE = {"fairdec", "audit", "errors", "generators", "mechanisms", "model", "shares"}
+CLI = CORE | {"cli", "io"}
 
 PROBE = """
 import json, sys

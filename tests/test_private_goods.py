@@ -534,8 +534,36 @@ P_Q_GOODS = goods_instances_(max_n=5, max_m=10).map(
 )
 
 
-@settings(deadline=None, max_examples=200)
-@given(goods_instances_(max_n=5, max_m=10, values=TIE_HEAVY) | P_Q_GOODS)
+def violator_heavy_goods(rng):
+    """Skewed rows as in ``skewed_goods``: player i draws each value from
+    0..16(i+1), over a denominator of 1, 2, 3 or 7 of her own, with n 2-4 and
+    m 2n-4n. Most such instances start with a Prop1 violator, where the
+    strategies above rarely do."""
+    n = rng.randint(2, 4)
+    m = rng.randint(2 * n, 4 * n)
+    rows = []
+    for i in range(n):
+        d = rng.choice([1, 2, 3, 7])
+        rows.append([Fraction(rng.randint(0, 16 * (i + 1)), d) for _ in range(m)])
+    return fd.goods_instance(rows)
+
+
+def test_violator_heavy_goods_mostly_run_a_round():
+    """At least half of the draws run a Prop1 search round (67 of these 100
+    seeds do), so the test below checks the bookkeeping of real rounds."""
+    runs = [
+        fd.prop1_po_search(violator_heavy_goods(random.Random(seed))).trace.rounds
+        for seed in range(100)
+    ]
+    assert sum(map(bool, runs)) >= 50
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    goods_instances_(max_n=5, max_m=10, values=TIE_HEAVY)
+    | P_Q_GOODS
+    | st.randoms(use_true_random=False).map(violator_heavy_goods)
+)
 def test_prop1_bookkeeping_matches_the_audit_round_by_round(goods):
     """Replaying a Prop1 search trace and auditing the bundles from scratch
     after every round gives its recorded losses and its certificate: each
@@ -563,37 +591,6 @@ def test_prop1_bookkeeping_matches_the_audit_round_by_round(goods):
     assert [frozenset(b) for b in bundles] == list(result.allocation.bundles)
     assert result.prop1_losses == tuple(losses)
     assert result.certified_prop1 == all(prop1)
-
-
-def violator_heavy_goods(rng):
-    """Skewed rows as in ``skewed_goods``: player i draws each value from
-    0..16(i+1), over a denominator of 1, 2, 3 or 7 of her own, with n 2-4 and
-    m 2n-4n. Most such instances start with a Prop1 violator, where the
-    strategies above rarely do."""
-    n = rng.randint(2, 4)
-    m = rng.randint(2 * n, 4 * n)
-    rows = []
-    for i in range(n):
-        d = rng.choice([1, 2, 3, 7])
-        rows.append([Fraction(rng.randint(0, 16 * (i + 1)), d) for _ in range(m)])
-    return fd.goods_instance(rows)
-
-
-def test_violator_heavy_goods_mostly_run_a_round():
-    """At least half of the draws run a Prop1 search round (67 of these 100
-    seeds do), so the test below checks the bookkeeping of real rounds."""
-    runs = [
-        fd.prop1_po_search(violator_heavy_goods(random.Random(seed))).trace.rounds
-        for seed in range(100)
-    ]
-    assert sum(map(bool, runs)) >= 50
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.randoms(use_true_random=False).map(violator_heavy_goods))
-def test_prop1_bookkeeping_on_violator_heavy_goods(goods):
-    """The round-by-round audit above where most draws run a round."""
-    test_prop1_bookkeeping_matches_the_audit_round_by_round.hypothesis.inner_test(goods)
 
 
 def test_prop1_search_records_a_loss():

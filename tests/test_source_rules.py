@@ -19,7 +19,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairdec"
 MODULES = sorted(PACKAGE.glob("*.py"))
-LINE_CEILING = 2980  # src/fairdec/*.py, all lines counted
+LINE_CEILING = 2951  # src/fairdec/*.py, all lines counted
 
 
 def _private(name: str) -> bool:
@@ -97,7 +97,7 @@ def _importers(module: str) -> set[str]:
 
 
 def test_the_reference_and_the_audit_are_leaves():
-    assert _importers("oracles") == {"cli", "__init__"}
+    assert _importers("oracles") == {"cli"}
     assert _importers("audit") == {"cli", "io", "__init__"}
 
 
