@@ -199,6 +199,8 @@ def random_public(
     then alternatives; each issue's n * k draws are one slice, cut into rows."""
     if n < 1:
         raise ValueError(f"players: at least one player is required, got n={n}")
+    if m == 0:  # with no issue, the instance could not tell how many players
+        raise ValueError("issues: at least one issue is required, got m=0")
     counts = list(k) if not isinstance(k, int) else [k] * m
     if m < 0 or min(counts, default=0) < 0:
         raise ValueError(f"m and k must not be negative, got m={m}, k={k}")

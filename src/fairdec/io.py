@@ -25,12 +25,16 @@ sorted, two-space indents, strings escaped by ``json.encoder``'s
 out once, in a bounded cache keyed by its keys in insertion order and its
 depth, and a scalar value follows its head in the same string. A list of plain
 ints or strs is joined at once; a list of non-empty plain-int rows (lists or
-tuples) takes one ``%d`` format per row width, built once per matrix. Its text
-equals json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) plus a
-newline; any value but a str, int, bool, None, dict, list or tuple is a
-TypeError. So emit-parse-emit is byte stable and parse(emit(x)) == x for every
-model value. A value with more digits than int-to-string conversion allows is
-a ``TooManyDigits`` from ``encode_rational`` or ``to_json`` that says so.
+tuples) takes one ``%d`` format per row width, built once per matrix. A
+trace's rounds, an audit's players and a round robin's picks stay records in
+a document, each list a tuple subclass written with one cached ``%`` format
+per record kind and depth (a None axiom left out, a None alpha "unbounded").
+Its text equals json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+plus a newline, each record as the dict of its fields; any other value but a
+str, int, bool, None, dict, list or tuple is a TypeError. So emit-parse-emit
+is byte stable and parse(emit(x)) == x for every model value. A value with
+more digits than int-to-string conversion allows is a ``TooManyDigits`` from
+``encode_rational`` or ``to_json`` that says so.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring as _string
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InstanceFormatError
@@ -300,7 +305,7 @@ def instance_document(instance: Instance) -> dict:
 def mechanism_trace(result: MechanismResult) -> dict | None:
     trace: dict = {}
     if result.picks is not None:
-        trace["picks"] = [p._asdict() for p in result.picks]
+        trace["picks"] = _picks(result.picks)
     if result.support is not None:
         trace["support"] = list(result.support)
     if result.normalization is not None:
@@ -328,17 +333,7 @@ def bundles_document(alloc: Allocation) -> list[list[int]]:
 
 
 def transfer_trace_document(trace: TransferTrace) -> dict:
-    rounds = [
-        {
-            "dec": [list(snapshot) for snapshot in r.dec_snapshots],
-            "reductions": [
-                {**red._asdict(), "factor": encode_rational(red.factor)}
-                for red in r.reductions
-            ],
-            "transfers": [t._asdict() for t in r.transfers],
-        }
-        for r in trace.rounds
-    ]
+    rounds = _rounds(trace.rounds)
     return {"initial_bundles": bundles_document(trace.initial), "rounds": rounds}
 
 
@@ -361,13 +356,6 @@ def goods_result_document(
     return doc
 
 
-def _axiom_document(check) -> dict:
-    return {
-        "satisfied": check.satisfied,
-        "alpha": "unbounded" if check.alpha is None else encode_rational(check.alpha),
-    }
-
-
 # the text labels of PlayerAudit's axiom fields, in field order; None fields
 # are left out of both renderings
 _AXIOM_LABELS = ("Prop", "Prop1", "RRS", "PPS", "MMS", "EF", "EF1")
@@ -381,14 +369,6 @@ def _witness(witness: Outcome | Allocation) -> tuple[str, list]:
 
 
 def audit_document(report: AuditReport) -> dict:
-    players = [
-        {
-            field: _axiom_document(check)
-            for field, check in zip(player._fields, player)
-            if check is not None
-        }
-        for player in report.players
-    ]
     po = None if report.po is None else {"satisfied": report.po.satisfied}
     if po is not None and report.po.witness is not None:
         kind, shown = _witness(report.po.witness)
@@ -396,7 +376,7 @@ def audit_document(report: AuditReport) -> dict:
     return {
         "kind": "audit",
         "utilities": [encode_rational(u) for u in report.utilities],
-        "players": players,
+        "players": _players(report.players),
         "po": po,
     }
 
@@ -418,6 +398,76 @@ def _heads(keys: tuple, newline: str) -> tuple[tuple[object, str], ...]:
     return tuple(heads)
 
 
+@lru_cache(maxsize=256)
+def _form(keys: tuple, newline: str) -> str:
+    """The ``%`` format of a dict of ``keys`` at the depth ``newline`` breaks
+    to, its values given as texts in sorted key order."""
+    heads = _heads(keys, newline)
+    return "".join(head + "%s" for _, head in heads) + newline + "}" if heads else "{}"
+
+
+def _list(texts, newline: str) -> str:
+    """The JSON list of the written ``texts`` at the depth ``newline`` breaks to."""
+    inner = newline + "  "
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + newline + "]" if body else "[]"
+
+
+def _rational(value) -> str:
+    """The JSON text of ``encode_rational(value)``."""
+    if value.denominator == 1:
+        return "%d" % value.numerator
+    return '"%d/%d"' % (value.numerator, value.denominator)
+
+
+_BULK: dict = {}
+
+
+def _bulk(write):
+    """A tuple subclass named after ``write``, for a list of a document's
+    records: ``to_json`` writes it by ``write(records, newline)``."""
+    kind = type(write.__name__, (tuple,), {"__slots__": ()})
+    _BULK[kind] = write
+    return kind
+
+
+@_bulk
+def _rounds(rounds, newline: str) -> str:
+    i1 = newline + "  "
+    i2, i3 = i1 + "  ", i1 + "    "
+    form = _form(("dec", "reductions", "transfers"), i1)
+    cut = _form(("degenerate", "donor", "factor", "good", "recipient"), i3)
+    move, get = _form(("donor", "good", "recipient"), i3), itemgetter(0, 2, 1)
+    texts = []
+    for r in rounds:
+        dec = [_list(map(str, snapshot), i3) for snapshot in r.dec_snapshots]
+        cuts = [cut % (
+            _LITERALS[c.degenerate], c.donor, _rational(c.factor), c.good, c.recipient
+        ) for c in r.reductions]
+        moves = map(move.__mod__, map(get, r.transfers))
+        texts.append(form % (_list(dec, i2), _list(cuts, i2), _list(moves, i2)))
+    return _list(texts, newline)
+
+
+@_bulk
+def _players(players, newline: str) -> str:
+    inner = newline + "  "
+    check, texts = _form(("alpha", "satisfied"), inner + "  "), []
+    for player in players:  # an axiom left None is left out
+        shown = sorted((f, c) for f, c in zip(player._fields, player) if c is not None)
+        texts.append(_form(tuple(f for f, _ in shown), inner) % tuple(check % (
+            '"unbounded"' if c.alpha is None else _rational(c.alpha),
+            _LITERALS[c.satisfied],
+        ) for _, c in shown))
+    return _list(texts, newline)
+
+
+@_bulk
+def _picks(picks, newline: str) -> str:
+    form = _form(("alternative", "issue", "player"), newline + "  ")
+    return _list(map(form.__mod__, map(itemgetter(2, 1, 0), picks)), newline)
+
+
 def _emit(value, parts: list[str], newline: str) -> None:
     """Append the JSON text of ``value`` to ``parts``; ``newline`` breaks the
     line and indents it to the depth ``value`` sits at."""
@@ -435,6 +485,8 @@ def _emit(value, parts: list[str], newline: str) -> None:
             else:
                 parts.append(head + write(item))
         parts.append(newline + "}" if value else "{}")
+    elif type(value) in _BULK:
+        parts.append(_BULK[type(value)](value, newline))
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "[" + newline + "  "
         types = {*map(type, value)}

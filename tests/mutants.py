@@ -217,6 +217,56 @@ MUTANTS = [
         "if True:",
         ("test_imports.py",),
     ),
+    # the bulk record writers of io: each must write the reference's bytes
+    Mutant(
+        "reduction-donor-recipient-swapped",
+        "io.py",
+        "_LITERALS[c.degenerate], c.donor, _rational(c.factor), c.good, c.recipient",
+        "_LITERALS[c.degenerate], c.recipient, _rational(c.factor), c.good, c.donor",
+        ("test_io.py",),
+    ),
+    Mutant(
+        "transfer-fields-unsorted",
+        "io.py",
+        "itemgetter(0, 2, 1)",
+        "itemgetter(0, 1, 2)",
+        ("test_io.py",),
+    ),
+    Mutant(
+        "empty-list-by-its-iterable",
+        "io.py",
+        'return "[" + inner + body + newline + "]" if body else "[]"',
+        'return "[" + inner + body + newline + "]" if texts else "[]"',
+        ("test_io.py",),
+    ),
+    Mutant(
+        "whole-rational-quoted",
+        "io.py",
+        'return "%d" % value.numerator',
+        """return '"%d"' % value.numerator""",
+        ("test_io.py",),
+    ),
+    Mutant(
+        "zero-alpha-unbounded",
+        "io.py",
+        """'"unbounded"' if c.alpha is None else _rational(c.alpha)""",
+        """'"unbounded"' if not c.alpha else _rational(c.alpha)""",
+        ("test_io.py",),
+    ),
+    Mutant(
+        "none-axiom-kept",
+        "io.py",
+        "zip(player._fields, player) if c is not None)",
+        "zip(player._fields, player))",
+        ("test_io.py",),
+    ),
+    Mutant(
+        "pick-fields-unsorted",
+        "io.py",
+        "itemgetter(2, 1, 0)",
+        "itemgetter(0, 1, 2)",
+        ("test_io.py",),
+    ),
     # the one-dataclass rule
     Mutant(
         "dataclass-by-import",

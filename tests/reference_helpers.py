@@ -7,7 +7,10 @@ public instance, every allocation of a goods instance, the feasible-product
 bound, and a goods player's best unowned good as a Fraction. ``read_goods``
 reads rows through a document, so non-whole cells arrive as "p/q" strings.
 ``embedding_view`` writes the goods embedding's integer view cell by cell from
-its definition.
+its definition. ``transfer_trace_document``, ``audit_document`` and
+``mechanism_trace`` build the documents of ``fairdec.io`` with every round,
+reduction, transfer, player audit and pick as a plain dict, for ``to_json``'s
+general walk: the reference its bulk record writers are tested against.
 """
 
 from __future__ import annotations
@@ -134,3 +137,49 @@ def read_goods(rows: list[list[Fraction | int]]) -> GoodsInstance:
         "utilities": cells,
     }
     return io.parse_instance(io.to_json(doc))
+
+
+def transfer_trace_document(trace) -> dict:
+    """``io.transfer_trace_document`` with each round, reduction and transfer
+    a dict and each factor encoded."""
+    rounds = [
+        {
+            "dec": [list(snapshot) for snapshot in r.dec_snapshots],
+            "reductions": [
+                {**red._asdict(), "factor": io.encode_rational(red.factor)}
+                for red in r.reductions
+            ],
+            "transfers": [t._asdict() for t in r.transfers],
+        }
+        for r in trace.rounds
+    ]
+    return {"initial_bundles": io.bundles_document(trace.initial), "rounds": rounds}
+
+
+def _axiom_document(check) -> dict:
+    return {
+        "satisfied": check.satisfied,
+        "alpha": "unbounded" if check.alpha is None else io.encode_rational(check.alpha),
+    }
+
+
+def audit_document(report) -> dict:
+    """``io.audit_document`` with each player a dict of her axioms that are not
+    None, each a dict."""
+    players = [
+        {
+            field: _axiom_document(check)
+            for field, check in zip(player._fields, player)
+            if check is not None
+        }
+        for player in report.players
+    ]
+    return {**io.audit_document(report), "players": players}
+
+
+def mechanism_trace(result) -> dict | None:
+    """``io.mechanism_trace`` with each pick a dict."""
+    trace = io.mechanism_trace(result)
+    if result.picks is not None:
+        trace["picks"] = [p._asdict() for p in result.picks]
+    return trace

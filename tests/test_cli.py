@@ -810,6 +810,21 @@ def test_gen_refuses_instances_solve_would_reject(capsys, tmp_path, params, defe
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "gen --family random --n 3 --m 0 --k 2 --seed 1",
+        "bench --trials 1 --seed 1 --m 0",
+    ],
+    ids=["gen", "bench"],
+)
+def test_no_issue_is_the_one_defect_named(capsys, argv):
+    """With m = 0 the instance has no issue, and that alone is refused: its
+    three players are there."""
+    message = "error: issues: at least one issue is required, got m=0\n"
+    assert run(capsys, argv.split()) == (2, "", message)
+
+
+@pytest.mark.parametrize(
     "params, digest",
     [
         (

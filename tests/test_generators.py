@@ -273,6 +273,11 @@ def test_random_instances_validate(seed):
         (lambda: fd.random_public(2, 3, [2, 2], 0), ValueError, "one alternative count"),
         (lambda: fd.random_public(2, 2, -1, 0), ValueError, "got m=2, k=-1"),
         (lambda: fd.random_public(2, 2, [2, -1], 0), ValueError, "got m=2, k=[2, -1]"),
+        (
+            lambda: fd.random_public(3, 0, 2, 1),
+            ValueError,
+            "issues: at least one issue is required, got m=0",
+        ),
         (lambda: fd.random_goods(2, -1, 0), ValueError, "m must not be negative"),
         (
             lambda: next(enumerate_allocations(fd.random_goods(3, 15, 1), cap=10)),
@@ -287,6 +292,7 @@ def test_random_instances_validate(seed):
         "random-short-widths",
         "random-negative-k",
         "random-negative-width",
+        "random-no-issue",
         "random-goods-negative-m",
         "allocations-over-cap",
     ],

@@ -9,10 +9,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fairdec as fd
+import reference_helpers as reference
 from fairdec import io
+from fairdec.private_goods import Round, Transfer, WeightReduction
 
 
 @st.composite
@@ -869,13 +871,13 @@ def test_result_document_round_trip():
 def test_goods_result_document_shape():
     goods = fd.goods_instance([[1, 1], [1, 1]])
     alloc, weights, trace = fd.pps_po_allocate(goods)
-    doc = io.goods_result_document(
+    doc = json.loads(io.to_json(io.goods_result_document(
         "pps-po",
         alloc,
         fd.allocation_utilities(goods, alloc),
         trace={"weights": [io.encode_rational(w) for w in weights],
                **io.transfer_trace_document(trace)},
-    )
+    )))
     assert doc["bundles"] == [[1], [0]]
     assert doc["trace"]["initial_bundles"] == [[0, 1], []]
     (round_,) = doc["trace"]["rounds"]
@@ -889,7 +891,7 @@ def test_goods_result_document_shape():
 def test_audit_document_marks_unbounded_levels():
     inst = fd.generate("example2").instance
     report = fd.audit(inst, fd.Outcome(choices=(0,) * 8), po_cap=300)
-    doc = io.audit_document(report)
+    doc = json.loads(io.to_json(io.audit_document(report)))
     assert doc["kind"] == "audit"
     assert doc["players"][1]["pps"] == {"satisfied": True, "alpha": "unbounded"}
     assert doc["players"][1]["prop1"] == {"satisfied": False, "alpha": "1/2"}
@@ -1118,3 +1120,192 @@ def test_the_timed_path_builds_no_fraction_rows(monkeypatch):
     ):
         with pytest.raises(TypeError, match="booleans are not utilities"):
             build()
+
+
+# The bulk record writers: each list of records a document holds is written
+# in the bytes of the reference's plain dicts, at every depth it sits at.
+
+
+def trace_goods(rng):
+    """Skewed rows as the allocators' tests draw them (player i from
+    0..4(i+1), over a denominator of her own), n 2-5 and m 2n-4n; some rows
+    zero-heavy and some goods worthless to everyone, so that ties degenerate."""
+    n = rng.randint(2, 5)
+    m = rng.randint(2 * n, 4 * n)
+    worthless = {g for g in range(m) if rng.random() < 0.15}
+    zeros, rows = rng.choice([0, 0, 0.3, 0.6]), []
+    for i in range(n):
+        d = rng.choice([1, 2, 3, 7])
+        rows.append([
+            0 if g in worthless or rng.random() < zeros
+            else Fraction(rng.randint(0, 4 * (i + 1)), d)
+            for g in range(m)
+        ])
+    return fd.goods_instance(rows)
+
+
+def _trace(goods, prop1):
+    if prop1:
+        found = fd.prop1_po_search(goods)
+        return found.allocation, found.trace
+    alloc, _, trace = fd.pps_po_allocate(goods)
+    return alloc, trace
+
+
+def _written(doc, reference_doc, wrap):
+    """``doc`` written alone and inside ``wrap``, against the reference."""
+    for outer in (lambda d: d, wrap):
+        text = io.to_json(outer(reference_doc))
+        assert text == _dumps(outer(reference_doc))
+        assert io.to_json(outer(doc)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False).map(trace_goods), st.booleans())
+def test_trace_documents_write_the_reference_bytes(goods, prop1):
+    alloc, trace = _trace(goods, prop1)
+    utilities = fd.allocation_utilities(goods, alloc)
+    _written(
+        io.transfer_trace_document(trace),
+        reference.transfer_trace_document(trace),
+        lambda trace_doc: io.goods_result_document("pps-po", alloc, utilities, trace_doc),
+    )
+
+
+def test_the_drawn_traces_cover_every_round_form():
+    """Over seeds 0-99, both allocators give traces with no round and traces
+    whose rounds hold degenerate reductions."""
+    forms = set()
+    for seed in range(100):
+        goods = trace_goods(random.Random(seed))
+        for prop1 in (False, True):
+            rounds = _trace(goods, prop1)[1].rounds
+            forms.add((prop1, "rounds" if rounds else "none"))
+            if any(red.degenerate for r in rounds for red in r.reductions):
+                forms.add((prop1, "degenerate"))
+    kinds = ("none", "rounds", "degenerate")
+    assert forms == {(prop1, kind) for prop1 in (False, True) for kind in kinds}
+
+
+_cells = st.integers(0, 30)
+rounds_ = st.builds(
+    Round,
+    st.lists(st.lists(_cells).map(tuple), max_size=4).map(tuple),
+    st.lists(
+        st.builds(WeightReduction, _cells, _cells, _cells, st.fractions(), st.booleans()),
+        max_size=4,
+    ).map(tuple),
+    st.lists(st.builds(Transfer, _cells, _cells, _cells), max_size=4).map(tuple),
+)
+
+
+@given(st.lists(rounds_, max_size=4))
+def test_any_rounds_write_the_reference_bytes(rounds):
+    """Rounds no allocator makes: empty snapshots, no reduction or no
+    transfer, and negative or zero factors."""
+    trace = fd.TransferTrace(fd.allocation([{0, 2}, {1}]), tuple(rounds))
+    _written(
+        io.transfer_trace_document(trace),
+        reference.transfer_trace_document(trace),
+        lambda trace_doc: [{"trace": trace_doc}],
+    )
+
+
+def audited(rng):
+    """A report on a small public or goods instance of zero-heavy int and
+    "p/q" rows, some all zero, under a random outcome or allocation, with
+    MMS and the PO check each asked for at random."""
+    n, goods = rng.randint(1, 4), rng.random() < 0.5
+
+    def row(width):
+        zeros = rng.choice([0, 0.5, 1])
+        return [
+            0 if rng.random() < zeros
+            else Fraction(rng.randint(1, 6), rng.choice([1, 2, 3]))
+            for _ in range(width)
+        ]
+
+    options = dict(with_mms=rng.random() < 0.5, po_cap=rng.choice([None, 10**4]))
+    if goods:
+        m = rng.randint(1, 6)
+        instance = fd.goods_instance([row(m) for _ in range(n)])
+        owners = fd.Outcome(tuple(rng.randrange(n) for _ in range(m)))
+        alloc = fd.outcome_to_allocation(instance, owners)
+        return fd.audit_goods(instance, alloc, **options)
+    ks = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    instance = fd.decision_instance([[row(k) for _ in range(n)] for k in ks])
+    outcome = fd.Outcome(tuple(rng.randrange(k) for k in ks))
+    return fd.audit(instance, outcome, **options)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False).map(audited))
+def test_audit_documents_write_the_reference_bytes(report):
+    _written(
+        io.audit_document(report),
+        reference.audit_document(report),
+        lambda audit_doc: {"kind": "goods-result", "audit": audit_doc},
+    )
+
+
+def test_the_drawn_audits_cover_every_axiom_form():
+    """Over seeds 0-99 the reports hold MMS, EF and EF1 levels, unbounded,
+    zero, whole and fractional alphas, and PO witnesses of both kinds."""
+    forms = set()
+    for seed in range(100):
+        report = audited(random.Random(seed))
+        for player in report.players:
+            forms.update(f for f, check in zip(player._fields, player) if check)
+            for check in filter(None, player):
+                alpha = check.alpha
+                forms.add(
+                    "unbounded" if alpha is None
+                    else "zero" if alpha == 0
+                    else "whole" if alpha.denominator == 1 else "fraction"
+                )
+        if report.po is not None and report.po.witness is not None:
+            forms.add(type(report.po.witness).__name__)
+    assert forms >= {
+        "mms", "ef", "ef1", "unbounded", "zero", "whole", "fraction",
+        "Outcome", "Allocation",
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(1, 400), st.integers(1, 3), st.integers(0, 99),
+    st.booleans(),
+)
+@example(2, 3, 2, 0, False)  # a failing example is reported without shrinking
+def test_round_robin_documents_write_the_reference_bytes(n, m, k, seed, goods):
+    """1 to 400 picks, in a public result and in a goods result."""
+    instance = fd.random_goods(n, m, seed) if goods else fd.random_public(n, m, k, seed)
+    result = fd.round_robin(instance)
+    assert len(result.picks) == m
+    if goods:
+        alloc = fd.outcome_to_allocation(instance, result.outcome)
+        trace = io.mechanism_trace(result)
+        doc = io.goods_result_document("round-robin", alloc, result.utilities, trace)
+    else:
+        doc = io.result_document(result)
+    expected = {**doc, "trace": reference.mechanism_trace(result)}
+    _written(doc, expected, lambda result_doc: [result_doc])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(LONG), Fraction(1, LONG), Fraction(LONG + 1, 3)],
+    ids=["whole", "denominator", "numerator"],
+)
+def test_an_over_long_factor_or_alpha_is_named(limit_640, value):
+    """A factor or an alpha past the conversion limit is the same one-line
+    FairdecError as any other value a document cannot hold."""
+    reduction = WeightReduction(0, 1, 0, value, False)
+    round_ = Round(((0,),), (reduction,), ())
+    trace = fd.TransferTrace(fd.allocation([{0}, set()]), (round_,))
+    check = fd.AxiomCheck(satisfied=False, alpha=value)
+    player = fd.PlayerAudit(*[fd.AxiomCheck(True, Fraction(1))] * 3, pps=check)
+    report = fd.AuditReport(utilities=(1,), players=(player,))
+    for doc in (io.transfer_trace_document(trace), io.audit_document(report)):
+        with pytest.raises(fd.FairdecError, match="^a result value has more digits than"):
+            io.to_json(doc)

@@ -19,7 +19,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairdec"
 MODULES = sorted(PACKAGE.glob("*.py"))
-LINE_CEILING = 2951  # src/fairdec/*.py, all lines counted
+LINE_CEILING = 3005  # src/fairdec/*.py, all lines counted
 
 
 def _private(name: str) -> bool:
