@@ -2,7 +2,7 @@
 
 Each family is a function returning the instance (plus a witness allocation
 or a critical weight ratio where the construction is about one). ``generate``
-dispatches on the family name for the command line.
+builds a family by its name from the table ``FAMILIES``, for the command line.
 
 Family overview:
 - example1: two players, two binary issues, opposite interests; every share
@@ -47,20 +47,6 @@ from .model import (
     decision_instance,
     goods_instance,
 )
-
-FAMILIES = (
-    "example1",
-    "example2",
-    "compromise",
-    "theorem5",
-    "lemma6_upper",
-    "theorem6_upper",
-    "appendixA",
-    "weighted_welfare_gap",
-    "random",
-    "random-goods",
-)
-
 
 class GeneratedInstance(NamedTuple):
     family: str
@@ -142,10 +128,10 @@ def _unit_valued(row0: list, bundles: list) -> tuple[GoodsInstance, Allocation]:
     return goods_instance(rows), allocation(bundles)
 
 
-def theorem6_upper(delta: Fraction = Fraction(1, 100)) -> GoodsInstance:
+def theorem6_upper(delta: Fraction | None = None) -> GoodsInstance:
     """Two players, four goods; under the Nash-welfare allocation player 1
     keeps 2/(3-2*delta) of her round robin share of 3/2 - delta."""
-    delta = Fraction(delta)
+    delta = Fraction(1, 100) if delta is None else Fraction(delta)
     if not 0 < delta < Fraction(1, 2):
         raise ValueError("delta must lie strictly between 0 and 1/2")
     half = Fraction(1, 2)
@@ -239,6 +225,21 @@ def _draws(seed: int, umin: int, umax: int) -> Iterator[int]:
             yield umin + r
 
 
+# name: (builder, required and optional parameters, extra GeneratedInstance field)
+FAMILIES = {
+    "example1": (example1, (), (), None),
+    "example2": (example2, (), (), None),
+    "compromise": (compromise, (), (), None),
+    "theorem5": (theorem5, ("n",), (), None),
+    "lemma6_upper": (lemma6_upper, ("n",), (), "witness"),
+    "theorem6_upper": (theorem6_upper, (), ("delta",), None),
+    "appendixA": (appendixA, ("n", "m"), (), "witness"),
+    "weighted_welfare_gap": (weighted_welfare_gap, (), (), "critical_ratio"),
+    "random": (random_public, ("n", "m", "k", "seed"), ("umin", "umax"), None),
+    "random-goods": (random_goods, ("n", "m", "seed"), ("umin", "umax"), None),
+}
+
+
 def generate(
     family: str,
     n: int | None = None,
@@ -251,38 +252,15 @@ def generate(
 ) -> GeneratedInstance:
     """Build a named family; raises ValueError on a missing or unknown name
     or missing parameters."""
-
-    def need(**params):
-        missing = [name for name, value in params.items() if value is None]
-        if missing:
-            raise ValueError(
-                f"family {family!r} needs parameters: {', '.join(missing)}"
-            )
-
-    fixed = {"example1": example1, "example2": example2, "compromise": compromise}
-    if family in fixed:
-        return GeneratedInstance(family, fixed[family]())
-    if family == "theorem5":
-        need(n=n)
-        return GeneratedInstance(family, theorem5(n))
-    if family == "lemma6_upper":
-        need(n=n)
-        instance, witness = lemma6_upper(n)
-        return GeneratedInstance(family, instance, witness=witness)
-    if family == "theorem6_upper":
-        instance = theorem6_upper(delta if delta is not None else Fraction(1, 100))
-        return GeneratedInstance(family, instance)
-    if family == "appendixA":
-        need(n=n, m=m)
-        instance, witness = appendixA(n, m)
-        return GeneratedInstance(family, instance, witness=witness)
-    if family == "weighted_welfare_gap":
-        instance, ratio = weighted_welfare_gap()
-        return GeneratedInstance(family, instance, critical_ratio=ratio)
-    if family == "random":
-        need(n=n, m=m, k=k, seed=seed)
-        return GeneratedInstance(family, random_public(n, m, k, seed, umin, umax))
-    if family == "random-goods":
-        need(n=n, m=m, seed=seed)
-        return GeneratedInstance(family, random_goods(n, m, seed, umin, umax))
-    raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    given = dict(n=n, m=m, k=k, delta=delta, seed=seed, umin=umin, umax=umax)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    build, required, optional, extra = FAMILIES[family]
+    missing = [name for name in required if given[name] is None]
+    if missing:
+        raise ValueError(f"family {family!r} needs parameters: {', '.join(missing)}")
+    built = build(**{name: given[name] for name in required + optional})
+    if extra is None:
+        return GeneratedInstance(family, built)
+    instance, value = built
+    return GeneratedInstance(family, instance, **{extra: value})

@@ -92,6 +92,13 @@ MUTANTS = [
         ("test_private_goods.py",),
     ),
     Mutant(
+        "prop1-stale-after-a-round",
+        "private_goods.py",
+        "ok[i] = prop1_ok(i)",
+        "ok[i] = ok[i]",
+        ("test_private_goods.py",),
+    ),
+    Mutant(
         "float-weights",
         "private_goods.py",
         "len(weights) != goods.n or not exact or",
@@ -200,6 +207,14 @@ MUTANTS = [
         "if given != len(fields) or",
         "if given > len(fields) or",
         ("test_records.py",),
+    ),
+    # the family table: each listed parameter is checked
+    Mutant(
+        "family-checks-one-parameter",
+        "generators.py",
+        "for name in required if given[name] is None",
+        "for name in required[:1] if given[name] is None",
+        ("test_generators.py",),
     ),
     # the command line
     Mutant(

@@ -4,12 +4,15 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairdec as fd
-from fairdec.generators import FAMILIES
+from fairdec import io
+from fairdec.cli import main
+from fairdec.generators import FAMILIES, theorem6_upper
 from reference_helpers import enumerate_allocations
 
 
@@ -35,6 +38,54 @@ def test_generate_rejects_unknown_families_and_missing_parameters():
         fd.generate("theorem5")
     with pytest.raises(ValueError, match="seed"):
         fd.generate("random", n=2, m=2, k=2)
+
+
+# the parameters each family needs, in the order a missing one is named
+REQUIRED = {
+    "theorem5": ("n",),
+    "lemma6_upper": ("n",),
+    "appendixA": ("n", "m"),
+    "random": ("n", "m", "k", "seed"),
+    "random-goods": ("n", "m", "seed"),
+}
+SIZES = {"n": 2, "m": 7, "k": 2, "seed": 1}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generate_and_gen_write_the_same_instance(family, tmp_path):
+    params = {name: SIZES[name] for name in REQUIRED.get(family, ())}
+    expected = io.to_json(io.instance_document(fd.generate(family, **params).instance))
+    out = tmp_path / "instance.json"
+    flags = [f"--{name}={value}" for name, value in params.items()]
+    assert main(["gen", "--family", family, *flags, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_missing_parameter_is_named_in_table_order(family):
+    required = REQUIRED.get(family, ())
+    for size in range(1, len(required) + 1):
+        for dropped in combinations(required, size):
+            params = {name: SIZES[name] for name in required if name not in dropped}
+            with pytest.raises(ValueError) as caught:
+                fd.generate(family, **params)
+            names = ", ".join(dropped)
+            assert str(caught.value) == f"family {family!r} needs parameters: {names}"
+
+
+def test_theorem6_upper_defaults_delta_to_one_hundredth():
+    default = fd.generate("theorem6_upper").instance
+    assert default == fd.generate("theorem6_upper", delta=Fraction(1, 100)).instance
+    assert default == theorem6_upper() == theorem6_upper(None)
+    assert default != theorem6_upper(Fraction(1, 3))
+
+
+def test_an_unknown_family_lists_every_family():
+    with pytest.raises(ValueError) as caught:
+        fd.generate("nonsense")
+    head, known = str(caught.value).split("; known: ")
+    assert head == "unknown family 'nonsense'"
+    assert known.split(", ") == list(FAMILIES)
 
 
 def test_example_families_are_fixed():
