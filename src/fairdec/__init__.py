@@ -7,8 +7,9 @@ pessimistic proportional share, exact audits, brute-force oracles, named
 instance families, and a JSON command line.
 """
 
-import importlib
-from itertools import chain
+import importlib as _importlib
+from itertools import chain as _chain
+from types import ModuleType as _Module
 
 from .audit import (
     AuditReport,
@@ -68,28 +69,12 @@ _LAZY = {
                       "prop1_po_search", "weighted_welfare_allocation"),
 }
 
-__all__ = [
-    # audit
-    "AuditReport", "AxiomCheck", "ParetoCheck", "PlayerAudit", "audit",
-    "audit_goods", "best_single_switch", "check_pareto_optimal",
-    # errors
-    "DEFAULT_ENUM_CAP", "CapExceeded", "FairdecError", "GenerationError",
-    "InstanceFormatError", "InvariantError",
-    # generators
-    "GeneratedInstance", "generate", "random_goods", "random_public",
-    # mechanisms
-    "leximin", "max_nash_welfare", "round_robin",
-    # model
-    "Allocation", "DecisionInstance", "GoodsInstance", "Issue", "MechanismResult",
-    "Outcome", "Pick", "Violation", "allocation", "allocation_to_outcome",
-    "allocation_utilities", "as_fraction", "bundle_utility", "decision_instance",
-    "goods_instance", "goods_to_public", "outcome_to_allocation",
-    "outcome_utility", "utility_vector",
-    # shares
-    "DEFAULT_MMS_CAP", "ShareProfile", "maximin_share", "pessimistic_share",
-    "proportional_share", "round_robin_share", "share_profile",
-    *chain(*_LAZY.values()),
-]
+# public names bound above but modules, plus the lazy ones; once each after a reload
+__all__ = sorted({
+    *(name for name, value in globals().items()
+      if not name.startswith("_") and not isinstance(value, _Module)),
+    *_chain(*_LAZY.values()),
+})
 
 __version__ = "0.1.0"
 
@@ -99,7 +84,7 @@ def __getattr__(name: str):
     first use (PEP 562)."""
     for module, names in _LAZY.items():
         if name == module or name in names:
-            value = importlib.import_module(f"{__name__}.{module}")
+            value = _importlib.import_module(f"{__name__}.{module}")
             value = value if name == module else getattr(value, name)
             globals()[name] = value  # later reads skip this function
             return value

@@ -232,6 +232,21 @@ MUTANTS = [
         "if True:",
         ("test_imports.py",),
     ),
+    # the package's __all__, read off the names it binds
+    Mutant(
+        "all-lists-modules",
+        "__init__.py",
+        " and not isinstance(value, _Module)",
+        "",
+        ("test_imports.py",),
+    ),
+    Mutant(
+        "all-drops-lazy-names",
+        "__init__.py",
+        "*_chain(*_LAZY.values()),",
+        "",
+        ("test_imports.py",),
+    ),
     # the bulk record writers of io: each must write the reference's bytes
     Mutant(
         "reduction-donor-recipient-swapped",

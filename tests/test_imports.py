@@ -116,3 +116,18 @@ def test_audit_is_the_function_and_missing_names_raise():
     assert isinstance(fd.private_goods, ModuleType) and fd.private_goods.SEARCH_ROUNDS
     with pytest.raises(AttributeError, match="has no attribute 'missing'"):
         fd.missing
+
+
+def test_a_reload_keeps_each_public_name_once_and_no_module():
+    """A reload reads ``__all__`` off a namespace in which ``__getattr__``
+    has cached lazy names and bound their modules; each name stays listed
+    once and no module is listed."""
+    code = (
+        "import importlib, types\nimport fairdec as fd\n"
+        "fd.pps_po_allocate, fd.exact_optimum\nimportlib.reload(fd)\n"
+        "names = fd.__all__\n"
+        "modules = [n for n in names if isinstance(getattr(fd, n), types.ModuleType)]\n"
+        "if len(names) != 54 or len(set(names)) != 54 or modules:\n"
+        "    sys.exit(f'{len(names)} names, {len(set(names))} unique, modules {modules}')"
+    )
+    assert loaded(code) == CORE | {"oracles", "private_goods"}
